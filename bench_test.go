@@ -19,6 +19,7 @@ import (
 	fusion "repro"
 	"repro/internal/core"
 	"repro/internal/dfsm"
+	"repro/internal/exec"
 	"repro/internal/experiments"
 	"repro/internal/fcache"
 	"repro/internal/lattice"
@@ -248,26 +249,6 @@ func BenchmarkRecoverAlgorithm3(b *testing.B) {
 
 // --- Ablations (DESIGN.md) -------------------------------------------------
 
-// BenchmarkAblationIncrementalDmin compares Algorithm 2 with incremental
-// fault-graph updates (the default) against full recomputation per outer
-// iteration (experiment abl1).
-func BenchmarkAblationIncrementalDmin(b *testing.B) {
-	sys := mustSystem(b, "EvenParity", "OddParity", "Toggle", "PatternGenerator")
-	for _, mode := range []struct {
-		name      string
-		recompute bool
-	}{{"incremental", false}, {"recompute", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_, err := core.GenerateFusion(sys, 3, core.GenerateOptions{Recompute: mode.recompute})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationExhaustiveSearch compares the greedy lattice descent of
 // Algorithm 2 against the exponential exhaustive minimal-fusion search of
 // the authors' earlier work (experiment abl2; small top only).
@@ -293,20 +274,36 @@ func BenchmarkAblationExhaustiveSearch(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationGuardedClosure compares the abort-early guarded closure
-// candidate evaluation against filter-after-closure on a paper suite
-// (experiment abl1 family).
+// BenchmarkAblationGuardedClosure compares the two candidate-evaluation
+// paths core.GenerateFusion chooses between at guardedClosureLimit
+// weakest edges (experiment abl1 family): one greedy descent of the
+// suite's top along its weakest edges, evaluated by the abort-early
+// guarded cascade (the edges as forbidden pairs) and by
+// filter-after-closure (Covers on each finished closure). It is the
+// instrument for retuning that limit.
 func BenchmarkAblationGuardedClosure(b *testing.B) {
 	sys := mustSystem(b, "MESI", "1-Counter", "0-Counter", "ShiftRegister")
+	required := core.BuildFaultGraph(sys.N(), sys.Parts).WeakestEdges()
+	forbidden := make([][2]int, len(required))
+	for i, e := range required {
+		forbidden[i] = [2]int{e.I, e.J}
+	}
+	covers := func(p partition.P) bool { return core.Covers(p, required) }
 	for _, mode := range []struct {
-		name     string
-		disabled bool
-	}{{"guarded", false}, {"unguarded", true}} {
+		name      string
+		forbidden [][2]int
+		keep      func(partition.P) bool
+	}{{"guarded", forbidden, nil}, {"unguarded", nil, covers}} {
 		b.Run(mode.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, err := core.GenerateFusion(sys, 2, core.GenerateOptions{NoGuardedClosure: mode.disabled})
-				if err != nil {
-					b.Fatal(err)
+				d := partition.NewDescentState()
+				m := partition.Singletons(sys.N())
+				for m.NumBlocks() > 1 {
+					best, ok := partition.MinMergeClosureOn(exec.Default(), d, sys.Top, m, mode.forbidden, mode.keep)
+					if !ok {
+						break
+					}
+					m = best
 				}
 			}
 		})
@@ -320,7 +317,7 @@ func BenchmarkLowerCoverVsMergeClosures(b *testing.B) {
 	top := partition.Singletons(sys.N())
 	b.Run("mergeClosures", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if got := partition.MergeClosures(sys.Top, top, nil); len(got) == 0 {
+			if got := partition.MergeClosuresOn(exec.Default(), sys.Top, top, nil, nil); len(got) == 0 {
 				b.Fatal("empty")
 			}
 		}

@@ -66,6 +66,15 @@
 // level tier's implied/seeded/cold split always sums to the cold-closure
 // count, so sharing effectiveness is inspectable in production.
 //
+// Every tier runs through one closure kernel (internal/partition) and one
+// pool fan-out over a level's block pairs. Which weakest-edge check the
+// kernel applies is chosen from the input, not by an option: up to 64
+// weakest edges the cascade aborts at the first union that merges one
+// (the guarded closure), past that each finished closure is filtered. The
+// ablation knobs are GenerateOptions.NoIncremental (no cross-level reuse)
+// and NoPairMemo (no within-level memo), each measured by a tracked
+// benchmark row.
+//
 // All parallelism flows through one execution engine (see Engine): a
 // persistent worker pool, sized to GOMAXPROCS by default, whose workers
 // shard tasks through an atomic cursor and keep per-worker scratch

@@ -48,10 +48,10 @@ func ParseDigest(s string) (Digest, bool) {
 //
 // Of the options only MaxMachines participates: it changes the outcome
 // (success vs. the too-many-machines error). Pool never affects results,
-// and the ablation knobs (Recompute, NoGuardedClosure, NoIncremental,
-// NoPairMemo) return bit-identical fusions by construction — but cacheable requests
-// must not carry them anyway (see Options.Cacheable), since serving an
-// ablation run from cache would defeat its purpose of measuring.
+// and the ablation knobs (NoIncremental, NoPairMemo) return bit-identical
+// fusions by construction — but cacheable requests must not carry them
+// anyway (see Options.Cacheable), since serving an ablation run from
+// cache would defeat its purpose of measuring.
 func RequestDigest(ms []*dfsm.Machine, f int, opts GenerateOptions) Digest {
 	buf := make([]byte, 0, 24+32*len(ms))
 	buf = append(buf, DigestScheme)
@@ -70,5 +70,5 @@ func RequestDigest(ms []*dfsm.Machine, f int, opts GenerateOptions) Digest {
 // explicit opt-out, and none of the ablation knobs that exist to measure
 // the generation path itself.
 func (o GenerateOptions) Cacheable() bool {
-	return !o.NoCache && !o.Recompute && !o.NoGuardedClosure && !o.NoIncremental && !o.NoPairMemo
+	return !o.NoCache && !o.NoIncremental && !o.NoPairMemo
 }

@@ -110,10 +110,8 @@ func TestCacheable(t *testing.T) {
 		t.Fatal("zero options must be cacheable")
 	}
 	for name, opts := range map[string]GenerateOptions{
-		"NoCache":          {NoCache: true},
-		"Recompute":        {Recompute: true},
-		"NoGuardedClosure": {NoGuardedClosure: true},
-		"NoIncremental":    {NoIncremental: true},
+		"NoCache":       {NoCache: true},
+		"NoIncremental": {NoIncremental: true},
 	} {
 		if opts.Cacheable() {
 			t.Errorf("%s: ablation/opt-out option reported cacheable", name)

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dfsm"
+	"repro/internal/exec"
 	"repro/internal/partition"
 )
 
@@ -37,9 +38,10 @@ func randomEquivSystem(t *testing.T, rng *rand.Rand, maxTop int) *core.System {
 }
 
 // TestGuardedMergeClosuresEquivalence checks, along full Algorithm 2
-// descents of random systems, that MergeClosuresGuarded (abort-early
-// closure with the forbidden-partner index) returns exactly the candidates
-// of MergeClosures filtered by Covers — same partitions, same order.
+// descents of random systems, that MergeClosuresOn with forbidden pairs
+// (abort-early closure with the forbidden-partner index) returns exactly
+// the candidates of MergeClosuresOn filtered by Covers — same partitions,
+// same order.
 func TestGuardedMergeClosuresEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 25; trial++ {
@@ -54,8 +56,8 @@ func TestGuardedMergeClosuresEquivalence(t *testing.T) {
 
 		m := partition.Singletons(sys.N())
 		for m.NumBlocks() > 1 {
-			guarded := partition.MergeClosuresGuarded(sys.Top, m, forbidden)
-			plain := partition.MergeClosures(sys.Top, m, covers)
+			guarded := partition.MergeClosuresOn(exec.Default(), sys.Top, m, forbidden, nil)
+			plain := partition.MergeClosuresOn(exec.Default(), sys.Top, m, nil, covers)
 			if len(guarded) != len(plain) {
 				t.Fatalf("trial %d: guarded returned %d candidates, unguarded %d", trial, len(guarded), len(plain))
 			}
@@ -143,39 +145,6 @@ func assertGraphEqual(t *testing.T, trial int, step string, got, want *core.Faul
 			if got.Weight(i, j) != want.Weight(i, j) {
 				t.Fatalf("trial %d %s: weight(%d,%d) = %d, rebuilt %d",
 					trial, step, i, j, got.Weight(i, j), want.Weight(i, j))
-			}
-		}
-	}
-}
-
-// TestGenerateFusionAblationModes pins that all optimization toggles — the
-// incremental fault graph vs full recompute, and the guarded vs unguarded
-// closure — produce identical fusions on random systems.
-func TestGenerateFusionAblationModes(t *testing.T) {
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 15; trial++ {
-		sys := randomEquivSystem(t, rng, 40)
-		f := 1 + rng.Intn(3)
-		base, err := core.GenerateFusion(sys, f, core.GenerateOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, opts := range []core.GenerateOptions{
-			{Recompute: true},
-			{NoGuardedClosure: true},
-			{Recompute: true, NoGuardedClosure: true},
-		} {
-			got, err := core.GenerateFusion(sys, f, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(base) {
-				t.Fatalf("trial %d opts %+v: %d fusions vs %d", trial, opts, len(got), len(base))
-			}
-			for i := range got {
-				if !got[i].Equal(base[i]) {
-					t.Fatalf("trial %d opts %+v: fusion %d differs: %s vs %s", trial, opts, i, got[i], base[i])
-				}
 			}
 		}
 	}

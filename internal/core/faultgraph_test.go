@@ -221,9 +221,11 @@ func weakestEdgesRescan(g *core.FaultGraph) []core.Edge {
 }
 
 // TestWeakestEdgesIncrementalMatchesRescan is the equivalence property of
-// the incremental weakest-edge index: after arbitrary interleavings of
-// Add and Remove, WeakestEdges equals the full-rescan reference at every
-// step, and so does a Clone taken mid-sequence.
+// the incremental fault graph: after arbitrary interleavings of Add and
+// Remove, WeakestEdges equals the full-rescan reference, and every edge
+// weight and Dmin equal a BuildFaultGraph rebuild from the partitions
+// currently added, at every step — and so does a Clone taken
+// mid-sequence.
 func TestWeakestEdgesIncrementalMatchesRescan(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 60; trial++ {
@@ -239,6 +241,18 @@ func TestWeakestEdgesIncrementalMatchesRescan(t *testing.T) {
 			for i := range got {
 				if got[i] != want[i] {
 					t.Fatalf("trial %d %s: edge %d is %v, rescan says %v", trial, step, i, got[i], want[i])
+				}
+			}
+			rebuilt := core.BuildFaultGraph(n, added)
+			if g.Dmin() != rebuilt.Dmin() {
+				t.Fatalf("trial %d %s: dmin %d, rebuild says %d", trial, step, g.Dmin(), rebuilt.Dmin())
+			}
+			for i := 0; i < n; i++ {
+				for j := i + 1; j < n; j++ {
+					if g.Weight(i, j) != rebuilt.Weight(i, j) {
+						t.Fatalf("trial %d %s: weight(%d,%d) = %d, rebuild says %d",
+							trial, step, i, j, g.Weight(i, j), rebuilt.Weight(i, j))
+					}
 				}
 			}
 		}

@@ -19,15 +19,6 @@ type GenerateOptions struct {
 	// that want dedicated capacity pass their engine's pool here
 	// (fusion.Engine does). The choice of pool never changes the output.
 	Pool *exec.Pool
-	// Recompute forces a full fault-graph rebuild on every outer iteration
-	// instead of the incremental Add; used by the ablation benchmark, never
-	// needed in production.
-	Recompute bool
-	// NoGuardedClosure disables the abort-early guarded closure for
-	// candidate evaluation (see partition.CloseGuarded); used by the
-	// ablation benchmark. The guarded and unguarded paths return identical
-	// fusions.
-	NoGuardedClosure bool
 	// NoIncremental disables the incremental descent engine — the
 	// cross-level violation pruning and survivor-seeded joins of
 	// partition.DescentState — so every descent level re-evaluates all
@@ -123,7 +114,7 @@ func GenerateFusion(s *System, f int, opts GenerateOptions) ([]partition.P, erro
 		// than the maximality-filtered lower cover: every closed partition
 		// strictly below m is ≤ some merge closure of m, so the down-set
 		// explored is identical while skipping the O(B⁴·N) maximality
-		// filter (see partition.MergeClosures).
+		// filter (see partition.MergeClosuresOn).
 		m := partition.Singletons(n)
 		for m.NumBlocks() > 1 {
 			best, ok := bestCandidate(s, m, required, opts, d)
@@ -141,12 +132,7 @@ func GenerateFusion(s *System, f int, opts GenerateOptions) ([]partition.P, erro
 		}
 
 		fusions = append(fusions, m)
-		if opts.Recompute {
-			parts := append(append([]partition.P{}, s.Parts...), fusions...)
-			g = BuildFaultGraph(n, parts)
-		} else {
-			g.Add(m)
-		}
+		g.Add(m)
 	}
 	return fusions, nil
 }
@@ -154,25 +140,27 @@ func GenerateFusion(s *System, f int, opts GenerateOptions) ([]partition.P, erro
 // bestCandidate evaluates one descent level: among the merge closures of
 // m that still separate every required edge, return the Less-minimal one
 // (Algorithm 2's deterministic pick — fewest blocks first, then
-// lexicographically least normalized vector). It chooses between the
-// guarded (abort-early) and filter-after-closure evaluation paths, runs
-// the fan-out on the options' pool (the shared default when unset), and
-// threads the descent state for cross-level pruning and seeding (d may
-// be nil for cold levels). ok is false when no candidate qualifies.
+// lexicographically least normalized vector). Up to guardedClosureLimit
+// required edges it hands them to the guarded (abort-early) cascade as
+// forbidden pairs, past it it filters each finished closure by Covers;
+// both return the same candidate. The fan-out runs on the options' pool
+// (the shared default when unset) and threads the descent state for
+// cross-level pruning and seeding (d may be nil for cold levels). ok is
+// false when no candidate qualifies.
 func bestCandidate(s *System, m partition.P, required []Edge, opts GenerateOptions, d *partition.DescentState) (partition.P, bool) {
 	pool := opts.Pool
 	if pool == nil {
 		pool = exec.Default()
 	}
-	if !opts.NoGuardedClosure && len(required) <= guardedClosureLimit {
+	if len(required) <= guardedClosureLimit {
 		forbidden := make([][2]int, len(required))
 		for i, e := range required {
 			forbidden[i] = [2]int{e.I, e.J}
 		}
-		return partition.MinMergeClosureGuardedOn(pool, d, s.Top, m, forbidden)
+		return partition.MinMergeClosureOn(pool, d, s.Top, m, forbidden, nil)
 	}
 	covers := func(p partition.P) bool { return Covers(p, required) }
-	return partition.MinMergeClosureOn(pool, d, s.Top, m, covers)
+	return partition.MinMergeClosureOn(pool, d, s.Top, m, nil, covers)
 }
 
 // GreedyDescent exposes one inner-loop descent of Algorithm 2: starting
@@ -188,7 +176,7 @@ func GreedyDescent(s *System, required []Edge) partition.P {
 	}
 	m := partition.Singletons(s.N())
 	for m.NumBlocks() > 1 {
-		best, ok := partition.MinMergeClosureOn(exec.Default(), d, s.Top, m, covers)
+		best, ok := partition.MinMergeClosureOn(exec.Default(), d, s.Top, m, nil, covers)
 		if !ok {
 			break
 		}

@@ -113,55 +113,26 @@ func TestSubsetOfFusionTheorem3(t *testing.T) {
 	}
 }
 
-// TestGenerateRecomputeMatchesIncremental: the ablation flag must not change
-// the result, only the cost.
+// TestGenerateRecomputeMatchesIncremental: GenerateFusion keeps its fault
+// graph up to date with an incremental Add per generated machine. Restarting
+// it on a system whose parts already include the first k fusion machines
+// rebuilds the graph from scratch; the remaining machines must not change.
 func TestGenerateRecomputeMatchesIncremental(t *testing.T) {
 	sys := fig2System(t)
-	a, err := core.GenerateFusion(sys, 2, core.GenerateOptions{})
-	if err != nil {
-		t.Fatal(err)
+	a := generate(t, sys, 2)
+	if len(a) < 2 {
+		t.Fatalf("f=2 gives %d machines; need at least 2 to restart between them", len(a))
 	}
-	b, err := core.GenerateFusion(sys, 2, core.GenerateOptions{Recompute: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a) != len(b) {
-		t.Fatalf("incremental %d machines, recompute %d", len(a), len(b))
-	}
-	for i := range a {
-		if !a[i].Equal(b[i]) {
-			t.Errorf("machine %d differs between incremental and recompute runs", i)
+	for k := 1; k < len(a); k++ {
+		rebuilt := *sys
+		rebuilt.Parts = append(append([]partition.P{}, sys.Parts...), a[:k]...)
+		b := generate(t, &rebuilt, 2)
+		if len(b) != len(a)-k {
+			t.Fatalf("k=%d: incremental leaves %d machines, recompute %d", k, len(a)-k, len(b))
 		}
-	}
-}
-
-// TestGenerateGuardedMatchesUnguarded: the abort-early closure path and the
-// filter-after-closure path must return identical fusions.
-func TestGenerateGuardedMatchesUnguarded(t *testing.T) {
-	for _, ms := range [][]*dfsm.Machine{
-		{machines.ZeroCounter(), machines.OneCounter()},
-		{machines.EvenParity(), machines.OddParity(), machines.ToggleSwitch()},
-	} {
-		sys, err := core.NewSystem(ms)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for f := 1; f <= 2; f++ {
-			a, err := core.GenerateFusion(sys, f, core.GenerateOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := core.GenerateFusion(sys, f, core.GenerateOptions{NoGuardedClosure: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(a) != len(b) {
-				t.Fatalf("f=%d: %d vs %d machines", f, len(a), len(b))
-			}
-			for i := range a {
-				if !a[i].Equal(b[i]) {
-					t.Errorf("f=%d machine %d differs between guarded and unguarded paths", f, i)
-				}
+		for i := range b {
+			if !a[k+i].Equal(b[i]) {
+				t.Errorf("k=%d: machine %d differs between incremental and recompute runs", k, k+i)
 			}
 		}
 	}

@@ -38,33 +38,30 @@ func IsClosed(top *dfsm.Machine, p P) bool {
 type statePair struct{ a, b int }
 
 // closureScratch bundles the per-closure working set — union-find forest,
-// propagation stack, first-of-block table, and the guarded-closure
-// violation index — so MergeClosures' thousands of closures per call can
-// recycle buffers instead of allocating each time. One scratch lives in
-// each exec worker's closureSlot, persisting across calls and across
-// whole MergeClosures invocations; serial entry points share the same
-// recycling through the pool's Do contexts.
+// propagation stack, first-of-block table, and the forbidden-pair guard —
+// so a merge-closure fan-out's thousands of closures per call can recycle
+// buffers instead of allocating each time. One scratch lives in each exec
+// worker's closureSlot, persisting across calls and across whole
+// fan-outs; serial entry points share the same recycling through the
+// pool's Do contexts.
 type closureScratch struct {
 	uf    *UnionFind
 	stack []statePair
-	first []int // first state seen per block id
-	// seedFirst is the second first-of-block table used by the seeded
-	// (join-based) closures of the incremental descent engine, which
-	// unite the blocks of two partitions instead of one.
-	seedFirst []int
-	// Guarded-closure state: tags[r] lists the forbidden-pair endpoints
-	// currently in root r's set; adj[s] lists s's forbidden partners.
-	tags [][]int
-	adj  [][]int
+	first []int // first state seen per block id of the partition being absorbed
+	// Guard state, live while guarded: tags[r] lists the forbidden-pair
+	// endpoints currently in root r's set; adj[s] lists s's forbidden
+	// partners.
+	guarded bool
+	tags    [][]int
+	adj     [][]int
 }
 
 // closureSlot is the per-worker scratch slot holding a *closureScratch.
 var closureSlot = exec.NewSlotID()
 
 // scratchFor returns the context's closure scratch reset for an n-state
-// closure over a partition with the given block count, allocating it on
-// the worker's first use.
-func scratchFor(c *exec.Ctx, n, blocks int) *closureScratch {
+// closure, allocating it on the worker's first use.
+func scratchFor(c *exec.Ctx, n int) *closureScratch {
 	s, _ := c.Get(closureSlot).(*closureScratch)
 	if s == nil {
 		s = &closureScratch{uf: &UnionFind{}}
@@ -72,32 +69,17 @@ func scratchFor(c *exec.Ctx, n, blocks int) *closureScratch {
 	}
 	s.uf.Reset(n)
 	s.stack = s.stack[:0]
-	if cap(s.first) >= blocks {
-		s.first = s.first[:blocks]
-	} else {
-		s.first = make([]int, blocks)
-	}
-	for i := range s.first {
-		s.first[i] = -1
-	}
 	return s
 }
 
-// resetSeed sizes and clears the second first-of-block table for a
-// seeding partition with the given block count.
-func (s *closureScratch) resetSeed(blocks int) {
-	if cap(s.seedFirst) >= blocks {
-		s.seedFirst = s.seedFirst[:blocks]
-	} else {
-		s.seedFirst = make([]int, blocks)
+// guard arms the forbidden-pair index for n states; an empty forbidden
+// list disarms it, so unite takes the plain union path. false reports a
+// degenerate pair (s, s), which no partition separates.
+func (s *closureScratch) guard(n int, forbidden [][2]int) bool {
+	s.guarded = len(forbidden) > 0
+	if !s.guarded {
+		return true
 	}
-	for i := range s.seedFirst {
-		s.seedFirst[i] = -1
-	}
-}
-
-// resetGuarded sizes and clears the violation index for n states.
-func (s *closureScratch) resetGuarded(n int) {
 	if cap(s.tags) >= n {
 		s.tags = s.tags[:n]
 		s.adj = s.adj[:n]
@@ -109,28 +91,83 @@ func (s *closureScratch) resetGuarded(n int) {
 		s.tags = make([][]int, n)
 		s.adj = make([][]int, n)
 	}
+	for _, e := range forbidden {
+		x, y := e[0], e[1]
+		if x == y {
+			return false
+		}
+		if len(s.adj[x]) == 0 {
+			s.tags[x] = append(s.tags[x], x)
+		}
+		if len(s.adj[y]) == 0 {
+			s.tags[y] = append(s.tags[y], y)
+		}
+		s.adj[x] = append(s.adj[x], y)
+		s.adj[y] = append(s.adj[y], x)
+	}
+	return true
 }
 
-// Close computes the finest closed partition that is coarser than or equal
-// to p — i.e. the largest machine (in the paper's order, the maximal closed
-// partition ≤ is reversed: Close(p) is the closed partition with the most
-// blocks among those that merge everything p merges). This is the classical
-// Hartmanis–Stearns closure used when computing lower covers: merge two
-// states and propagate the forced merges of their successors to a fixpoint.
-//
-// Complexity: O(N·|Σ|·α(N)) unions in the worst case.
-func Close(top *dfsm.Machine, p P) P {
-	pool := exec.Default()
-	c := pool.Acquire()
-	defer pool.Release(c)
-	return closeOn(c, top, p)
+// unite merges the sets of a and b. merged reports that they were
+// distinct; ok=false reports that the union collapsed a forbidden pair.
+// Violation detection is incremental: each root carries the forbidden-pair
+// endpoints ("tags") inside its set, and a union only checks the absorbed
+// root's tags against their partners' roots — O(tags·deg) per union
+// instead of an O(|forbidden|) rescan with two Finds per pair.
+func (s *closureScratch) unite(a, b int) (merged, ok bool) {
+	uf := s.uf
+	if !s.guarded {
+		return uf.Union(a, b), true
+	}
+	ra, rb := uf.Find(a), uf.Find(b)
+	if ra == rb {
+		return false, true
+	}
+	uf.Union(ra, rb)
+	root := uf.Find(ra)
+	child := ra + rb - root // the absorbed root
+	for _, x := range s.tags[child] {
+		for _, t := range s.adj[x] {
+			if uf.Find(t) == root {
+				return true, false
+			}
+		}
+	}
+	s.tags[root] = append(s.tags[root], s.tags[child]...)
+	s.tags[child] = s.tags[child][:0]
+	return true, true
 }
 
-// closeOn is Close running on an exec context, whose scratch slot
-// supplies the recycled working set. It is the task body of the pooled
-// merge-closure fan-out.
-func closeOn(c *exec.Ctx, top *dfsm.Machine, p P) P {
-	return closeMergingOn(c, top, p, 0, 0)
+// absorb unites the states of every block of m, pushing each union for
+// propagation when push is set; false reports a forbidden-pair violation.
+// Without push, m must be closed: same-block states then have same-block
+// successors, and every block is fully united by the end of the pass, so
+// transitivity through the forest covers the cross effects and no
+// propagation is owed.
+func (s *closureScratch) absorb(m P, push bool) bool {
+	if blocks := m.NumBlocks(); cap(s.first) >= blocks {
+		s.first = s.first[:blocks]
+	} else {
+		s.first = make([]int, blocks)
+	}
+	for i := range s.first {
+		s.first[i] = -1
+	}
+	for st, b := range m.View() {
+		prev := s.first[b]
+		if prev < 0 {
+			s.first[b] = st
+			continue
+		}
+		merged, ok := s.unite(prev, st)
+		if !ok {
+			return false
+		}
+		if merged && push {
+			s.stack = append(s.stack, statePair{prev, st})
+		}
+	}
+	return true
 }
 
 // cascadeOutcome classifies how a memo-aware closure cascade resolved,
@@ -153,71 +190,65 @@ const (
 	cascadeImplied
 )
 
-// absorb unites all blocks of the closed partition m into uf — the
-// unguarded cascade-absorption step. m is wholly contained in the final
-// closure, and uniting within a closed partition's blocks needs no
-// propagation pushes (same argument as seededCloseOn: same-block states
-// have same-block successors, and every block is fully united by the end
-// of the pass, so transitivity through the forest covers the cross
-// effects).
-func absorb(sc *closureScratch, uf *UnionFind, m P) {
-	sc.resetSeed(m.NumBlocks())
-	for s, b := range m.View() {
-		if ps := sc.seedFirst[b]; ps >= 0 {
-			uf.Union(ps, s)
-		} else {
-			sc.seedFirst[b] = s
-		}
+// cascade is the package's one Hartmanis–Stearns closure kernel: it
+// computes close(p ∨ seed ∪ {x~y}). The union-find absorbs the optional
+// closed seed (zero P for none) without propagation pushes, then unites
+// p's blocks and x with y (x == y merges nothing), and runs the
+// propagation fixpoint: merge two states, then merge their successors
+// under every event until nothing changes. The merged start partition is
+// never materialized, which spares every closure of a fan-out a vector
+// copy and an FNV hash.
+//
+// A seed is the incremental descent's survivor join: with seed =
+// close(m ∪ {x~y}) from the previous level and p the new level start m′,
+// closed partitions being closed under join (a chain of same-block steps
+// in p or seed maps under every event to a chain of same-block steps)
+// makes the result close(m′ ∪ {x~y}) — the residual fixpoint never fires
+// on closed inputs, so the re-evaluation is O(N·α) union-find work.
+// Unions of p's blocks across two seed sets are still pushed, as defense
+// in depth against a caller breaking the closedness precondition.
+//
+// A non-empty forbidden list guards every union: the kernel returns
+// ok=false at the first union that merges the two endpoints of any
+// forbidden pair, typically after a handful of unions. An empty list
+// takes the plain union path, free of the guard's extra Finds and tag
+// bookkeeping.
+//
+// A non-nil memo is the level's pair-implication memo (p must be the
+// level start it was reset with). Each union the cascade is about to
+// propagate first consults the memo entry of its canonical induced pair:
+// a published violation aborts the whole evaluation (ok=false — sound
+// only under a constraint monotone under coarsening); a published closure
+// that also unites x and y IS this pair's closure (mutual implication)
+// and is returned as-is; any other published closure is absorbed
+// wholesale. Absorbed closures still pass the guard: the absorbed
+// partition respects the forbidden pairs on its own, but its sets can
+// collide with sets this cascade already built, and such a collision is
+// a true violation of this pair. The result is bit-identical to the
+// memo-free cascade in every case — the memo only changes which unions
+// pay for transition-table walks.
+//
+// Complexity: O(N·|Σ|·α(N)) unions in the worst case.
+func cascade(c *exec.Ctx, top *dfsm.Machine, p, seed P, x, y int, forbidden [][2]int, memo *pairMemo) (P, cascadeOutcome, bool) {
+	sc := scratchFor(c, top.NumStates())
+	if !sc.guard(top.NumStates(), forbidden) ||
+		seed.N() > 0 && !sc.absorb(seed, false) ||
+		!sc.absorb(p, true) {
+		return P{}, cascadeCold, false
 	}
-}
-
-// closeMergingOn computes close(p with the blocks of x and y merged) by
-// seeding the union-find from p directly and uniting x with y in the
-// forest — the merged start partition is never materialized, which
-// spares every closure of the Algorithm 2 fan-out a vector copy and an
-// FNV hash. x == y degenerates to Close(p).
-func closeMergingOn(c *exec.Ctx, top *dfsm.Machine, p P, x, y int) P {
-	cand, _, _ := closeMergingMemoOn(c, top, p, x, y, nil)
-	return cand
-}
-
-// closeMergingMemoOn is closeMergingOn threaded through a level's
-// pair-implication memo (nil for the plain unmemoized cascade). Each
-// union the cascade is about to propagate first consults the memo entry
-// of its canonical induced pair: a published violation aborts the whole
-// evaluation (ok=false — sound only under a constraint monotone under
-// coarsening, which both the guarded forbidden-pair predicate and
-// MinMergeClosureOn's keep contract are); a published closure that also
-// unites x and y IS this pair's closure (mutual implication) and is
-// returned as-is; any other published closure is absorbed wholesale. The
-// result is bit-identical to the memo-free cascade in every case — the
-// memo only changes which unions pay for transition-table walks.
-func closeMergingMemoOn(c *exec.Ctx, top *dfsm.Machine, p P, x, y int, memo *pairMemo) (P, cascadeOutcome, bool) {
-	n := top.NumStates()
-	sc := scratchFor(c, n, p.NumBlocks())
-	uf := sc.uf
 	stack := sc.stack
-	outcome := cascadeCold
 	defer func() { sc.stack = stack }() // keep the grown stack for reuse
-
-	merge := func(a, b int) {
-		if uf.Union(a, b) {
-			stack = append(stack, statePair{a, b})
-		}
-	}
-
-	blockOf := p.View()
-	for s := 0; s < n; s++ {
-		b := blockOf[s]
-		if prev := sc.first[b]; prev >= 0 {
-			merge(prev, s)
-		} else {
-			sc.first[b] = s
-		}
-	}
 	if x != y {
-		merge(x, y)
+		merged, ok := sc.unite(x, y)
+		if !ok {
+			return P{}, cascadeCold, false
+		}
+		if merged {
+			stack = append(stack, statePair{x, y})
+		}
 	}
+	uf := sc.uf
+	outcome := cascadeCold
 	for len(stack) > 0 {
 		pr := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -236,25 +267,50 @@ func closeMergingMemoOn(c *exec.Ctx, top *dfsm.Machine, p P, x, y int, memo *pai
 					if m.BlockOf(x) == m.BlockOf(y) {
 						return m, cascadeImplied, true
 					}
-					absorb(sc, uf, m)
 					outcome = cascadeSeeded
+					if !sc.absorb(m, false) {
+						return P{}, outcome, false
+					}
 					continue
 				}
 			}
-			merge(ta, tb)
+			if _, ok := sc.unite(ta, tb); !ok {
+				return P{}, outcome, false
+			}
+			stack = append(stack, statePair{ta, tb})
 		}
 	}
 	return uf.Partition(), outcome, true
+}
+
+// closeOnDefault runs one cascade on a context of the shared default pool.
+func closeOnDefault(top *dfsm.Machine, p P, x, y int, forbidden [][2]int) (P, bool) {
+	pool := exec.Default()
+	c := pool.Acquire()
+	defer pool.Release(c)
+	cand, _, ok := cascade(c, top, p, P{}, x, y, forbidden, nil)
+	return cand, ok
+}
+
+// Close computes the finest closed partition that is coarser than or equal
+// to p — i.e. the largest machine (in the paper's order, the maximal closed
+// partition ≤ is reversed: Close(p) is the closed partition with the most
+// blocks among those that merge everything p merges). This is the classical
+// Hartmanis–Stearns closure used when computing lower covers: merge two
+// states and propagate the forced merges of their successors to a fixpoint.
+//
+// Complexity: O(N·|Σ|·α(N)) unions in the worst case.
+func Close(top *dfsm.Machine, p P) P {
+	c, _ := closeOnDefault(top, p, 0, 0, nil)
+	return c
 }
 
 // CloseMergingStates is Close applied to the partition obtained from p by
 // merging the blocks containing states x and y. It is the inner step of the
 // lower-cover computation.
 func CloseMergingStates(top *dfsm.Machine, p P, x, y int) P {
-	pool := exec.Default()
-	c := pool.Acquire()
-	defer pool.Release(c)
-	return closeMergingOn(c, top, p, x, y)
+	c, _ := closeOnDefault(top, p, x, y, nil)
+	return c
 }
 
 // CloseGuarded is Close that aborts as soon as the closure would merge the
@@ -262,295 +318,8 @@ func CloseMergingStates(top *dfsm.Machine, p P, x, y int) P {
 // uses it to discard lower-cover candidates that stop covering a weakest
 // fault-graph edge without paying for the full closure: the abort fires
 // mid-propagation, typically after a handful of unions.
-//
-// Violation detection is incremental: each union-find root carries the
-// forbidden-pair endpoints ("tags") inside its set, and a union only checks
-// the absorbed root's tags against their partners' roots — O(tags·deg) per
-// union instead of a full O(|forbidden|) rescan with two Finds per pair.
 func CloseGuarded(top *dfsm.Machine, p P, forbidden [][2]int) (P, bool) {
-	pool := exec.Default()
-	c := pool.Acquire()
-	defer pool.Release(c)
-	return closeGuardedOn(c, top, p, forbidden)
-}
-
-// closeGuardedOn is CloseGuarded running on an exec context; see closeOn.
-func closeGuardedOn(c *exec.Ctx, top *dfsm.Machine, p P, forbidden [][2]int) (P, bool) {
-	return closeGuardedMergingOn(c, top, p, forbidden, 0, 0)
-}
-
-// closeGuardedMergingOn is closeGuardedOn of p with the blocks of x and
-// y merged, seeding from p directly like closeMergingOn. x == y
-// degenerates to CloseGuarded(p).
-func closeGuardedMergingOn(c *exec.Ctx, top *dfsm.Machine, p P, forbidden [][2]int, x, y int) (P, bool) {
-	cand, _, ok := closeGuardedMergingMemoOn(c, top, p, forbidden, x, y, nil)
-	return cand, ok
-}
-
-// closeGuardedMergingMemoOn is closeGuardedMergingOn threaded through a
-// level's pair-implication memo (nil for the plain cascade); see
-// closeMergingMemoOn for the three reuse rules. On this path a published
-// memoViolated entry means the induced pair's closure collapses a
-// forbidden pair, so the implied abort matches exactly the violation the
-// guard would have hit after finishing the induced cascade itself.
-// Absorbed closures run every union through the incremental tag check:
-// the absorbed partition respects the forbidden pairs on its own (it was
-// published by a successful guarded evaluation), but its sets can
-// collide with sets this cascade already built, and such a collision is
-// a true violation of THIS pair.
-func closeGuardedMergingMemoOn(c *exec.Ctx, top *dfsm.Machine, p P, forbidden [][2]int, x, y int, memo *pairMemo) (P, cascadeOutcome, bool) {
-	n := top.NumStates()
-	sc := scratchFor(c, n, p.NumBlocks())
-	sc.resetGuarded(n)
-	uf := sc.uf
-	stack := sc.stack
-	outcome := cascadeCold
-	defer func() { sc.stack = stack }()
-
-	for _, e := range forbidden {
-		x, y := e[0], e[1]
-		if x == y {
-			return P{}, outcome, false // degenerate pair can never be separated
-		}
-		if len(sc.adj[x]) == 0 {
-			sc.tags[x] = append(sc.tags[x], x)
-		}
-		if len(sc.adj[y]) == 0 {
-			sc.tags[y] = append(sc.tags[y], y)
-		}
-		sc.adj[x] = append(sc.adj[x], y)
-		sc.adj[y] = append(sc.adj[y], x)
-	}
-
-	// merge unites a and b, pushing the pair for propagation only when
-	// push is set (absorbed closures need no pushes); false reports a
-	// forbidden-pair violation.
-	merge := func(a, b int, push bool) bool {
-		ra, rb := uf.Find(a), uf.Find(b)
-		if ra == rb {
-			return true
-		}
-		uf.Union(ra, rb)
-		root := uf.Find(ra)
-		child := ra + rb - root // the absorbed root
-		if push {
-			stack = append(stack, statePair{a, b})
-		}
-		for _, s := range sc.tags[child] {
-			for _, t := range sc.adj[s] {
-				if uf.Find(t) == root {
-					return false
-				}
-			}
-		}
-		sc.tags[root] = append(sc.tags[root], sc.tags[child]...)
-		sc.tags[child] = sc.tags[child][:0]
-		return true
-	}
-
-	blockOf := p.View()
-	for s := 0; s < n; s++ {
-		b := blockOf[s]
-		if prev := sc.first[b]; prev >= 0 {
-			if !merge(prev, s, true) {
-				return P{}, outcome, false
-			}
-		} else {
-			sc.first[b] = s
-		}
-	}
-	if x != y && !merge(x, y, true) {
-		return P{}, outcome, false
-	}
-	for len(stack) > 0 {
-		pr := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for e := 0; e < top.NumEvents(); e++ {
-			ta := top.NextByIndex(pr.a, e)
-			tb := top.NextByIndex(pr.b, e)
-			if uf.Find(ta) == uf.Find(tb) {
-				continue
-			}
-			if memo != nil {
-				st, m := memo.lookup(ta, tb)
-				if st&memoViolated != 0 {
-					return P{}, cascadeImplied, false
-				}
-				if st&memoHasPart != 0 {
-					if m.BlockOf(x) == m.BlockOf(y) {
-						return m, cascadeImplied, true
-					}
-					sc.resetSeed(m.NumBlocks())
-					for s, b := range m.View() {
-						if ps := sc.seedFirst[b]; ps >= 0 {
-							if !merge(ps, s, false) {
-								return P{}, cascadeSeeded, false
-							}
-						} else {
-							sc.seedFirst[b] = s
-						}
-					}
-					outcome = cascadeSeeded
-					continue
-				}
-			}
-			if !merge(ta, tb, true) {
-				return P{}, outcome, false
-			}
-		}
-	}
-	return uf.Partition(), outcome, true
-}
-
-// seededCloseOn computes close(p ∨ prev), the closure of the join of two
-// CLOSED partitions, by uniting both partitions' blocks in one union-find
-// and running the standard propagation fixpoint over only the cross
-// unions. Closed partitions are closed under join (Hartmanis–Stearns pair
-// algebra: a chain of same-block steps in p or prev maps under every
-// event to a chain of same-block steps), so with prev = close(m ∪ {x~y})
-// from the previous descent level and p the new level start m′ this
-// equals close(m′ ∪ {x~y}) — the residual fixpoint never unites anything
-// on closed inputs, making the re-evaluation O(N·α) union-find work with
-// no transition-table cascade.
-//
-// Uniting within one closed partition's blocks needs no propagation (the
-// successors of same-block states are same-block, and every block is
-// fully united by the end of its pass); only unions that join a p-block
-// across two prev-sets are pushed, as defense in depth against a caller
-// breaking the closedness precondition of prev — those checks still
-// cascade to the correct closure, just without the fast path.
-func seededCloseOn(c *exec.Ctx, top *dfsm.Machine, p, prev P) P {
-	n := top.NumStates()
-	sc := scratchFor(c, n, p.NumBlocks())
-	sc.resetSeed(prev.NumBlocks())
-	uf := sc.uf
-	stack := sc.stack
-
-	prevOf := prev.View()
-	for s := 0; s < n; s++ {
-		b := prevOf[s]
-		if ps := sc.seedFirst[b]; ps >= 0 {
-			uf.Union(ps, s)
-		} else {
-			sc.seedFirst[b] = s
-		}
-	}
-	blockOf := p.View()
-	for s := 0; s < n; s++ {
-		b := blockOf[s]
-		if ps := sc.first[b]; ps >= 0 {
-			if uf.Union(ps, s) {
-				stack = append(stack, statePair{ps, s})
-			}
-		} else {
-			sc.first[b] = s
-		}
-	}
-	for len(stack) > 0 {
-		pr := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for e := 0; e < top.NumEvents(); e++ {
-			ta := top.NextByIndex(pr.a, e)
-			tb := top.NextByIndex(pr.b, e)
-			if uf.Union(ta, tb) {
-				stack = append(stack, statePair{ta, tb})
-			}
-		}
-	}
-	sc.stack = stack
-	return uf.Partition()
-}
-
-// seededCloseGuardedOn is seededCloseOn with the forbidden-pair abort of
-// closeGuardedOn: every union — including the block seeding of both
-// closed inputs — runs the incremental tag check, so a join that
-// collapses a forbidden pair returns ok=false at the union that creates
-// the violation.
-func seededCloseGuardedOn(c *exec.Ctx, top *dfsm.Machine, p, prev P, forbidden [][2]int) (P, bool) {
-	n := top.NumStates()
-	sc := scratchFor(c, n, p.NumBlocks())
-	sc.resetSeed(prev.NumBlocks())
-	sc.resetGuarded(n)
-	uf := sc.uf
-	stack := sc.stack
-	defer func() { sc.stack = stack }()
-
-	for _, e := range forbidden {
-		x, y := e[0], e[1]
-		if x == y {
-			return P{}, false // degenerate pair can never be separated
-		}
-		if len(sc.adj[x]) == 0 {
-			sc.tags[x] = append(sc.tags[x], x)
-		}
-		if len(sc.adj[y]) == 0 {
-			sc.tags[y] = append(sc.tags[y], y)
-		}
-		sc.adj[x] = append(sc.adj[x], y)
-		sc.adj[y] = append(sc.adj[y], x)
-	}
-
-	// merge unites a and b, pushing the pair for propagation only when
-	// push is set; false reports a forbidden-pair violation.
-	merge := func(a, b int, push bool) bool {
-		ra, rb := uf.Find(a), uf.Find(b)
-		if ra == rb {
-			return true
-		}
-		uf.Union(ra, rb)
-		root := uf.Find(ra)
-		child := ra + rb - root // the absorbed root
-		if push {
-			stack = append(stack, statePair{a, b})
-		}
-		for _, s := range sc.tags[child] {
-			for _, t := range sc.adj[s] {
-				if uf.Find(t) == root {
-					return false
-				}
-			}
-		}
-		sc.tags[root] = append(sc.tags[root], sc.tags[child]...)
-		sc.tags[child] = sc.tags[child][:0]
-		return true
-	}
-
-	prevOf := prev.View()
-	for s := 0; s < n; s++ {
-		b := prevOf[s]
-		if ps := sc.seedFirst[b]; ps >= 0 {
-			if !merge(ps, s, false) {
-				return P{}, false
-			}
-		} else {
-			sc.seedFirst[b] = s
-		}
-	}
-	blockOf := p.View()
-	for s := 0; s < n; s++ {
-		b := blockOf[s]
-		if ps := sc.first[b]; ps >= 0 {
-			if !merge(ps, s, true) {
-				return P{}, false
-			}
-		} else {
-			sc.first[b] = s
-		}
-	}
-	for len(stack) > 0 {
-		pr := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for e := 0; e < top.NumEvents(); e++ {
-			ta := top.NextByIndex(pr.a, e)
-			tb := top.NextByIndex(pr.b, e)
-			if uf.Find(ta) != uf.Find(tb) {
-				if !merge(ta, tb, true) {
-					return P{}, false
-				}
-			}
-		}
-	}
-	return uf.Partition(), true
+	return closeOnDefault(top, p, 0, 0, forbidden)
 }
 
 // Quotient materializes the machine corresponding to a closed partition of

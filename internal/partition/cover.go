@@ -16,66 +16,15 @@ import (
 // fanned out across the shared worker pool — this is the hot inner loop of
 // Algorithm 2.
 func LowerCover(top *dfsm.Machine, p P) []P {
-	return LowerCoverFiltered(top, p, nil)
+	return LowerCoverOn(exec.Default(), top, p)
 }
 
 // LowerCoverOn is LowerCover drawing its parallelism from the given
-// persistent pool instead of the package default.
+// persistent pool instead of the package default. Callers that own an
+// engine (a dedicated pool) route through here so the cover's closure
+// fan-out runs on their capacity, not the shared default's.
 func LowerCoverOn(pool *exec.Pool, top *dfsm.Machine, p P) []P {
-	return LowerCoverFilteredOn(pool, top, p, nil)
-}
-
-// MergeClosures returns the deduplicated closures of all single-pair block
-// merges of p that pass the keep predicate (nil keeps everything), without
-// the maximality filter of LowerCover. Every closed partition strictly
-// coarser than p is ≤ one of the unfiltered merge closures, so descending
-// through MergeClosures explores the same down-set as descending through
-// the lower cover — Algorithm 2 uses this as its fast path because the
-// maximality filter costs O(B⁴·N) comparisons at the top of large lattices
-// while adding nothing to correctness (see core.GenerateFusion).
-//
-// Parallelism comes from the package-level exec pool; use MergeClosuresOn
-// to run on an explicitly sized pool (fusion.Engine does).
-func MergeClosures(top *dfsm.Machine, p P, keep func(P) bool) []P {
-	return MergeClosuresOn(exec.Default(), top, p, keep)
-}
-
-// MergeClosuresOn is MergeClosures drawing its parallelism from the given
-// persistent pool instead of the package default.
-func MergeClosuresOn(pool *exec.Pool, top *dfsm.Machine, p P, keep func(P) bool) []P {
-	return mergeClosures(pool, top, p, keep)
-}
-
-// MergeClosuresGuarded is MergeClosures specialized to the "must keep
-// separating these pairs" predicate of Algorithm 2, implemented with
-// CloseGuarded so that violating candidates abort mid-closure instead of
-// completing and failing the check afterwards. Semantically identical to
-// MergeClosures(top, p, func(c){c separates all forbidden pairs}).
-func MergeClosuresGuarded(top *dfsm.Machine, p P, forbidden [][2]int) []P {
-	return MergeClosuresGuardedOn(exec.Default(), top, p, forbidden)
-}
-
-// MergeClosuresGuardedOn is MergeClosuresGuarded on an explicit pool.
-func MergeClosuresGuardedOn(pool *exec.Pool, top *dfsm.Machine, p P, forbidden [][2]int) []P {
-	return runMergeClosures(pool, p, func(c *exec.Ctx, p P, x, y int) (P, bool) {
-		return closeGuardedMergingOn(c, top, p, forbidden, x, y)
-	})
-}
-
-// LowerCoverFiltered is LowerCover with an optional predicate: when keep is
-// non-nil, candidates failing keep are discarded *before* the maximality
-// filter. This restricts the cover to machines that still cover all weakest
-// fault-graph edges, matching line 6 of the paper's pseudocode (only
-// candidates that increase dmin are ever descended into).
-func LowerCoverFiltered(top *dfsm.Machine, p P, keep func(P) bool) []P {
-	return LowerCoverFilteredOn(exec.Default(), top, p, keep)
-}
-
-// LowerCoverFilteredOn is LowerCoverFiltered on an explicit pool. Callers
-// that own an engine (a dedicated pool) route through here so the cover's
-// closure fan-out runs on their capacity, not the shared default's.
-func LowerCoverFilteredOn(pool *exec.Pool, top *dfsm.Machine, p P, keep func(P) bool) []P {
-	uniq := mergeClosures(pool, top, p, keep)
+	uniq := MergeClosuresOn(pool, top, p, nil, nil)
 
 	// Keep maximal elements: drop c if some other candidate d is strictly
 	// finer than c (c < d means c is coarser, hence not maximal).
@@ -98,57 +47,27 @@ func LowerCoverFilteredOn(pool *exec.Pool, top *dfsm.Machine, p P, keep func(P) 
 	return cover
 }
 
-func mergeClosures(pool *exec.Pool, top *dfsm.Machine, p P, keep func(P) bool) []P {
-	return runMergeClosures(pool, p, func(c *exec.Ctx, p P, x, y int) (P, bool) {
-		cand := closeMergingOn(c, top, p, x, y)
-		if keep == nil || keep(cand) {
-			return cand, true
-		}
-		return P{}, false
-	})
-}
-
-// runMergeClosures evaluates close(p, x, y) for one representative state
-// pair (x, y) per unordered block pair of p, fanning the closures out over
-// the persistent worker pool (the pool's atomic cursor load-balances the
-// tasks; per-worker scratch slots recycle the union-find working sets),
-// then deduplicates the survivors by (Hash, Equal) in task order. Results
-// are written into task-indexed slots, so the output is deterministic
-// regardless of worker scheduling.
-func runMergeClosures(pool *exec.Pool, p P, closeFn func(c *exec.Ctx, p P, x, y int) (P, bool)) []P {
-	blocks := p.Blocks()
-	b := len(blocks)
-	if b <= 1 {
-		return nil // bottom has no lower cover
-	}
-
-	type task struct{ i, j int }
-	tasks := make([]task, 0, b*(b-1)/2)
-	for i := 0; i < b; i++ {
-		for j := i + 1; j < b; j++ {
-			tasks = append(tasks, task{i, j})
-		}
-	}
-
-	candidates := make([]P, len(tasks))
-	valid := make([]bool, len(tasks))
-	pool.Run(len(tasks), func(c *exec.Ctx, k int) {
-		t := tasks[k]
-		if cand, ok := closeFn(c, p, blocks[t.i][0], blocks[t.j][0]); ok {
-			candidates[k] = cand
-			valid[k] = true
-		}
-	})
-
-	// Deduplicate by hash with Equal confirmation, preserving task order.
+// MergeClosuresOn returns the deduplicated closures of all single-pair
+// block merges of p that separate every forbidden pair and pass keep
+// (either may be nil), without the maximality filter of LowerCover, in
+// block-pair order regardless of the pool's worker count. forbidden is
+// enforced by the abort-early guarded cascade, so violating candidates
+// stop mid-closure instead of completing and failing a check afterwards;
+// the result is the same as passing the equivalent keep predicate.
+//
+// Every closed partition strictly coarser than p is ≤ one of the
+// unfiltered merge closures, so descending through merge closures explores
+// the same down-set as descending through the lower cover — Algorithm 2
+// uses this as its fast path (MinMergeClosureOn) because the maximality
+// filter costs O(B⁴·N) comparisons at the top of large lattices while
+// adding nothing to correctness (see core.GenerateFusion).
+func MergeClosuresOn(pool *exec.Pool, top *dfsm.Machine, p P, forbidden [][2]int, keep func(P) bool) []P {
+	tasks := blockPairs(p)
 	seen := NewSet(len(tasks))
 	var uniq []P
-	for k, ok := range valid {
-		if !ok {
-			continue
-		}
-		if c := candidates[k]; seen.Add(c) {
-			uniq = append(uniq, c)
+	for _, r := range closePairs(pool, top, p, tasks, constraint{forbidden, keep}, nil, nil) {
+		if r.ok && seen.Add(r.cand) {
+			uniq = append(uniq, r.cand)
 		}
 	}
 	return uniq

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/dfsm"
+	"repro/internal/exec"
 )
 
 func TestLowerCoverOfFig2Top(t *testing.T) {
@@ -80,18 +81,20 @@ func TestLowerCoverOfBottom(t *testing.T) {
 	}
 }
 
-func TestLowerCoverFilteredPrunes(t *testing.T) {
+// TestMergeClosuresKeepPrunes: candidates failing keep never reach the
+// candidate list.
+func TestMergeClosuresKeepPrunes(t *testing.T) {
 	top := fig2Top(t)
 	// Keep only partitions separating t1 and t2.
 	keep := func(p P) bool { return p.Separates(1, 2) }
-	cover := LowerCoverFiltered(top, Singletons(4), keep)
-	for _, c := range cover {
+	cands := MergeClosuresOn(exec.Default(), top, Singletons(4), nil, keep)
+	for _, c := range cands {
 		if !c.Separates(1, 2) {
-			t.Errorf("filtered cover contains %v which merges t1,t2", c)
+			t.Errorf("filtered candidates contain %v which merges t1,t2", c)
 		}
 	}
-	// Rejecting everything yields the empty cover.
-	none := LowerCoverFiltered(top, Singletons(4), func(P) bool { return false })
+	// Rejecting everything yields no candidates.
+	none := MergeClosuresOn(exec.Default(), top, Singletons(4), nil, func(P) bool { return false })
 	if len(none) != 0 {
 		t.Errorf("filter-all-out returned %v", none)
 	}

@@ -63,11 +63,13 @@ type DescentState struct {
 	memoOff bool
 
 	// Top-level closure cache (EnableTopCache): constraint-independent,
-	// so it persists across Reset. topSet interns the cached closures —
-	// distinct top closures are typically far fewer than pairs.
+	// so it persists across Reset. topCache holds the closure of every ⊤
+	// pair in blockPairs order (each descent overwrites the verdicts with
+	// its own constraint's); topSet interns the cached closures — distinct
+	// top closures are typically far fewer than pairs.
 	cacheTop  bool
 	topFilled bool
-	topCache  map[uint64]P
+	topCache  []pairResult
 	topSet    *Set
 
 	stats DescentStats
@@ -152,8 +154,7 @@ func (d *DescentState) DisablePairMemo() { d.memoOff = true }
 // abandoned mid-propagation, a cost only reuse amortizes.
 func (d *DescentState) EnableTopCache() {
 	d.cacheTop = true
-	if d.topCache == nil {
-		d.topCache = make(map[uint64]P)
+	if d.topSet == nil {
 		d.topSet = NewSet(64)
 	}
 }
@@ -170,93 +171,153 @@ func pairKey(x, y int) uint64 {
 	return uint64(x)<<32 | uint64(y)
 }
 
-// descentTask is one candidate evaluation of a level: a representative
-// state pair plus, when the pair survived the previous level, the
-// candidate to seed the join from.
-type descentTask struct {
-	x, y   int
-	prev   P
-	seeded bool
+// pairTask is one candidate evaluation of a fan-out: the representative
+// (minimal) states of two blocks of the level start plus, when the pair
+// survived the previous level, its closure there to seed the join from
+// (zero P for a cold evaluation).
+type pairTask struct {
+	x, y int
+	seed P
 }
 
-// MinMergeClosureOn returns the Less-minimal merge closure of p passing
-// keep — the pickCandidate winner of Algorithm 2's line-6 fan-out —
-// without materializing the full candidate list, and records per-pair
-// outcomes in d for cross-level reuse. ok is false when no candidate
-// passes (the descent has bottomed out). d may be nil (no reuse: every
-// level is evaluated cold, as MergeClosuresOn would).
+// pairResult is one task's slot in a fan-out: the candidate closure, its
+// verdict against the level constraint, and how a cold cascade resolved
+// against the pair memo.
+type pairResult struct {
+	cand P
+	ok   bool
+	out  cascadeOutcome
+}
+
+// constraint is what a level's candidates must satisfy: separate every
+// forbidden pair (enforced inside the cascade, which aborts early) and
+// pass keep (checked on the finished closure). Either part may be empty.
+// Both must be monotone under coarsening — if a partition fails, every
+// coarser one fails — for the descent's pruning and the memo's implied
+// violations to be sound; the fault-graph Covers predicate is (losing an
+// edge is permanent).
+type constraint struct {
+	forbidden [][2]int
+	keep      func(P) bool
+}
+
+// accepts checks a finished closure against the constraint: the verdict
+// the guarded cascade reaches by aborting, plus keep.
+func (k constraint) accepts(cand P) bool {
+	view := cand.View()
+	for _, e := range k.forbidden {
+		if view[e[0]] == view[e[1]] {
+			return false
+		}
+	}
+	return k.keep == nil || k.keep(cand)
+}
+
+// blockPairs returns one cold task per unordered block pair of p, in
+// block order.
+func blockPairs(p P) []pairTask {
+	blocks := p.Blocks()
+	b := len(blocks)
+	tasks := make([]pairTask, 0, b*(b-1)/2)
+	for i := 0; i < b; i++ {
+		for j := i + 1; j < b; j++ {
+			tasks = append(tasks, pairTask{x: blocks[i][0], y: blocks[j][0]})
+		}
+	}
+	return tasks
+}
+
+// closePairs is the one pool fan-out over a level's block pairs, shared by
+// the min-descent, the ⊤-cache fill and the full candidate list: each task
+// closes p merged along its pair (joined with its seed, if any) under con.
+// Cold tasks thread memo (nil when sharing is off) and publish their
+// outcome into it; onClose, when set, observes every evaluated pair and
+// must be internally synchronized. The pool's atomic cursor load-balances
+// the tasks and per-worker scratch slots recycle the union-find working
+// sets; results land in task-indexed slots, so every reduction over them
+// is independent of worker scheduling.
+func closePairs(pool *exec.Pool, top *dfsm.Machine, p P, tasks []pairTask, con constraint, memo *pairMemo, onClose func(x, y int)) []pairResult {
+	res := make([]pairResult, len(tasks))
+	pool.Run(len(tasks), func(c *exec.Ctx, k int) {
+		t := tasks[k]
+		if onClose != nil {
+			onClose(t.x, t.y)
+		}
+		m := memo
+		if t.seed.N() > 0 {
+			m = nil // a seeded join neither needs nor defines a memo entry
+		}
+		cand, out, ok := cascade(c, top, p, t.seed, t.x, t.y, con.forbidden, m)
+		// A cascade aborted by an implied violation carries over to this
+		// pair by the constraint's monotonicity, so keep only judges
+		// finished closures.
+		ok = ok && (con.keep == nil || con.keep(cand))
+		if m != nil {
+			m.publish(t.x, t.y, cand, ok)
+		}
+		res[k] = pairResult{cand: cand, ok: ok, out: out}
+	})
+	return res
+}
+
+// minAccepted is Algorithm 2's deterministic pick over a fan-out: the
+// Less-minimal accepted candidate, first in task order on ties.
+func minAccepted(res []pairResult) (P, bool) {
+	var best P
+	found := false
+	for _, r := range res {
+		if r.ok && (!found || r.cand.Less(best)) {
+			best, found = r.cand, true
+		}
+	}
+	return best, found
+}
+
+// MinMergeClosureOn returns the Less-minimal merge closure of p that
+// separates every forbidden pair and passes keep — the pickCandidate
+// winner of Algorithm 2's line-6 fan-out — without materializing the full
+// candidate list, and records per-pair outcomes in d for cross-level
+// reuse. ok is false when no candidate passes (the descent has bottomed
+// out). d may be nil (no reuse: every level is evaluated cold).
 //
-// Pruning soundness requires keep to be monotone under coarsening: if
-// keep rejects a partition it must reject every coarser one (the
-// fault-graph Covers predicate is — losing an edge is permanent). The
-// winner is identical to pickCandidate over MergeClosuresOn(pool, top,
-// p, keep) for any such keep.
-func MinMergeClosureOn(pool *exec.Pool, d *DescentState, top *dfsm.Machine, p P, keep func(P) bool) (P, bool) {
-	accept := func(cand P) bool { return keep == nil || keep(cand) }
-	return runMinMergeClosures(pool, d, p, levelEval{
-		cold: func(c *exec.Ctx, x, y int, memo *pairMemo) (P, cascadeOutcome, bool) {
-			cand, out, ok := closeMergingMemoOn(c, top, p, x, y, memo)
-			if !ok {
-				// Implied violation: a pair this cascade derives was
-				// already rejected by keep, and keep's monotonicity
-				// contract makes the rejection carry to every coarser
-				// closure — this one included.
-				return P{}, out, false
-			}
-			return cand, out, accept(cand)
-		},
-		seeded: func(c *exec.Ctx, prev P) (P, bool) {
-			cand := seededCloseOn(c, top, p, prev)
-			return cand, accept(cand)
-		},
-		full: func(c *exec.Ctx, x, y int, memo *pairMemo) (P, cascadeOutcome) {
-			cand, out, _ := closeMergingMemoOn(c, top, p, x, y, memo)
-			return cand, out
-		},
-		accept: accept,
-	})
-}
+// forbidden is enforced by the abort-early guarded cascade and keep on
+// each finished closure; either may be nil. Pruning soundness requires
+// keep to be monotone under coarsening: if keep rejects a partition it
+// must reject every coarser one. The winner is identical to the
+// Less-minimum of MergeClosuresOn(pool, top, p, forbidden, keep) for any
+// such keep.
+func MinMergeClosureOn(pool *exec.Pool, d *DescentState, top *dfsm.Machine, p P, forbidden [][2]int, keep func(P) bool) (P, bool) {
+	if p.NumBlocks() <= 1 {
+		return P{}, false // bottom has no merge closures
+	}
+	con := constraint{forbidden, keep}
+	if d == nil {
+		return minAccepted(closePairs(pool, top, p, blockPairs(p), con, nil, nil))
+	}
+	var tasks []pairTask
+	var res []pairResult
+	if d.cacheTop && p.NumBlocks() == p.N() {
+		tasks = blockPairs(p)
+		res = d.topLevel(pool, top, p, tasks, con)
+	} else {
+		tasks, res = d.liveLevel(pool, top, p, con)
+	}
 
-// MinMergeClosureGuardedOn is MinMergeClosureOn specialized to the
-// "separate every forbidden pair" predicate, evaluated with the
-// abort-early guarded closure (and its seeded-join counterpart).
-// Semantically identical to pickCandidate over MergeClosuresGuardedOn.
-func MinMergeClosureGuardedOn(pool *exec.Pool, d *DescentState, top *dfsm.Machine, p P, forbidden [][2]int) (P, bool) {
-	return runMinMergeClosures(pool, d, p, levelEval{
-		cold: func(c *exec.Ctx, x, y int, memo *pairMemo) (P, cascadeOutcome, bool) {
-			return closeGuardedMergingMemoOn(c, top, p, forbidden, x, y, memo)
-		},
-		seeded: func(c *exec.Ctx, prev P) (P, bool) {
-			return seededCloseGuardedOn(c, top, p, prev, forbidden)
-		},
-		full: func(c *exec.Ctx, x, y int, memo *pairMemo) (P, cascadeOutcome) {
-			cand, out, _ := closeMergingMemoOn(c, top, p, x, y, memo)
-			return cand, out
-		},
-		accept: func(cand P) bool {
-			view := cand.View()
-			for _, e := range forbidden {
-				if view[e[0]] == view[e[1]] {
-					return false
-				}
-			}
-			return true
-		},
-	})
-}
-
-// levelEval bundles the candidate-evaluation strategies of one descent
-// level: cold is the constraint-aware from-scratch closure (guarded or
-// filter-after-close), seeded the survivor join, full the unfiltered
-// closure used to populate the top cache, and accept the constraint
-// filter — accept(full(x,y)) must agree with cold(x,y)'s verdict. cold
-// and full thread the level's pair-implication memo (nil when sharing
-// is off) and report how the cascade resolved against it.
-type levelEval struct {
-	cold   func(c *exec.Ctx, x, y int, memo *pairMemo) (P, cascadeOutcome, bool)
-	seeded func(c *exec.Ctx, prev P) (P, bool)
-	full   func(c *exec.Ctx, x, y int, memo *pairMemo) (P, cascadeOutcome)
-	accept func(P) bool
+	// Record outcomes serially, in task order, so d's contents are
+	// independent of worker scheduling. The survivors just recorded
+	// become the seeds of the next level.
+	for k, t := range tasks {
+		key := pairKey(t.x, t.y)
+		if res[k].ok {
+			d.next[key] = res[k].cand
+		} else {
+			d.pruned[key] = struct{}{}
+		}
+	}
+	d.stats.Levels++
+	d.survivors, d.next = d.next, d.survivors
+	clear(d.next)
+	return minAccepted(res)
 }
 
 // levelMemo returns the pair memo reset for a level starting at p, or
@@ -264,7 +325,7 @@ type levelEval struct {
 // cold evaluations means no cascade can reuse another's). coldTasks
 // counts the level's from-scratch evaluations.
 func (d *DescentState) levelMemo(p P, coldTasks int) *pairMemo {
-	if d == nil || d.memoOff || coldTasks < 2 {
+	if d.memoOff || coldTasks < 2 {
 		return nil
 	}
 	if d.memo == nil {
@@ -274,118 +335,38 @@ func (d *DescentState) levelMemo(p P, coldTasks int) *pairMemo {
 	return d.memo
 }
 
-// runMinMergeClosures evaluates one descent level: enumerate the block
-// pairs of p, skip the ones d has pruned, close the rest (seeded when a
-// survivor is on record), and min-reduce the qualifiers by Less. The
-// evaluations fan out over the pool; outcomes are recorded into d in a
-// deterministic serial pass over task-indexed slots afterwards.
-func runMinMergeClosures(pool *exec.Pool, d *DescentState, p P, eval levelEval) (P, bool) {
-	blocks := p.Blocks()
-	b := len(blocks)
-	if b <= 1 {
-		return P{}, false // bottom has no merge closures
-	}
-	if d != nil && d.cacheTop && b == p.N() {
-		return d.topLevel(pool, p, eval)
-	}
-
-	tasks := make([]descentTask, 0, b*(b-1)/2)
-	for i := 0; i < b; i++ {
-		for j := i + 1; j < b; j++ {
-			t := descentTask{x: blocks[i][0], y: blocks[j][0]}
-			if d != nil {
-				key := pairKey(t.x, t.y)
-				if _, dead := d.pruned[key]; dead {
-					d.stats.PrunedSkips++
-					continue
-				}
-				if prev, ok := d.survivors[key]; ok {
-					t.prev, t.seeded = prev, true
-				}
-			}
-			tasks = append(tasks, t)
-		}
-	}
-
-	coldTasks := 0
-	for _, t := range tasks {
-		if !t.seeded {
-			coldTasks++
-		}
-	}
-	var memo *pairMemo
-	if d != nil {
-		memo = d.levelMemo(p, coldTasks)
-	}
-
-	candidates := make([]P, len(tasks))
-	valid := make([]bool, len(tasks))
-	var outcomes []cascadeOutcome // only stats-bearing descents pay for the slot array
-	var onClose func(x, y int)
-	if d != nil {
-		outcomes = make([]cascadeOutcome, len(tasks))
-		onClose = d.onClose
-	}
-	pool.Run(len(tasks), func(c *exec.Ctx, k int) {
-		t := tasks[k]
-		if onClose != nil {
-			onClose(t.x, t.y)
-		}
-		var cand P
-		var ok bool
-		if t.seeded {
-			cand, ok = eval.seeded(c, t.prev)
-		} else {
-			var out cascadeOutcome
-			cand, out, ok = eval.cold(c, t.x, t.y, memo)
-			if outcomes != nil {
-				outcomes[k] = out
-			}
-			if memo != nil {
-				memo.publish(t.x, t.y, cand, ok)
-			}
-		}
-		if ok {
-			candidates[k] = cand
-			valid[k] = true
-		}
-	})
-
-	// Record outcomes and min-reduce serially, in task order, so the
-	// result and d's contents are independent of worker scheduling.
-	var best P
-	found := false
-	for k, t := range tasks {
-		if !valid[k] {
-			if d != nil {
-				d.pruned[pairKey(t.x, t.y)] = struct{}{}
-			}
+// liveLevel evaluates one level without the top cache: skip the pairs d
+// has pruned, seed the survivors from their previous-level closures, and
+// close the rest cold through the level's pair memo.
+func (d *DescentState) liveLevel(pool *exec.Pool, top *dfsm.Machine, p P, con constraint) ([]pairTask, []pairResult) {
+	all := blockPairs(p)
+	tasks := all[:0]
+	cold := 0
+	for _, t := range all {
+		key := pairKey(t.x, t.y)
+		if _, dead := d.pruned[key]; dead {
+			d.stats.PrunedSkips++
 			continue
 		}
-		cand := candidates[k]
-		if d != nil {
-			cand = d.interned.Intern(cand) // equal survivors share one allocation
-			d.next[pairKey(t.x, t.y)] = cand
+		if prev, ok := d.survivors[key]; ok {
+			t.seed = prev
+		} else {
+			cold++
 		}
-		if !found || cand.Less(best) {
-			best, found = cand, true
+		tasks = append(tasks, t)
+	}
+	res := closePairs(pool, top, p, tasks, con, d.levelMemo(p, cold), d.onClose)
+	for k, t := range tasks {
+		if t.seed.N() == 0 {
+			d.stats.recordCascade(res[k].out)
+		}
+		if res[k].ok {
+			res[k].cand = d.interned.Intern(res[k].cand) // equal survivors share one allocation
 		}
 	}
-	if d != nil {
-		d.stats.Levels++
-		for k, t := range tasks {
-			if t.seeded {
-				d.stats.SeededJoins++
-			} else {
-				d.stats.ColdClosures++
-				d.stats.recordCascade(outcomes[k])
-			}
-		}
-		// The survivors just recorded become the seeds of the next level.
-		d.survivors, d.next = d.next, d.survivors
-		clear(d.next)
-	}
-	return best, found
+	d.stats.ColdClosures += cold
+	d.stats.SeededJoins += len(tasks) - cold
+	return tasks, res
 }
 
 // recordCascade tallies one from-scratch evaluation's resolution into
@@ -402,72 +383,30 @@ func (s *DescentStats) recordCascade(out cascadeOutcome) {
 }
 
 // topLevel evaluates the ⊤ level through the cross-descent closure
-// cache: the first descent fills it with the full (unfiltered) closure
-// of every pair, later descents only re-run the constraint filter. The
-// survivor set and winner are identical to a cold evaluation — accept on
-// the completed closure gives the same verdict the guarded abort or keep
-// predicate would.
-func (d *DescentState) topLevel(pool *exec.Pool, p P, eval levelEval) (P, bool) {
-	n := p.N()
+// cache: the first descent fills it with the unconstrained closure of
+// every pair, and each descent then only re-runs con's filter over it.
+// The survivor set and winner are identical to a cold evaluation —
+// accepts on the completed closure gives the same verdict the guarded
+// abort or keep predicate would. ⊤'s blocks are singletons, so tasks
+// (blockPairs of ⊤) are the same pairs in the same order every time.
+func (d *DescentState) topLevel(pool *exec.Pool, top *dfsm.Machine, p P, tasks []pairTask, con constraint) []pairResult {
 	if !d.topFilled {
-		type pairTask struct{ x, y int }
-		tasks := make([]pairTask, 0, n*(n-1)/2)
-		for x := 0; x < n; x++ {
-			for y := x + 1; y < n; y++ {
-				tasks = append(tasks, pairTask{x, y})
-			}
-		}
-		// The fill computes full (unfiltered) closures, so the memo holds
-		// no violation markers and only the mutual-implication and
-		// absorption reuses fire — every cached entry is still the
-		// complete closure of its pair.
-		memo := d.levelMemo(p, len(tasks))
-		closures := make([]P, len(tasks))
-		outcomes := make([]cascadeOutcome, len(tasks))
-		onClose := d.onClose
-		pool.Run(len(tasks), func(c *exec.Ctx, k int) {
-			t := tasks[k]
-			if onClose != nil {
-				onClose(t.x, t.y)
-			}
-			closures[k], outcomes[k] = eval.full(c, t.x, t.y, memo)
-			if memo != nil {
-				memo.publish(t.x, t.y, closures[k], true)
-			}
-		})
-		for k, t := range tasks {
-			d.topCache[pairKey(t.x, t.y)] = d.topSet.Intern(closures[k])
+		// The fill closes unconstrained, so the memo holds no violation
+		// markers and only the mutual-implication and absorption reuses
+		// fire — every cached entry is still the complete closure of its
+		// pair.
+		d.topCache = closePairs(pool, top, p, tasks, constraint{}, d.levelMemo(p, len(tasks)), d.onClose)
+		for k := range d.topCache {
+			d.topCache[k].cand = d.topSet.Intern(d.topCache[k].cand)
+			d.stats.recordCascade(d.topCache[k].out)
 		}
 		d.topFilled = true
 		d.stats.ColdClosures += len(tasks)
-		for _, out := range outcomes {
-			d.stats.recordCascade(out)
-		}
 	} else {
-		d.stats.TopCacheHits += n * (n - 1) / 2
+		d.stats.TopCacheHits += len(tasks)
 	}
-
-	// Filter the cached closures against this descent's constraint,
-	// recording outcomes exactly as a cold level would. ⊤'s blocks are
-	// singletons, so pair (x, y) IS the representative pair.
-	var best P
-	found := false
-	for x := 0; x < n; x++ {
-		for y := x + 1; y < n; y++ {
-			key := pairKey(x, y)
-			cand := d.topCache[key]
-			if !eval.accept(cand) {
-				d.pruned[key] = struct{}{}
-				continue
-			}
-			d.next[key] = cand
-			if !found || cand.Less(best) {
-				best, found = cand, true
-			}
-		}
+	for k := range d.topCache {
+		d.topCache[k].ok = con.accepts(d.topCache[k].cand)
 	}
-	d.stats.Levels++
-	d.survivors, d.next = d.next, d.survivors
-	clear(d.next)
-	return best, found
+	return d.topCache
 }

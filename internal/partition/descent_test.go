@@ -24,9 +24,9 @@ func randomClosed(rng *rand.Rand, top *dfsm.Machine, merges int) P {
 	return p
 }
 
-// TestSeededCloseMatchesJoinClosure: seededCloseOn of two closed
-// partitions must equal Close of their lattice join — the identity the
-// incremental descent's survivor seeding rests on.
+// TestSeededCloseMatchesJoinClosure: the cascade of a closed partition
+// seeded with another must equal Close of their lattice join — the
+// identity the incremental descent's survivor seeding rests on.
 func TestSeededCloseMatchesJoinClosure(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	pool := exec.Default()
@@ -42,7 +42,7 @@ func TestSeededCloseMatchesJoinClosure(t *testing.T) {
 		want := Close(top, join)
 
 		c := pool.Acquire()
-		got := seededCloseOn(c, top, p, prev)
+		got, _, _ := cascade(c, top, p, prev, 0, 0, nil, nil)
 		pool.Release(c)
 		if !got.Equal(want) {
 			t.Fatalf("trial %d: seeded close %s, Close(Join) %s (p=%s prev=%s)",
@@ -73,7 +73,7 @@ func TestSeededCloseGuardedMatchesGuarded(t *testing.T) {
 		want, wantOK := CloseGuarded(top, join, forbidden)
 
 		c := pool.Acquire()
-		got, gotOK := seededCloseGuardedOn(c, top, p, prev, forbidden)
+		got, _, gotOK := cascade(c, top, p, prev, 0, 0, forbidden, nil)
 		pool.Release(c)
 		if gotOK != wantOK {
 			t.Fatalf("trial %d: seeded verdict %v, reference %v (p=%s prev=%s forbidden=%v)",
@@ -86,7 +86,7 @@ func TestSeededCloseGuardedMatchesGuarded(t *testing.T) {
 }
 
 // minOverFull is the pre-fold reference: pickCandidate over the full
-// MergeClosures candidate list.
+// MergeClosuresOn candidate list.
 func minOverFull(cands []P) (P, bool) {
 	if len(cands) == 0 {
 		return P{}, false
@@ -101,9 +101,10 @@ func minOverFull(cands []P) (P, bool) {
 }
 
 // TestMinMergeClosureMatchesFullDescent descends random machines twice —
-// once through MinMergeClosure[Guarded]On with a DescentState, once
-// through the full MergeClosures list with an explicit min — and demands
-// the identical winner at every level of every descent.
+// once through MinMergeClosureOn (guarded or keep-filtered) with a
+// DescentState, once through the full MergeClosuresOn list with an
+// explicit min — and demands the identical winner at every level of every
+// descent.
 func TestMinMergeClosureMatchesFullDescent(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	pool := exec.Default()
@@ -136,11 +137,11 @@ func TestMinMergeClosureMatchesFullDescent(t *testing.T) {
 				var got P
 				var gotOK bool
 				if guarded {
-					got, gotOK = MinMergeClosureGuardedOn(pool, d, top, m, forbidden)
+					got, gotOK = MinMergeClosureOn(pool, d, top, m, forbidden, nil)
 				} else {
-					got, gotOK = MinMergeClosureOn(pool, d, top, m, keep)
+					got, gotOK = MinMergeClosureOn(pool, d, top, m, nil, keep)
 				}
-				want, wantOK := minOverFull(MergeClosures(top, m, keep))
+				want, wantOK := minOverFull(MergeClosuresOn(pool, top, m, nil, keep))
 				if gotOK != wantOK {
 					t.Fatalf("trial %d guarded=%v at %d blocks: min ok=%v, full ok=%v",
 						trial, guarded, m.NumBlocks(), gotOK, wantOK)
@@ -200,9 +201,9 @@ func TestPairMemoMatchesUnmemoized(t *testing.T) {
 				}
 				level := func(d *DescentState, m P) (P, bool) {
 					if guarded {
-						return MinMergeClosureGuardedOn(pool, d, top, m, forbidden)
+						return MinMergeClosureOn(pool, d, top, m, forbidden, nil)
 					}
-					return MinMergeClosureOn(pool, d, top, m, keep)
+					return MinMergeClosureOn(pool, d, top, m, nil, keep)
 				}
 				mM, mC := Singletons(n), Singletons(n)
 				for {
@@ -277,7 +278,7 @@ func TestPrunedPairNeverReclosed(t *testing.T) {
 			clear(closed)
 			mu.Unlock()
 
-			best, ok := MinMergeClosureGuardedOn(pool, d, top, m, forbidden)
+			best, ok := MinMergeClosureOn(pool, d, top, m, forbidden, nil)
 			if !ok {
 				break
 			}
@@ -309,7 +310,7 @@ func TestDescentStateReset(t *testing.T) {
 	d.EnableTopCache()
 	m := Singletons(12)
 	for m.NumBlocks() > 1 {
-		best, ok := MinMergeClosureGuardedOn(pool, d, top, m, forbidden)
+		best, ok := MinMergeClosureOn(pool, d, top, m, forbidden, nil)
 		if !ok {
 			break
 		}
@@ -338,7 +339,7 @@ func TestDescentStateReset(t *testing.T) {
 	// The second descent must still produce the cold-start result.
 	m = Singletons(12)
 	for m.NumBlocks() > 1 {
-		best, ok := MinMergeClosureGuardedOn(pool, d, top, m, forbidden)
+		best, ok := MinMergeClosureOn(pool, d, top, m, forbidden, nil)
 		if !ok {
 			break
 		}
@@ -346,7 +347,7 @@ func TestDescentStateReset(t *testing.T) {
 	}
 	mCold := Singletons(12)
 	for mCold.NumBlocks() > 1 {
-		best, ok := minOverFull(MergeClosuresGuarded(top, mCold, forbidden))
+		best, ok := minOverFull(MergeClosuresOn(pool, top, mCold, forbidden, nil))
 		if !ok {
 			break
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/dfsm"
+	"repro/internal/exec"
 )
 
 // TestCloseGuardedMatchesClose: when no forbidden pair merges, the guarded
@@ -68,8 +69,8 @@ func TestMergeClosuresGuardedMatchesFiltered(t *testing.T) {
 			}
 			return true
 		}
-		plain := MergeClosures(top, p, keep)
-		guarded := MergeClosuresGuarded(top, p, forbidden)
+		plain := MergeClosuresOn(exec.Default(), top, p, nil, keep)
+		guarded := MergeClosuresOn(exec.Default(), top, p, forbidden, nil)
 		if len(plain) != len(guarded) {
 			t.Fatalf("trial %d: %d vs %d candidates", trial, len(plain), len(guarded))
 		}

@@ -29,7 +29,7 @@ import "sync/atomic"
 //   - Cascade absorption: otherwise q's finished closure is a closed
 //     partition wholly contained in p's final closure, so its blocks are
 //     united wholesale (an O(N·α) scan with no propagation pushes, by
-//     the same closed-under-join argument as seededCloseOn) instead of
+//     the same closed-under-join argument as a survivor seed) instead of
 //     re-walking q's entire transition-table cascade.
 //
 // Entries are keyed by the canonical induced pair — the ordered pair of
@@ -43,7 +43,7 @@ import "sync/atomic"
 //
 // The memo is valid only for the level-start partition it was reset
 // with (keys are that partition's block ids, and entries assume its
-// constraint), so runMinMergeClosures resets it at every level and
+// constraint), so the descent resets it at every level and
 // DescentState.Reset drops it between descents.
 type pairMemo struct {
 	blocks  int

@@ -8,7 +8,7 @@ import (
 	"repro/internal/exec"
 )
 
-// serialMergeClosures is the reference implementation of MergeClosures:
+// serialMergeClosures is the reference implementation of MergeClosuresOn:
 // one goroutine, no pool, dedup in block-pair order. The pooled fan-out
 // must reproduce its output exactly (same candidates, same order) for
 // every worker count — that is what keeps Algorithm 2's candidate
@@ -64,7 +64,7 @@ func TestMergeClosuresPooledMatchesSerial(t *testing.T) {
 		}
 		want := serialMergeClosures(top, p, keep)
 		for _, pool := range pools {
-			got := MergeClosuresOn(pool, top, p, keep)
+			got := MergeClosuresOn(pool, top, p, nil, keep)
 			if !samePartitionSeq(got, want) {
 				t.Fatalf("trial %d workers=%d: pooled %v != serial %v", trial, pool.Workers(), got, want)
 			}
@@ -98,7 +98,7 @@ func TestMergeClosuresGuardedPooledMatchesSerial(t *testing.T) {
 		}
 		want := serialMergeClosures(top, p, keep)
 		for _, pool := range pools {
-			got := MergeClosuresGuardedOn(pool, top, p, forbidden)
+			got := MergeClosuresOn(pool, top, p, forbidden, nil)
 			if !samePartitionSeq(got, want) {
 				t.Fatalf("trial %d workers=%d: guarded pooled %v != serial %v", trial, pool.Workers(), got, want)
 			}

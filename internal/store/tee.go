@@ -94,7 +94,11 @@ func (l *Log) Append(op Op) uint64 {
 	op.Seq = l.last
 	l.ops = append(l.ops, op)
 	if over := len(l.ops) - l.retain; over > 0 {
-		l.ops = append(l.ops[:0:0], l.ops[over:]...)
+		// Reslice rather than copy: append's growth then amortizes the
+		// move of the retained window. Zeroing the dropped slots releases
+		// their payloads before the backing array is next reallocated.
+		clear(l.ops[:over])
+		l.ops = l.ops[over:]
 	}
 	subs := l.subs
 	l.mu.Unlock()

@@ -36,6 +36,30 @@ func TestLogAppendSinceAndTrim(t *testing.T) {
 	}
 }
 
+// TestLogAppendFullAmortized: once the feed is full, Append reslices its
+// retained window instead of copying it, so appends allocate only when
+// append's amortized growth reallocates — and the retain boundary that
+// Since reports stays exact.
+func TestLogAppendFullAmortized(t *testing.T) {
+	const retain = 1024
+	l := NewLog(1, retain)
+	for i := 0; i < 2*retain; i++ {
+		l.Append(Op{Kind: OpRemove, ID: "c"})
+	}
+	allocs := testing.AllocsPerRun(2*retain, func() { l.Append(Op{Kind: OpRemove, ID: "c"}) })
+	if allocs > 0.1 {
+		t.Fatalf("Append on a full log: %.3f allocs/op, want amortized ~0", allocs)
+	}
+	last := l.Seq()
+	if _, ok := l.Since(last-retain-1, 0); ok {
+		t.Fatalf("Since(%d) should report the feed trimmed past %d retained ops", last-retain-1, retain)
+	}
+	ops, ok := l.Since(last-retain, 0)
+	if !ok || len(ops) != retain || ops[0].Seq != last-retain+1 || ops[retain-1].Seq != last {
+		t.Fatalf("Since(%d) = %d ops (ok=%v), want the %d retained ops ending at %d", last-retain, len(ops), ok, retain, last)
+	}
+}
+
 func TestLogSubscribeWakes(t *testing.T) {
 	l := NewLog(1, 0)
 	ch := l.Subscribe()
