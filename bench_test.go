@@ -385,32 +385,25 @@ func BenchmarkApplyAll(b *testing.B) {
 
 // BenchmarkHandleUpdateDurable measures durable cluster mutation
 // throughput with 8 handles appending WAL records concurrently, the
-// fusiond write path under multi-tenant load. The grouped sub-benchmark
-// uses the group-commit WAL (concurrent AppendEvents coalesce into one
-// vectored write + one fsync per commit tick, preallocated segments);
-// percall is the ablation where every Update pays its own write+fsync.
-// The reported fsyncs/op custom metric counts real fsyncs per Update —
+// fusiond write path under multi-tenant load, through the group-commit
+// WAL (concurrent AppendEvents coalesce into one vectored write + one
+// fsync per commit tick, preallocated segments). The reported fsyncs/op custom metric counts real fsyncs per Update —
 // on fast filesystems where wall-clock barely moves, that ratio is the
 // durability bill being split.
 func BenchmarkHandleUpdateDurable(b *testing.B) {
 	for _, mode := range []struct {
 		name   string
-		group  bool
 		linger time.Duration
 	}{
-		{"grouped", true, 0},
+		{"grouped", 0},
 		// linger trades half a millisecond of ack latency for full
 		// batches (-group-batch-delay): on one core the woken waiters
 		// need a beat to re-stage before the next leader claims the
 		// queue, so this is where the fsync amortization shows up.
-		{"grouped-linger", true, 500 * time.Microsecond},
-		{"percall", false, 0},
+		{"grouped-linger", 500 * time.Microsecond},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
-			st, err := store.NewDirWith(b.TempDir(), store.DirOptions{
-				GroupCommit:   mode.group,
-				MaxBatchDelay: mode.linger,
-			})
+			st, err := store.NewDirWith(b.TempDir(), store.DirOptions{MaxBatchDelay: mode.linger})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -92,7 +92,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		grace        = fs.Duration("grace", 10*time.Second, "shutdown grace period for in-flight HTTP exchanges")
 		dataDir      = fs.String("data-dir", "", "persist cluster registries here and recover them at boot (empty = in-memory)")
 		compactEvery = fs.Int("compact-every", 0, "WAL records per cluster between snapshot compactions (0 = default)")
-		groupCommit  = fs.Bool("group-commit", true, "batch concurrent WAL appends into shared preallocated segments, one fsync per commit tick (durability unchanged; needs -data-dir)")
 		batchBytes   = fs.Int("group-batch-bytes", 0, "flush a pending group-commit batch early at this size (0 = default 1MiB)")
 		batchDelay   = fs.Duration("group-batch-delay", 0, "extra linger before each group-commit flush so batches fill (0 = flush as soon as the disk is free)")
 		role         = fs.String("role", "", "replication role: \"leader\" or \"follower\" (empty = no replication)")
@@ -120,8 +119,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *compactEvery > 0 && *dataDir == "" {
 		return fmt.Errorf("-compact-every does nothing without -data-dir")
 	}
-	if (*batchBytes > 0 || *batchDelay > 0) && !(*groupCommit && *dataDir != "") {
-		return fmt.Errorf("-group-batch-bytes/-group-batch-delay do nothing without -group-commit and -data-dir")
+	if (*batchBytes > 0 || *batchDelay > 0) && *dataDir == "" {
+		return fmt.Errorf("-group-batch-bytes/-group-batch-delay do nothing without -data-dir")
 	}
 	if *batchBytes < 0 || *batchDelay < 0 {
 		return fmt.Errorf("-group-batch-bytes/-group-batch-delay must be >= 0")
@@ -181,7 +180,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		MaxTenants:      *maxTenants,
 		DataDir:         *dataDir,
 		CompactEvery:    *compactEvery,
-		GroupCommit:     *groupCommit && *dataDir != "",
 		GroupBatchBytes: *batchBytes,
 		GroupBatchDelay: *batchDelay,
 		Role:            *role,

@@ -394,15 +394,13 @@ func TestFlagAndListenErrors(t *testing.T) {
 	if err := run(context.Background(), []string{"-fusion-cache", "-1"}, &out); err == nil {
 		t.Error("-fusion-cache -1 accepted")
 	}
-	// Batch tuning without the batcher (or without a disk) is a no-op the
-	// operator should hear about.
+	// Batch tuning without a disk is a no-op the operator should hear
+	// about.
 	if err := run(context.Background(), []string{"-group-batch-bytes", "4096"}, &out); err == nil {
 		t.Error("-group-batch-bytes without -data-dir accepted")
 	}
-	if err := run(context.Background(), []string{
-		"-data-dir", t.TempDir(), "-group-commit=false", "-group-batch-delay", "1ms",
-	}, &out); err == nil {
-		t.Error("-group-batch-delay with -group-commit=false accepted")
+	if err := run(context.Background(), []string{"-group-batch-delay", "1ms"}, &out); err == nil {
+		t.Error("-group-batch-delay without -data-dir accepted")
 	}
 	if err := run(context.Background(), []string{
 		"-data-dir", t.TempDir(), "-group-batch-delay", "-1ms",

@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -254,17 +255,11 @@ func TestFollowerTornReplicaTail(t *testing.T) {
 	ship(t, lr, f)
 	f.Close()
 
-	// Tear the final WAL record on the replica (drop its trailing newline
-	// and a few bytes) and roll the resume point back to before the batch
-	// — the true power-loss picture: fsync'd prefix survives, tail torn.
-	walPath := filepath.Join(followerDir(dataDir), id, "wal-0.log")
-	raw, err := os.ReadFile(walPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(walPath, raw[:len(raw)-3], 0o644); err != nil {
-		t.Fatal(err)
-	}
+	// Tear the final WAL record on the replica (its trailing newline and
+	// a few bytes revert to preallocation zeros) and roll the resume
+	// point back to before the batch — the true power-loss picture:
+	// fsync'd prefix survives, tail torn.
+	tearLastSegmentRecord(t, followerDir(dataDir))
 	rollBackAppliedTo(t, dataDir, preSeq)
 
 	f2 := openFollower(t, dataDir)
@@ -489,6 +484,38 @@ func TestNextLeaderEpochMonotonic(t *testing.T) {
 // --- helpers --------------------------------------------------------------
 
 func followerDir(dataDir string) string { return filepath.Join(dataDir, "default") }
+
+// tearLastSegmentRecord zeroes the last three bytes of the final record
+// in a store's newest WAL segment, newline included.
+func tearLastSegmentRecord(t *testing.T, root string) {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(root, ".walseg", "seg-*.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	last, lastN := "", -1
+	for _, p := range segs {
+		var n int
+		if _, err := fmt.Sscanf(filepath.Base(p), "seg-%d.log", &n); err == nil && n > lastN {
+			last, lastN = p, n
+		}
+	}
+	if last == "" {
+		t.Fatalf("no WAL segment under %s", root)
+	}
+	raw, err := os.ReadFile(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := len(bytes.TrimRight(raw, "\x00"))
+	if end < 3 || raw[end-1] != '\n' {
+		t.Fatalf("segment %s does not end in a complete record", last)
+	}
+	copy(raw[end-3:end], []byte{0, 0, 0})
+	if err := os.WriteFile(last, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // rollBackAppliedTo rewrites the follower state file's applied mark,
 // simulating a crash after ops landed but before the state persisted.

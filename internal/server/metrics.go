@@ -181,9 +181,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 	// Durability plane: per-tenant WAL write counters from each tenant's
 	// store (absent on in-memory daemons), plus the daemon-wide group
-	// commit histograms. The fsync/flush/record triple is emitted in both
-	// commit modes — the grouped-vs-per-call fsync saving is the ratio of
-	// fsyncs_total to records_total across deployments.
+	// commit histograms. The batching saving is the ratio of fsyncs_total
+	// to records_total.
 	if s.storeObs != nil {
 		type storeRow struct {
 			tenant string
@@ -201,17 +200,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 				fmt.Fprintf(&b, "%s{tenant=%q} %d\n", name, row.tenant, value(row.stats))
 			}
 		}
-		storeCounter("fusiond_store_fsyncs_total", "WAL fsyncs issued (batch commits, per-call syncs, segment preallocations).",
+		storeCounter("fusiond_store_fsyncs_total", "WAL fsyncs issued (group-commit batches and segment preallocations).",
 			func(st store.WALStats) int64 { return st.Fsyncs })
-		storeCounter("fusiond_store_wal_flushes_total", "WAL commit ticks (group-commit batches, or one per append without batching).",
+		storeCounter("fusiond_store_wal_flushes_total", "WAL commit ticks, one per group-commit batch.",
 			func(st store.WALStats) int64 { return st.Flushes })
 		storeCounter("fusiond_store_wal_records_total", "WAL records made durable.",
 			func(st store.WALStats) int64 { return st.Records })
-		gc := 0
-		if s.opts.GroupCommit {
-			gc = 1
-		}
-		fmt.Fprintf(&b, "# HELP fusiond_store_group_commit 1 when WAL appends batch into shared group commits.\n# TYPE fusiond_store_group_commit gauge\nfusiond_store_group_commit %d\n", gc)
 		s.storeObs.batch.write(&b, "fusiond_store_batch_appends",
 			"Staged appends coalesced per group-commit batch.")
 		obsv.WriteHistogram(&b, "fusiond_store_flush_seconds",

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/store"
 )
 
 // TestRestartDurability is the PR's acceptance criterion at the server
@@ -137,8 +139,23 @@ func TestGracefulCloseSnapshots(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(cdir, "snapshot-1.json")); err != nil {
 		t.Fatalf("no drain snapshot: %v", err)
 	}
-	if data, err := os.ReadFile(filepath.Join(cdir, "wal-1.log")); err != nil || len(data) != 0 {
-		t.Fatalf("current WAL not empty after drain: %q, %v", data, err)
+	st, err := store.NewDir(filepath.Join(dir, "default"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := st.Load()
+	st.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var drained *store.Record
+	for i := range recs {
+		if recs[i].ID == "c1" {
+			drained = &recs[i]
+		}
+	}
+	if drained == nil || drained.Snapshot == nil || len(drained.WAL) != 0 {
+		t.Fatalf("c1 after drain = %+v; want a snapshot and an empty WAL", drained)
 	}
 
 	s2 := mustNew(t, Options{DataDir: dir})

@@ -101,17 +101,14 @@ type Options struct {
 	// meaningful with DataDir set.
 	CompactEvery int
 
-	// GroupCommit batches concurrent WAL appends across each tenant's
-	// clusters into shared preallocated segments with one fsync per
-	// commit tick (store.DirOptions.GroupCommit). Acknowledgement
-	// semantics are unchanged — a request completes only after the fsync
-	// covering its records — but under concurrency many requests share
-	// that fsync. Only meaningful with DataDir set.
+	// Deprecated: every durable tenant batches concurrent WAL appends
+	// into shared preallocated segments, one fsync per commit tick; the
+	// field is ignored.
 	GroupCommit bool
 
 	// GroupBatchBytes / GroupBatchDelay tune the group-commit batcher
 	// (early-flush size and optional linger); 0 means the store defaults
-	// (1 MiB, no linger). Only meaningful with GroupCommit.
+	// (1 MiB, no linger). Only meaningful with DataDir set.
 	GroupBatchBytes int
 	GroupBatchDelay time.Duration
 
@@ -544,7 +541,6 @@ func (s *Server) tenant(r *http.Request, create bool) (*tenant, error) {
 // store-observability aggregate.
 func (s *Server) dirOptions() store.DirOptions {
 	o := store.DirOptions{
-		GroupCommit:   s.opts.GroupCommit,
 		MaxBatchBytes: s.opts.GroupBatchBytes,
 		MaxBatchDelay: s.opts.GroupBatchDelay,
 	}

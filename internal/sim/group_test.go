@@ -12,7 +12,7 @@ import (
 )
 
 // TestConcurrentUpdatesGroupCommit drives many handles' Updates
-// concurrently against a group-commit store — the coalescing path, where
+// concurrently against a Dir store — the group-commit path, where
 // Update releases the handle lock before parking on the batch — and
 // checks the two things that matter: every acknowledged Update replays
 // after a reload (per-handle states identical), and the concurrent
@@ -24,8 +24,7 @@ func TestConcurrentUpdatesGroupCommit(t *testing.T) {
 	// Updates must pile onto the next one. Without it, a fast tmpfs can
 	// serialize the whole run and the coalescing assertion gets flaky.
 	st, err := store.NewDirWith(t.TempDir(), store.DirOptions{
-		GroupCommit: true,
-		OnFlush:     func(store.FlushStats) { time.Sleep(500 * time.Microsecond) },
+		OnFlush: func(store.FlushStats) { time.Sleep(500 * time.Microsecond) },
 	})
 	if err != nil {
 		t.Fatal(err)

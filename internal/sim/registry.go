@@ -61,8 +61,7 @@ func (h *Handle) Do(f func(c *Cluster)) {
 // appending on top of the gap. f must not call Do or Update on the same
 // handle.
 //
-// On a store with a staged append path (group-commit Dir, or a Tee over
-// one), the handle lock is RELEASED while this Update waits for its
+// On a store with a staged append path (a Dir, or a Tee over one), the handle lock is RELEASED while this Update waits for its
 // batch's fsync: the mutations are already applied and the records
 // staged in order, so the lock has done its serialization work, and
 // holding it through the fsync would forbid the very coalescing group

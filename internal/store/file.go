@@ -12,56 +12,69 @@ import (
 )
 
 // Dir is the file-backed Store: one directory per cluster under a root,
-// holding
+// plus one write-ahead log shared by all of them:
 //
 //	<root>/<id>/spec.json          immutable creation record
 //	<root>/<id>/snapshot-<g>.json  compaction snapshot of generation g
-//	<root>/<id>/wal-<g>.log        JSON-line WAL appended since snapshot g
+//	<root>/<id>/base-<g>           first generation of a recreated id
+//	<root>/.walseg/seg-<n>.log     shared WAL segments (see group.go)
 //
 // Durability discipline: spec and snapshot files are written to a .tmp
 // sibling, fsync'd, renamed into place, and the directory fsync'd — a
-// reader never observes a partial file. WAL appends write whole records
-// ending in '\n' and fsync once per AppendEvents call, so an acknowledged
-// append survives SIGKILL; a torn final record (crash mid-write) is
-// detected by JSON validity and dropped on Load.
+// reader never observes a partial file. WAL appends stage on the group
+// commit batcher in group.go, which writes every cluster's records into
+// the shared segments and acknowledges an append only after the fsync
+// covering it, so an acknowledged append survives SIGKILL; a torn final
+// record (crash mid-write) is dropped at the next open.
 //
 // Snapshots advance a generation counter instead of truncating in place:
-// the new empty wal-<g+1>.log is created first, then snapshot-<g+1>.json
-// is renamed into existence (the commit point), then the old generation's
-// files are deleted best-effort. A crash anywhere leaves either the old
-// generation fully intact (commit rename never happened) or the new one
-// complete — Load always picks the highest generation with a committed
-// snapshot, so a stale WAL can never be replayed onto a newer snapshot.
+// renaming snapshot-<g+1>.json into existence is the commit point, and it
+// supersedes every segment record the cluster wrote under an older
+// generation; the old generation's files are then deleted best-effort. A
+// crash anywhere leaves either the old generation fully intact (commit
+// rename never happened) or the new one complete — Load always picks the
+// highest generation with a committed snapshot, so a stale record can
+// never be replayed onto a newer snapshot. The records of a removed
+// cluster stay in the segments until they are collected, so a Put that
+// recreates its id starts the new cluster past their generations and
+// records that start in an empty base-<g> file.
+//
+// Stores written by older releases may also hold a per-cluster
+// <root>/<id>/wal-<g>.log. Load replays it, with readWAL's torn-tail
+// rule, as a frozen prefix in front of the cluster's segment records;
+// nothing appends to it, and the cluster's next Snapshot deletes it.
 type Dir struct {
 	root string
 	opts DirOptions
 
-	mu   sync.Mutex
-	wals map[string]*dirWal // open appenders, keyed by cluster id (per-call mode)
+	mu sync.Mutex // held by every method that touches cluster or cache files; never by StageEvents
 
-	group *groupWAL // non-nil iff opts.GroupCommit; see group.go
+	group *groupWAL // the shared segment log and its commit batcher
 
 	fsyncs  atomic.Int64
 	flushes atomic.Int64
 	records atomic.Int64
 }
 
-type dirWal struct {
-	f   *os.File
-	gen int
-}
-
 // NewDir opens (creating if needed) a file store rooted at dir with the
-// historical one-fsync-per-append write path.
+// default batching options.
 func NewDir(dir string) (*Dir, error) { return NewDirWith(dir, DirOptions{}) }
 
-// NewDirWith opens a file store with explicit options. Switching
-// GroupCommit between opens is safe in both directions: group mode reads
-// per-cluster WALs left by a per-call store as a frozen prefix, and a
-// per-call open folds any leftover segment log back into per-cluster
-// WALs via a crash-idempotent migration before serving.
+// NewDirWith opens a file store with explicit options.
+//
+// It refuses a root holding <root>/.walseg.mig: older releases could fold
+// the segments back into per-cluster WALs and claimed them by renaming
+// .walseg to that name, so a crash mid-fold left acknowledged records
+// there that this store cannot read. The directory is left untouched for
+// the release that started the fold to finish.
 func NewDirWith(dir string, opts DirOptions) (*Dir, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("store: %w", err)
+	}
+	mig := filepath.Join(dir, migrateDirName)
+	if _, err := os.Stat(mig); err == nil {
+		return nil, fmt.Errorf("store: %s holds WAL segments from an interrupted mode migration; reopen it once with the release that started it", mig)
+	} else if !os.IsNotExist(err) {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	if opts.MaxBatchBytes <= 0 {
@@ -70,30 +83,16 @@ func NewDirWith(dir string, opts DirOptions) (*Dir, error) {
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = DefaultSegmentBytes
 	}
-	if err := finishSegmentMigration(dir); err != nil {
+	s := &Dir{root: dir, opts: opts}
+	g, err := openGroup(s)
+	if err != nil {
 		return nil, err
 	}
-	s := &Dir{root: dir, opts: opts, wals: make(map[string]*dirWal)}
-	if opts.GroupCommit {
-		g, err := openGroup(s)
-		if err != nil {
-			return nil, err
-		}
-		s.group = g
-	} else if _, err := os.Stat(filepath.Join(dir, groupDirName)); err == nil {
-		if err := migrateSegments(dir); err != nil {
-			return nil, err
-		}
-	}
+	s.group = g
 	return s, nil
 }
 
-// GroupCommit reports whether this store batches appends into shared
-// group commits.
-func (s *Dir) GroupCommit() bool { return s.group != nil }
-
-// WALStats returns cumulative WAL write counters. Both modes count, so
-// grouped and per-call stores are directly comparable.
+// WALStats returns cumulative WAL write counters.
 func (s *Dir) WALStats() WALStats {
 	return WALStats{Fsyncs: s.fsyncs.Load(), Flushes: s.flushes.Load(), Records: s.records.Load()}
 }
@@ -104,6 +103,7 @@ func (s *Dir) Root() string { return s.root }
 func (s *Dir) dir(id string) string { return filepath.Join(s.root, id) }
 
 func snapName(gen int) string { return fmt.Sprintf("snapshot-%d.json", gen) }
+func baseName(gen int) string { return fmt.Sprintf("base-%d", gen) }
 func walName(gen int) string  { return fmt.Sprintf("wal-%d.log", gen) }
 
 // writeFileAtomic writes data to path via tmp-write, fsync, rename,
@@ -156,7 +156,8 @@ func syncDir(dir string) error {
 }
 
 // curGen returns the cluster's live generation: the highest g with a
-// committed snapshot-<g>.json, or 0 when no snapshot was ever taken.
+// committed snapshot-<g>.json or base-<g> marker, or 0 when there is
+// neither.
 func curGen(dir string) (int, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -165,16 +166,21 @@ func curGen(dir string) (int, error) {
 	gen := 0
 	for _, e := range entries {
 		var g int
-		if _, err := fmt.Sscanf(e.Name(), "snapshot-%d.json", &g); err == nil &&
-			e.Name() == snapName(g) && g > gen {
+		name := e.Name()
+		if _, err := fmt.Sscanf(name, "snapshot-%d.json", &g); err != nil || name != snapName(g) {
+			if _, err := fmt.Sscanf(name, "base-%d", &g); err != nil || name != baseName(g) {
+				continue
+			}
+		}
+		if g > gen {
 			gen = g
 		}
 	}
 	return gen, nil
 }
 
-// Put records a new cluster: its directory, spec, and empty generation-0
-// WAL, all durably on disk before returning.
+// Put records a new cluster: its directory and spec, durably on disk
+// before returning.
 func (s *Dir) Put(id string, spec []byte) error {
 	if err := validID(id); err != nil {
 		return err
@@ -195,118 +201,28 @@ func (s *Dir) Put(id string, spec []byte) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
+	// Records of a removed cluster with this id may still be in the
+	// segments: start past their generations so none replays into the
+	// new cluster. The spec rename below commits the marker with it.
+	base := s.group.freshGen(id)
+	if base > 0 {
+		if err := writeFileAtomic(filepath.Join(dir, baseName(base)), nil); err != nil {
+			return fmt.Errorf("store: writing base generation for %q: %w", id, err)
+		}
+	}
 	if err := writeFileAtomic(filepath.Join(dir, "spec.json"), spec); err != nil {
 		return fmt.Errorf("store: writing spec for %q: %w", id, err)
-	}
-	f, err := os.OpenFile(filepath.Join(dir, walName(0)), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: creating wal for %q: %w", id, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("store: %w", err)
-	}
-	if s.group != nil {
-		// Group mode appends to shared segments, not this file; it exists
-		// so the on-disk layout (and a later mode switch) stays uniform.
-		f.Close()
-	} else {
-		s.wals[id] = &dirWal{f: f, gen: 0}
-	}
-	if err := syncDir(dir); err != nil {
-		return fmt.Errorf("store: %w", err)
 	}
 	if err := syncDir(s.root); err != nil {
 		return err
 	}
-	if s.group != nil {
-		s.group.created(id)
-	}
+	s.group.committed(id, base)
 	return nil
 }
 
-// wal returns the open appender for id's current generation, opening it
-// lazily (after Load, or after a write error evicted the cached handle).
-// Reopening first truncates any torn tail — bytes after the last
-// newline, left by a crashed process or a failed write — so a new append
-// never lands mid-garbage and corrupts the log for every future Load.
-// The truncated bytes were never acknowledged: AppendEvents only returns
-// success after the records AND their newlines are written and fsync'd,
-// and readWAL applies the same records-end-at-the-last-newline rule.
-func (s *Dir) wal(id string) (*dirWal, error) {
-	if w, ok := s.wals[id]; ok {
-		return w, nil
-	}
-	dir := s.dir(id)
-	if _, err := os.Stat(filepath.Join(dir, "spec.json")); err != nil {
-		return nil, fmt.Errorf("store: no cluster %q", id)
-	}
-	gen, err := curGen(dir)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	path := filepath.Join(dir, walName(gen))
-	if err := truncateTornTail(path); err != nil {
-		return nil, fmt.Errorf("store: repairing WAL of %q: %w", id, err)
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	w := &dirWal{f: f, gen: gen}
-	s.wals[id] = w
-	return w, nil
-}
-
-// truncateTornTail cuts a WAL back to its last complete record,
-// mirroring exactly what readWAL would keep: bytes after the last '\n'
-// go, and so does at most one trailing newline-terminated record that
-// fails JSON validation (a torn sector that still got its newline).
-// The two MUST agree — if repair kept a line Load drops, the next append
-// would land after garbage and turn a tolerated tail into hard mid-file
-// corruption. A missing file needs no repair.
-func truncateTornTail(path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return err
-	}
-	keep := 0
-	if i := bytes.LastIndexByte(data, '\n'); i >= 0 {
-		keep = i + 1
-	}
-	dropped := false
-	for keep > 0 {
-		lineStart := bytes.LastIndexByte(data[:keep-1], '\n') + 1
-		line := data[lineStart : keep-1]
-		if len(bytes.TrimSpace(line)) == 0 {
-			keep = lineStart // blank line: semantically nothing, safe to cut
-			continue
-		}
-		if json.Valid(line) {
-			break
-		}
-		if dropped {
-			// Two invalid records cannot come from one crash; this is
-			// real corruption. Refuse to append after it — readWAL will
-			// refuse to load it, and the two must fail together, loudly.
-			return fmt.Errorf("corrupt WAL record %q", line)
-		}
-		dropped = true
-		keep = lineStart
-	}
-	if keep == len(data) {
-		return nil
-	}
-	return os.Truncate(path, int64(keep))
-}
-
 // AppendEvents durably appends WAL records and returns once they are
-// fsync'd. In group mode the call stages on the shared commit batcher
-// and parks until its batch's single fsync covers it; per-call mode pays
-// one write + one fsync here.
+// fsync'd: the call stages on the shared commit batcher and parks until
+// its batch's single fsync covers it.
 func (s *Dir) AppendEvents(id string, recs [][]byte) error {
 	wait, err := s.StageEvents(id, recs, nil)
 	if err != nil {
@@ -318,16 +234,15 @@ func (s *Dir) AppendEvents(id string, recs [][]byte) error {
 func noopWait() error { return nil }
 
 // StageEvents starts a durable append and returns a wait function that
-// blocks until the records are fsync'd (group mode: until the staged
-// batch commits). onCommit, when non-nil, runs after the fsync and
-// before any of the batch's waiters wake, in stage order — the
-// replication Tee publishes from it so followers never see unsynced
-// records. Callers MUST invoke wait exactly once: the first stager of a
-// batch is its elected flusher, and the flush runs inside its wait.
-// Per-id callers are expected to serialize their own stages (sim holds
-// the handle lock across StageEvents), which fixes the intra-cluster
-// record order; cross-cluster stages need no ordering and coalesce
-// freely.
+// blocks until the staged batch commits. onCommit, when non-nil, runs
+// after the fsync and before any of the batch's waiters wake, in stage
+// order — the replication Tee publishes from it so followers never see
+// unsynced records. Callers MUST invoke wait exactly once: the first
+// stager of a batch is its elected flusher, and the flush runs inside
+// its wait. Per-id callers are expected to serialize their own stages
+// (sim holds the handle lock across StageEvents), which fixes the
+// intra-cluster record order; cross-cluster stages need no ordering and
+// coalesce freely.
 func (s *Dir) StageEvents(id string, recs [][]byte, onCommit func()) (func() error, error) {
 	if len(recs) == 0 {
 		if onCommit != nil {
@@ -335,120 +250,31 @@ func (s *Dir) StageEvents(id string, recs [][]byte, onCommit func()) (func() err
 		}
 		return noopWait, nil
 	}
-	if s.group != nil {
-		return s.group.stage(id, recs, onCommit)
-	}
-	if err := s.appendPerCall(id, recs); err != nil {
-		return nil, err
-	}
-	if onCommit != nil {
-		onCommit()
-	}
-	return noopWait, nil
+	return s.group.stage(id, recs, onCommit)
 }
 
-// appendPerCall is the historical write path: one buffered write, one
-// fsync, under the store lock.
-func (s *Dir) appendPerCall(id string, recs [][]byte) error {
-	var buf bytes.Buffer
-	for _, rec := range recs {
-		if bytes.IndexByte(rec, '\n') >= 0 || !json.Valid(rec) {
-			return fmt.Errorf("store: WAL record for %q is not single-line JSON", id)
-		}
-		buf.Write(rec)
-		buf.WriteByte('\n')
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	w, err := s.wal(id)
-	if err != nil {
-		return err
-	}
-	if _, err := w.f.Write(buf.Bytes()); err != nil {
-		// The file position is now unknown; drop the handle so the next
-		// append reopens at a clean offset.
-		w.f.Close()
-		delete(s.wals, id)
-		return fmt.Errorf("store: appending WAL for %q: %w", id, err)
-	}
-	if err := w.f.Sync(); err != nil {
-		w.f.Close()
-		delete(s.wals, id)
-		return fmt.Errorf("store: syncing WAL for %q: %w", id, err)
-	}
-	s.fsyncs.Add(1)
-	s.flushes.Add(1)
-	s.records.Add(int64(len(recs)))
-	return nil
-}
-
-// Snapshot commits a new generation: fresh empty WAL first, then the
-// snapshot rename as the commit point, then best-effort cleanup of the
-// previous generation.
+// Snapshot commits a new generation. The snapshot rename is the commit
+// point: it supersedes this cluster's segment records (Load skips records
+// whose generation is older than the committed snapshot's) and heals any
+// append poison — the snapshot holds the full current state, so a failed
+// batch's gap is gone. The superseded generation's files, a legacy WAL
+// among them, are then deleted and dead segments collected.
 func (s *Dir) Snapshot(id string, snap []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.group != nil {
-		return s.snapshotGrouped(id, snap)
-	}
-	w, err := s.wal(id)
-	if err != nil {
-		return err
-	}
-	dir := s.dir(id)
-	next := w.gen + 1
-	nf, err := os.OpenFile(filepath.Join(dir, walName(next)), os.O_WRONLY|os.O_CREATE|os.O_TRUNC|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: creating wal gen %d for %q: %w", next, id, err)
-	}
-	if err := nf.Sync(); err != nil {
-		nf.Close()
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := writeFileAtomic(filepath.Join(dir, snapName(next)), snap); err != nil {
-		nf.Close()
-		return fmt.Errorf("store: writing snapshot for %q: %w", id, err)
-	}
-	// Committed: swap the appender and clean up the superseded generation.
-	w.f.Close()
-	os.Remove(filepath.Join(dir, walName(w.gen)))
-	if w.gen > 0 {
-		os.Remove(filepath.Join(dir, snapName(w.gen)))
-	}
-	s.wals[id] = &dirWal{f: nf, gen: next}
-	return nil
-}
-
-// snapshotGrouped commits a new generation in group mode: the snapshot
-// rename both supersedes this cluster's segment records (Load skips
-// records whose generation is older than the committed snapshot's) and
-// heals any append poison — the snapshot holds the full current state,
-// so a failed batch's gap is gone. Superseded segments are collected.
-func (s *Dir) snapshotGrouped(id string, snap []byte) error {
 	gen, err := s.group.genOf(id)
 	if err != nil {
 		return err
 	}
 	dir := s.dir(id)
-	next := gen + 1
-	nf, err := os.OpenFile(filepath.Join(dir, walName(next)), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("store: creating wal gen %d for %q: %w", next, id, err)
-	}
-	if err := nf.Sync(); err != nil {
-		nf.Close()
-		return fmt.Errorf("store: %w", err)
-	}
-	nf.Close()
-	if err := writeFileAtomic(filepath.Join(dir, snapName(next)), snap); err != nil {
+	if err := writeFileAtomic(filepath.Join(dir, snapName(gen+1)), snap); err != nil {
 		return fmt.Errorf("store: writing snapshot for %q: %w", id, err)
 	}
-	// Committed: retire the superseded generation's files.
 	os.Remove(filepath.Join(dir, walName(gen)))
 	if gen > 0 {
 		os.Remove(filepath.Join(dir, snapName(gen)))
 	}
-	s.group.committed(id, next)
+	s.group.committed(id, gen+1)
 	s.group.gc()
 	return nil
 }
@@ -460,20 +286,14 @@ func (s *Dir) Remove(id string) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if w, ok := s.wals[id]; ok {
-		w.f.Close()
-		delete(s.wals, id)
-	}
 	if err := os.RemoveAll(s.dir(id)); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	if err := syncDir(s.root); err != nil {
 		return err
 	}
-	if s.group != nil {
-		s.group.removed(id)
-		s.group.gc()
-	}
+	s.group.removed(id)
+	s.group.gc()
 	return nil
 }
 
@@ -507,12 +327,10 @@ func (s *Dir) Load() ([]Record, error) {
 		if err != nil {
 			return nil, fmt.Errorf("store: %w", err)
 		}
-		if gen > 0 {
-			snap, err := os.ReadFile(filepath.Join(dir, snapName(gen)))
-			if err != nil {
-				return nil, fmt.Errorf("store: reading snapshot of %q: %w", id, err)
-			}
+		if snap, err := os.ReadFile(filepath.Join(dir, snapName(gen))); err == nil {
 			rec.Snapshot = snap
+		} else if !os.IsNotExist(err) {
+			return nil, fmt.Errorf("store: reading snapshot of %q: %w", id, err)
 		}
 		wal, err := readWAL(filepath.Join(dir, walName(gen)))
 		if err != nil {
@@ -522,17 +340,14 @@ func (s *Dir) Load() ([]Record, error) {
 		gens[id] = gen
 		out = append(out, rec)
 	}
-	if s.group != nil {
-		// The per-cluster WAL is a frozen prefix in group mode (only a
-		// pre-migration store wrote it); committed segment records of the
-		// live generation replay after it, in commit order.
-		byID := make(map[string]*Record, len(out))
-		for i := range out {
-			byID[out[i].ID] = &out[i]
-		}
-		if err := s.group.loadInto(byID, gens); err != nil {
-			return nil, err
-		}
+	// A legacy per-cluster WAL is a frozen prefix; committed segment
+	// records of the live generation replay after it, in commit order.
+	byID := make(map[string]*Record, len(out))
+	for i := range out {
+		byID[out[i].ID] = &out[i]
+	}
+	if err := s.group.loadInto(byID, gens); err != nil {
+		return nil, err
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out, nil
@@ -541,11 +356,10 @@ func (s *Dir) Load() ([]Record, error) {
 // readWAL parses a JSON-line WAL. A record is complete only when its
 // newline made it to disk (acknowledged appends always have it — the
 // newline is in the same write, before the fsync), so bytes after the
-// last '\n' are a torn tail and dropped — the same rule truncateTornTail
-// repairs by. An invalid record is additionally tolerated as the final
+// last '\n' are a torn tail and dropped. An invalid record is additionally tolerated as the final
 // line (defense against a torn sector that still got its newline) and
 // dropped; anywhere else it is corruption and an error. A missing file
-// is an empty WAL (crash between wal-<g> creation and use).
+// is an empty WAL. Only legacy per-cluster WALs are read this way.
 func readWAL(path string) ([][]byte, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -576,19 +390,13 @@ func readWAL(path string) ([][]byte, error) {
 	return recs, nil
 }
 
-// Close releases the open WAL appenders. Pending data is already fsync'd
-// by every append, so Close is about file handles, not durability; the
-// daemon itself never needs it (process exit closes everything), tests
-// and embedders might.
+// Close drains the commit batcher and releases the active segment.
+// Every acknowledged append is already fsync'd, so Close is about file
+// handles, not durability; the daemon itself never needs it (process
+// exit closes everything), tests and embedders might.
 func (s *Dir) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for id, w := range s.wals {
-		w.f.Close()
-		delete(s.wals, id)
-	}
-	if s.group != nil {
-		s.group.close()
-	}
+	s.group.close()
 	return nil
 }

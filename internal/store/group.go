@@ -8,50 +8,50 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 )
 
-// This file is the group-commit write path of the Dir store: one fsync
-// for many handles, preallocated segments.
+// This file is the Dir store's write-ahead log: one fsync for many
+// handles, preallocated segments.
 //
-// In per-call mode every AppendEvents pays its own write+fsync under the
-// store lock, so N concurrent cluster handles serialize on N disk
-// flushes. In group mode an append only *stages* its records: callers
-// enqueue framed lines on a shared commit batcher and park; a
-// leader-elected flusher (the first stager of each batch, Pebble-style)
-// concatenates the whole queue into a single vectored write + one
-// fdatasync, then wakes every waiter. While one flush is on the disk,
-// the next batch accumulates behind it — the previous fsync's latency IS
-// the batching window, so coalescing needs no artificial delay
-// (MaxBatchDelay can add one for spinning disks).
+// An append only *stages* its records: callers enqueue framed lines on a
+// shared commit batcher and park; a leader-elected flusher (the first
+// stager of each batch, Pebble-style) concatenates the whole queue into
+// a single vectored write + one fdatasync, then wakes every waiter.
+// While one flush is on the disk, the next batch accumulates behind it —
+// the previous fsync's latency IS the batching window, so coalescing
+// needs no artificial delay (MaxBatchDelay can add one for spinning
+// disks). Under a single writer every append still pays its own fsync.
 //
 // Because fsync is per-file, "one fsync for many handles" requires the
-// records of many clusters to share a file: group mode appends every
-// cluster's records into shared, size-rolled segments under
-// <root>/.walseg/seg-<n>.log (the dot-prefix keeps the directory out of
-// every cluster scan, like .fcache). Each line is a JSON envelope
-// {"c":id,"g":gen,"r":record} tagging the record with its cluster and
-// the cluster's snapshot generation at enqueue time; Load replays a
-// segment record only when its generation matches the cluster's current
-// one, so a snapshot commit (the atomic snapshot-<g+1>.json rename)
-// supersedes older segment records exactly like it supersedes a
-// per-cluster WAL file. Segments are preallocated (fallocate) when
-// created, so a batch write never extends file metadata inside its
-// fdatasync, and a segment whose records are all superseded or removed
-// is garbage-collected on the next snapshot.
+// records of many clusters to share a file: every cluster's records go
+// into shared, size-rolled segments under <root>/.walseg/seg-<n>.log
+// (the dot-prefix keeps the directory out of every cluster scan, like
+// .fcache). The directory is created, and fsync'd into the root, by the
+// first flush that needs a segment, so a Dir that never appends leaves
+// none behind. Each line is a JSON envelope {"c":id,"g":gen,"r":record}
+// tagging the record with its cluster and the cluster's snapshot
+// generation at enqueue time; Load replays a segment record only when
+// its generation matches the cluster's current one, so a snapshot commit
+// (the atomic snapshot-<g+1>.json rename) supersedes older segment
+// records. Segments are preallocated (fallocate) when created, so a
+// batch write never extends file metadata inside its fdatasync, and a
+// segment whose records are all superseded or removed is
+// garbage-collected on the next snapshot.
 //
-// Crash discipline matches the per-cluster WAL byte for byte: records
-// end at their newline, an acknowledged append is fsync'd before its
-// waiter wakes, a torn tail (bytes after the last newline, or one final
-// newline-terminated line that fails to parse, followed by nothing but
-// preallocation zeros) is dropped at boot, and anything else is loud
-// corruption. A restarted store never resumes appending into an old
-// segment — boot seals every existing segment at its last complete
-// record and starts a fresh one — so stale preallocated garbage can
-// never end up *behind* a new append.
+// A cluster directory may also hold a legacy wal-<g>.log from a release
+// that wrote one WAL file per cluster; Load replays it as a frozen prefix
+// before the segment records (see Dir), and nothing here writes it.
+//
+// Crash discipline: records end at their newline, an acknowledged append
+// is fsync'd before its waiter wakes, a torn tail (bytes after the last
+// newline, or one final newline-terminated line that fails to parse,
+// followed by nothing but preallocation zeros) is dropped at boot, and
+// anything else is loud corruption. A restarted store never resumes
+// appending into an old segment — boot seals every existing segment at
+// its last complete record and starts a fresh one — so stale
+// preallocated garbage can never end up *behind* a new append.
 //
 // Failure semantics: if a batch's write or fsync fails, every waiter in
 // the batch gets the error and the affected cluster ids are poisoned —
@@ -64,8 +64,7 @@ import (
 
 const (
 	groupDirName   = ".walseg"     // shared segment log, dot-prefixed: skipped by cluster scans
-	migrateDirName = ".walseg.mig" // claimed segments mid-migration back to per-cluster WALs
-	stagedMarker   = "STAGED"      // migration phase marker: all combined WALs staged
+	migrateDirName = ".walseg.mig" // older releases' claimed segments mid-migration; refused at open
 
 	// DefaultMaxBatchBytes is the pending-batch size that triggers an
 	// early flush when a MaxBatchDelay window is open.
@@ -76,9 +75,8 @@ const (
 
 // DirOptions configures a Dir store beyond its root path.
 type DirOptions struct {
-	// GroupCommit switches AppendEvents/StageEvents from one fsync per
-	// call to the shared commit batcher described above. Off by default:
-	// the zero value is the historical per-cluster-file store.
+	// Deprecated: every Dir appends through the shared commit batcher
+	// described above; the field is ignored.
 	GroupCommit bool
 	// MaxBatchBytes flushes a pending batch early once it reaches this
 	// size; <= 0 means DefaultMaxBatchBytes. It bounds the MaxBatchDelay
@@ -108,12 +106,10 @@ type FlushStats struct {
 	Sync    time.Duration // wall time of the vectored write + fdatasync
 }
 
-// WALStats counts a Dir's WAL write activity in either mode: per-call
-// appends count one fsync and one flush each, so the grouped/per-call
-// fsync ratio is directly comparable.
+// WALStats counts a Dir's WAL write activity.
 type WALStats struct {
-	Fsyncs  int64 // WAL fsyncs (batch fdatasyncs, per-call syncs, segment preallocations)
-	Flushes int64 // commit ticks (batches in group mode, appends in per-call mode)
+	Fsyncs  int64 // WAL fsyncs (batch fdatasyncs and segment preallocations)
+	Flushes int64 // commit ticks, one per batch
 	Records int64 // WAL records made durable
 }
 
@@ -145,7 +141,14 @@ type segment struct {
 	f    *os.File
 	off  int64
 	size int64
-	live map[string]int // highest record generation per cluster in [0, off)
+	live map[string]int // highest record generation per cluster the segment may hold
+}
+
+// note records that the segment holds a record of cluster id tagged gen.
+func (seg *segment) note(id string, gen int) {
+	if mg, ok := seg.live[id]; !ok || gen > mg {
+		seg.live[id] = gen
+	}
 }
 
 // groupWAL is the per-Dir commit batcher plus its segment log.
@@ -156,7 +159,10 @@ type segment struct {
 // order is s.mu -> mu for the Dir entry points and flushMu -> mu inside
 // the flusher; neither flushMu nor mu is ever acquired while holding the
 // other side's locks in reverse, and Load deliberately reads committed
-// offsets under mu alone so a long fsync never blocks a full sync.
+// offsets under mu alone so a long fsync never blocks a full sync. Of
+// the Dir entry points only Close takes flushMu: the flusher runs
+// onCommit callbacks, and the replication Tee holds its own lock across
+// Put, Snapshot and Remove while those callbacks need it.
 type groupWAL struct {
 	s   *Dir
 	dir string
@@ -165,6 +171,7 @@ type groupWAL struct {
 
 	mu          sync.Mutex
 	queue       []*groupEntry
+	flight      []*groupEntry // the batch taken from queue, until its flush ends
 	queuedBytes int
 	leader      bool // a batch leader is elected and will flush
 	closed      bool
@@ -173,6 +180,11 @@ type groupWAL struct {
 	seg         *segment       // active segment; nil until the first flush needs one
 	sealed      []*segment     // older segments, ascending n, awaiting GC
 	nextSeg     int
+
+	// dirSynced is set once the segment directory exists and has been
+	// fsync'd into the root by this open; only the flusher (under
+	// flushMu) touches it.
+	dirSynced bool
 
 	kick chan struct{} // capacity 1: batch hit MaxBatchBytes, flush early
 }
@@ -191,9 +203,6 @@ func openGroup(s *Dir) (*groupWAL, error) {
 		gens:     make(map[string]int),
 		kick:     make(chan struct{}, 1),
 	}
-	if err := os.MkdirAll(g.dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
 	boot, err := scanSegmentDir(g.dir)
 	if err != nil {
 		return nil, err
@@ -201,9 +210,7 @@ func openGroup(s *Dir) (*groupWAL, error) {
 	for _, bs := range boot {
 		seg := &segment{n: bs.n, path: bs.path, off: bs.keep, size: bs.keep, live: make(map[string]int)}
 		for _, e := range bs.entries {
-			if mg, ok := seg.live[e.C]; !ok || e.G > mg {
-				seg.live[e.C] = e.G
-			}
+			seg.note(e.C, e.G)
 		}
 		g.sealed = append(g.sealed, seg)
 		if bs.n >= g.nextSeg {
@@ -442,6 +449,7 @@ func (g *groupWAL) lead() {
 			live = append(live, e)
 		}
 	}
+	g.flight = live
 	g.mu.Unlock()
 	for _, e := range refused {
 		e.done <- poisonErr(e.id)
@@ -481,11 +489,10 @@ func (g *groupWAL) flush(batch []*groupEntry) {
 	g.mu.Lock()
 	seg.off += int64(len(buf))
 	for _, e := range batch {
-		if mg, ok := seg.live[e.id]; !ok || e.gen > mg {
-			seg.live[e.id] = e.gen
-		}
+		seg.note(e.id, e.gen)
 		recs += e.recs
 	}
+	g.flight = nil
 	g.mu.Unlock()
 	g.s.fsyncs.Add(1)
 	g.s.flushes.Add(1)
@@ -508,10 +515,16 @@ func (g *groupWAL) flush(batch []*groupEntry) {
 // may land behind that garbage.
 func (g *groupWAL) fail(batch []*groupEntry, err error) {
 	g.mu.Lock()
+	g.flight = nil
 	for _, e := range batch {
 		g.poisoned[e.id] = struct{}{}
 	}
 	if g.seg != nil {
+		// Part of the batch may be on disk and replay at the next boot;
+		// count it, so freshGen starts a recreated cluster past it.
+		for _, e := range batch {
+			g.seg.note(e.id, e.gen)
+		}
 		g.seg.f.Close()
 		g.seg.f = nil
 		g.sealed = append(g.sealed, g.seg)
@@ -534,6 +547,17 @@ func (g *groupWAL) segmentFor(n int64) (*segment, error) {
 	g.mu.Unlock()
 	if seg != nil && seg.off+n <= seg.size {
 		return seg, nil
+	}
+	if !g.dirSynced {
+		// Synced even when the directory already exists: a process that
+		// created it may have died before the root's fsync.
+		if err := os.MkdirAll(g.dir, 0o755); err != nil {
+			return nil, fmt.Errorf("store: %w", err)
+		}
+		if err := syncDir(g.s.root); err != nil {
+			return nil, err
+		}
+		g.dirSynced = true
 	}
 	size := g.s.opts.SegmentBytes
 	if n > size {
@@ -575,17 +599,37 @@ func (g *groupWAL) segmentFor(n int64) (*segment, error) {
 	return ns, nil
 }
 
-// created records a freshly Put cluster at generation 0.
-func (g *groupWAL) created(id string) {
+// freshGen returns the generation a new cluster with this id starts at:
+// one past every generation a removed cluster with the same id tagged a
+// record with, whether that record is in a segment, in flight or still
+// queued, or 0 when there is none.
+func (g *groupWAL) freshGen(id string) int {
 	g.mu.Lock()
-	g.gens[id] = 0
-	delete(g.poisoned, id)
-	g.mu.Unlock()
+	defer g.mu.Unlock()
+	top := -1
+	for _, seg := range g.sealed {
+		if mg, ok := seg.live[id]; ok {
+			top = max(top, mg)
+		}
+	}
+	if g.seg != nil {
+		if mg, ok := g.seg.live[id]; ok {
+			top = max(top, mg)
+		}
+	}
+	for _, q := range [][]*groupEntry{g.flight, g.queue} {
+		for _, e := range q {
+			if e.id == id {
+				top = max(top, e.gen)
+			}
+		}
+	}
+	return top + 1
 }
 
-// committed records a snapshot commit: the cluster's generation advances
-// and any poison heals (the snapshot wrote the full current state, so
-// the gap a failed append left is gone).
+// committed records a Put or a snapshot commit: the cluster is at
+// generation gen and any poison heals (the snapshot wrote the full
+// current state, so the gap a failed append left is gone).
 func (g *groupWAL) committed(id string, gen int) {
 	g.mu.Lock()
 	g.gens[id] = gen
@@ -704,141 +748,4 @@ func (g *groupWAL) close() {
 	for _, e := range queued {
 		e.done <- fmt.Errorf("store: store closed")
 	}
-}
-
-// --- mode migration --------------------------------------------------------
-
-// migrateSegments folds a group-commit segment log back into per-cluster
-// WAL files, for a Dir reopened with group commit off. The protocol is
-// crash-idempotent in three committed phases:
-//
-//  1. claim: rename .walseg -> .walseg.mig (atomic); the live segment
-//     directory is gone, so a crash can never leave half-migrated
-//     records visible to BOTH load paths.
-//  2. stage: for every cluster with live segment records, write the
-//     combined WAL (existing per-cluster records + segment records, in
-//     replay order) to .walseg.mig/stage-<id>-<gen>.log, then commit the
-//     STAGED marker. Nothing outside .walseg.mig is touched before the
-//     marker, so a crash restages from pristine inputs.
-//  3. install: rename each staged file over its cluster's wal-<gen>.log.
-//     A redo after a partial install only sees the staged files that
-//     were not yet renamed. Finally the migration directory is removed.
-func migrateSegments(root string) error {
-	src := filepath.Join(root, groupDirName)
-	dst := filepath.Join(root, migrateDirName)
-	if err := os.Rename(src, dst); err != nil {
-		return fmt.Errorf("store: claiming segment log for migration: %w", err)
-	}
-	if err := syncDir(root); err != nil {
-		return err
-	}
-	return finishSegmentMigration(root)
-}
-
-// finishSegmentMigration completes (or redoes) a claimed migration; a
-// missing migration directory is a no-op. Both modes call it at open, so
-// a crash mid-migration heals no matter which mode comes back up.
-func finishSegmentMigration(root string) error {
-	mig := filepath.Join(root, migrateDirName)
-	if _, err := os.Stat(mig); err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("store: %w", err)
-	}
-	marker := filepath.Join(mig, stagedMarker)
-	if _, err := os.Stat(marker); os.IsNotExist(err) {
-		segs, err := scanSegmentDir(mig)
-		if err != nil {
-			return err
-		}
-		byID := make(map[string][]json.RawMessage)
-		genOf := make(map[string]int)
-		for _, bs := range segs {
-			for _, e := range bs.entries {
-				gen, ok := genOf[e.C]
-				if !ok {
-					dir := filepath.Join(root, e.C)
-					if _, err := os.Stat(filepath.Join(dir, "spec.json")); err != nil {
-						if os.IsNotExist(err) {
-							genOf[e.C] = -1 // removed cluster: drop its records
-							continue
-						}
-						return fmt.Errorf("store: %w", err)
-					}
-					if gen, err = curGen(dir); err != nil {
-						return fmt.Errorf("store: %w", err)
-					}
-					genOf[e.C] = gen
-				} else if gen < 0 {
-					continue
-				}
-				if e.G != genOf[e.C] {
-					continue // superseded by a later snapshot
-				}
-				byID[e.C] = append(byID[e.C], e.R)
-			}
-		}
-		for id, segRecs := range byID {
-			gen := genOf[id]
-			existing, err := readWAL(filepath.Join(root, id, walName(gen)))
-			if err != nil {
-				return fmt.Errorf("store: migrating WAL of %q: %w", id, err)
-			}
-			var buf bytes.Buffer
-			for _, r := range existing {
-				buf.Write(r)
-				buf.WriteByte('\n')
-			}
-			for _, r := range segRecs {
-				buf.Write(r)
-				buf.WriteByte('\n')
-			}
-			staged := filepath.Join(mig, "stage-"+id+"-"+strconv.Itoa(gen)+".log")
-			if err := writeFileAtomic(staged, buf.Bytes()); err != nil {
-				return fmt.Errorf("store: staging migrated WAL of %q: %w", id, err)
-			}
-		}
-		if err := writeFileAtomic(marker, []byte("staged\n")); err != nil {
-			return fmt.Errorf("store: committing migration stage: %w", err)
-		}
-	} else if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	entries, err := os.ReadDir(mig)
-	if err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, "stage-") || !strings.HasSuffix(name, ".log") {
-			continue
-		}
-		base := strings.TrimSuffix(strings.TrimPrefix(name, "stage-"), ".log")
-		i := strings.LastIndexByte(base, '-')
-		if i <= 0 {
-			continue
-		}
-		id := base[:i]
-		gen, err := strconv.Atoi(base[i+1:])
-		if err != nil {
-			continue
-		}
-		staged := filepath.Join(mig, name)
-		dir := filepath.Join(root, id)
-		if cur, err := curGen(dir); err != nil || cur != gen {
-			os.Remove(staged) // cluster gone or generation moved: records are dead
-			continue
-		}
-		if err := os.Rename(staged, filepath.Join(dir, walName(gen))); err != nil {
-			return fmt.Errorf("store: installing migrated WAL of %q: %w", id, err)
-		}
-		if err := syncDir(dir); err != nil {
-			return err
-		}
-	}
-	if err := os.RemoveAll(mig); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	return syncDir(root)
 }

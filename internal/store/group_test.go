@@ -16,7 +16,6 @@ import (
 
 func newGroupDir(t *testing.T, opts DirOptions) (*Dir, string) {
 	t.Helper()
-	opts.GroupCommit = true
 	dir := t.TempDir()
 	d, err := NewDirWith(dir, opts)
 	if err != nil {
@@ -86,15 +85,16 @@ func TestGroupStageCoalesces(t *testing.T) {
 	}
 }
 
-// TestGroupReopen: a reopened group store replays exactly the committed
-// records, across snapshots (generation supersession) and both mode
-// switches — group → per-call runs the segment-fold migration, per-call
-// → group treats the per-cluster WAL as a frozen prefix.
+// TestGroupReopen: a reopened store replays exactly the committed
+// records across snapshots (generation supersession), and imports a
+// legacy per-cluster wal-0.log one way: its records, torn tail dropped,
+// replay as a frozen prefix in front of the segment records until the
+// cluster's next Snapshot retires the file.
 func TestGroupReopen(t *testing.T) {
 	dir := t.TempDir()
-	open := func(group bool) *Dir {
+	open := func() *Dir {
 		t.Helper()
-		d, err := NewDirWith(dir, DirOptions{GroupCommit: group})
+		d, err := NewDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,71 +118,138 @@ func TestGroupReopen(t *testing.T) {
 		t.Fatalf("cluster %s missing from Load", id)
 		return nil
 	}
+	recs := func(es ...string) []string {
+		var out []string
+		for _, e := range es {
+			out = append(out, string(rec(e)))
+		}
+		return out
+	}
 
-	d := open(true)
+	d := open()
 	if err := d.Put("c1", []byte(`{"f":1}`)); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Put("c2", []byte(`{"f":1}`)); err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range []string{"a", "b"} {
-		if err := d.AppendEvents("c1", [][]byte{rec(e)}); err != nil {
-			t.Fatal(err)
-		}
+	d.Close()
+	// The file an older release appended c1's records to, torn mid-record.
+	legacy := string(rec("a")) + "\n" + string(rec("b")) + "\n" + `{"op":"tor`
+	legacyPath := writeLegacyWAL(t, dir, "c1", legacy)
+
+	d = open()
+	if got := wal(d, "c1"); !strEq(got, recs("a", "b")) {
+		t.Fatalf("c1 legacy import: %v", got)
+	}
+	if err := d.AppendEvents("c1", [][]byte{rec("c")}); err != nil {
+		t.Fatal(err)
 	}
 	if err := d.AppendEvents("c2", [][]byte{rec("x")}); err != nil {
 		t.Fatal(err)
 	}
 	// Snapshot c2: its segment records are superseded and must not
-	// replay on any future open, in either mode.
+	// replay on any future open.
 	if err := d.Snapshot("c2", []byte(`{"snap":1}`)); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.AppendEvents("c2", [][]byte{rec("y")}); err != nil {
 		t.Fatal(err)
 	}
+	if got := wal(d, "c1"); !strEq(got, recs("a", "b", "c")) {
+		t.Fatalf("c1 prefix+segment: %v", got)
+	}
 	d.Close()
 
-	d = open(true) // group → group
-	if got := wal(d, "c1"); !strEq(got, []string{string(rec("a")), string(rec("b"))}) {
-		t.Fatalf("c1 after group reopen: %v", got)
+	d = open()
+	if got := wal(d, "c1"); !strEq(got, recs("a", "b", "c")) {
+		t.Fatalf("c1 after reopen: %v", got)
 	}
-	if got := wal(d, "c2"); !strEq(got, []string{string(rec("y"))}) {
-		t.Fatalf("c2 after group reopen (snapshot must supersede): %v", got)
+	if got := wal(d, "c2"); !strEq(got, recs("y")) {
+		t.Fatalf("c2 after reopen (snapshot must supersede): %v", got)
 	}
-	if err := d.AppendEvents("c1", [][]byte{rec("c")}); err != nil {
+	if data, err := os.ReadFile(legacyPath); err != nil || string(data) != legacy {
+		t.Fatalf("legacy WAL changed before its snapshot: %q, %v", data, err)
+	}
+	// The snapshot holds the full state, so the legacy file is retired.
+	if err := d.Snapshot("c1", []byte(`{"snap":1}`)); err != nil {
 		t.Fatal(err)
 	}
-	d.Close()
-
-	d = open(false) // group → per-call: migration folds segments back
-	if _, err := os.Stat(filepath.Join(dir, groupDirName)); !os.IsNotExist(err) {
-		t.Fatalf("segment dir survived migration: err=%v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, migrateDirName)); !os.IsNotExist(err) {
-		t.Fatalf("migration dir left behind: err=%v", err)
-	}
-	if got := wal(d, "c1"); !strEq(got, []string{string(rec("a")), string(rec("b")), string(rec("c"))}) {
-		t.Fatalf("c1 after migration: %v", got)
+	if _, err := os.Stat(legacyPath); !os.IsNotExist(err) {
+		t.Fatalf("legacy WAL survived the snapshot: err=%v", err)
 	}
 	if err := d.AppendEvents("c1", [][]byte{rec("d")}); err != nil {
 		t.Fatal(err)
 	}
 	d.Close()
 
-	d = open(true) // per-call → group: WAL file is a frozen prefix
-	want := []string{string(rec("a")), string(rec("b")), string(rec("c")), string(rec("d"))}
-	if got := wal(d, "c1"); !strEq(got, want) {
-		t.Fatalf("c1 after re-grouping: %v", got)
+	d = open()
+	defer d.Close()
+	if got := wal(d, "c1"); !strEq(got, recs("d")) {
+		t.Fatalf("c1 after snapshot and reopen: %v", got)
 	}
-	if err := d.AppendEvents("c1", [][]byte{rec("e")}); err != nil {
+	if got := wal(d, "c2"); !strEq(got, recs("y")) {
+		t.Fatalf("c2 after second reopen: %v", got)
+	}
+}
+
+// TestDirRefusesInterruptedMigration: a .walseg.mig directory is what an
+// older release left when it crashed while folding segments back into
+// per-cluster WALs. Its segments hold acknowledged records this store
+// cannot read, so the open fails, names the directory, and leaves it
+// as it was.
+func TestDirRefusesInterruptedMigration(t *testing.T) {
+	dir := t.TempDir()
+	mig := filepath.Join(dir, ".walseg.mig")
+	if err := os.Mkdir(mig, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if got := wal(d, "c1"); !strEq(got, append(want[:4:4], string(rec("e")))) {
-		t.Fatalf("c1 prefix+segment: %v", got)
+	seg := filepath.Join(mig, segName(0))
+	line := `{"c":"c1","g":0,"r":{"op":"a"}}` + "\n"
+	if err := os.WriteFile(seg, []byte(line), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	d.Close()
+	d, err := NewDir(dir)
+	if err == nil {
+		d.Close()
+		t.Fatal("open over an interrupted migration succeeded")
+	}
+	if !strings.Contains(err.Error(), mig) {
+		t.Fatalf("error does not name %s: %v", mig, err)
+	}
+	if data, err := os.ReadFile(seg); err != nil || string(data) != line {
+		t.Fatalf("claimed segment disturbed: %q, %v", data, err)
+	}
+}
+
+// TestDirCreatesSegmentDirOnFirstAppend: the segment directory appears
+// with the first flush, so a store that never appends — the fusion
+// cache's — leaves no empty .walseg behind.
+func TestDirCreatesSegmentDirOnFirstAppend(t *testing.T) {
+	d, dir := newGroupDir(t, DirOptions{})
+	defer d.Close()
+	segDir := filepath.Join(dir, groupDirName)
+	if err := d.Put("c1", []byte(`{"f":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.PutCache("ab", []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Snapshot("c1", []byte(`{"snap":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Load(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(segDir); !os.IsNotExist(err) {
+		t.Fatalf("segment dir exists before any append: err=%v", err)
+	}
+	if err := d.AppendEvents("c1", [][]byte{rec("a")}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(segDir, segName(0))); err != nil {
+		t.Fatalf("first append made no segment: %v", err)
+	}
 }
 
 func strEq(a, b []string) bool {
@@ -204,7 +271,7 @@ func strEq(a, b []string) bool {
 func TestGroupSegmentTornTail(t *testing.T) {
 	mk := func(t *testing.T) (string, string) {
 		dir := t.TempDir()
-		d, err := NewDirWith(dir, DirOptions{GroupCommit: true})
+		d, err := NewDir(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +285,7 @@ func TestGroupSegmentTornTail(t *testing.T) {
 		return dir, filepath.Join(dir, groupDirName, segName(0))
 	}
 	load := func(t *testing.T, dir string) ([]Record, error) {
-		d, err := NewDirWith(dir, DirOptions{GroupCommit: true})
+		d, err := NewDir(dir)
 		if err != nil {
 			return nil, err
 		}
@@ -391,7 +458,7 @@ func TestGroupCrashChild(t *testing.T) {
 	if dir == "" {
 		t.Skip("crash-child helper; driven by TestGroupCrashRecovery")
 	}
-	d, err := NewDirWith(dir, DirOptions{GroupCommit: true})
+	d, err := NewDir(dir)
 	if err != nil {
 		fmt.Printf("child-error %v\n", err)
 		os.Exit(1)
@@ -422,11 +489,9 @@ func TestGroupCrashChild(t *testing.T) {
 	wg.Wait() // unreachable: SIGKILL ends the process mid-append
 }
 
-// TestGroupCrashRecovery is the tentpole's crash-window guarantee,
-// byte-identical to the per-call store's: kill -9 mid-batch under
-// concurrent appenders, reopen, and every acknowledged record replays
-// with nothing torn — in group mode AND after migrating the surviving
-// segments back to per-cluster WALs.
+// TestGroupCrashRecovery is the store's crash-window guarantee: kill -9
+// mid-batch under concurrent appenders, reopen, and every acknowledged
+// record replays with nothing torn.
 func TestGroupCrashRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess crash test")
@@ -485,8 +550,8 @@ func TestGroupCrashRecovery(t *testing.T) {
 		t.Fatal("no acks parsed")
 	}
 
-	check := func(t *testing.T, group bool) {
-		d, err := NewDirWith(dir, DirOptions{GroupCommit: group})
+	t.Run("group-reopen", func(t *testing.T) {
+		d, err := NewDir(dir)
 		if err != nil {
 			t.Fatalf("reopen after kill -9: %v", err)
 		}
@@ -517,7 +582,5 @@ func TestGroupCrashRecovery(t *testing.T) {
 				t.Fatalf("%s lost acknowledged records: %d durable < %d acked", id, len(wal), want)
 			}
 		}
-	}
-	t.Run("group-reopen", func(t *testing.T) { check(t, true) })
-	t.Run("migrated-reopen", func(t *testing.T) { check(t, false) })
+	})
 }

@@ -28,8 +28,10 @@ func backends(t *testing.T) map[string]func() backend {
 			}
 			return d
 		},
+		// The same store with segments and batches cut tiny, so the
+		// contract also runs across segment rollover and early flushes.
 		"group": func() backend {
-			d, err := NewDirWith(t.TempDir(), DirOptions{GroupCommit: true})
+			d, err := NewDirWith(t.TempDir(), DirOptions{SegmentBytes: 64, MaxBatchBytes: 64})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,6 +129,20 @@ func TestBackendContract(t *testing.T) {
 			if len(recs) != 1 || recs[0].ID != "c2" {
 				t.Fatalf("after Remove: %v", recs)
 			}
+
+			// Recreating a removed id starts from nothing: no record,
+			// snapshot or generation of the old cluster carries over.
+			if err := s.Put("c1", []byte(`{"f":3}`)); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.AppendEvents("c1", [][]byte{rec("e")}); err != nil {
+				t.Fatal(err)
+			}
+			recs, _ = s.Load()
+			if len(recs) != 2 || !bytes.Equal(recs[0].Spec, []byte(`{"f":3}`)) || recs[0].Snapshot != nil ||
+				len(recs[0].WAL) != 1 || !bytes.Equal(recs[0].WAL[0], rec("e")) {
+				t.Fatalf("recreated c1: %+v", recs)
+			}
 		})
 	}
 }
@@ -175,29 +191,123 @@ func TestDirSurvivesReopen(t *testing.T) {
 	}
 }
 
-// TestDirTornTail: a crash mid-append leaves a torn final record, which
-// Load drops; torn bytes anywhere else are corruption and an error.
+// TestDirRecreateAfterReopen: a removed cluster's records outlive its
+// directory in the shared segments, also across a restart; a cluster
+// recreated under the same id after the restart must not replay them.
+func TestDirRecreateAfterReopen(t *testing.T) {
+	root := t.TempDir()
+	d1, err := NewDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"c1", "c2"} {
+		if err := d1.Put(id, []byte(`{"f":1}`)); err != nil {
+			t.Fatal(err)
+		}
+		// c2's record keeps the shared segment alive after c1's Remove.
+		if err := d1.AppendEvents(id, [][]byte{rec("old-" + id)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d1.Remove("c1"); err != nil {
+		t.Fatal(err)
+	}
+	d1.Close()
+
+	d2, err := NewDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d2.Put("c1", []byte(`{"f":2}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := d2.AppendEvents("c1", [][]byte{rec("new")}); err != nil {
+		t.Fatal(err)
+	}
+	check := func(d *Dir) {
+		t.Helper()
+		recs, err := d.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != 2 || len(recs[0].WAL) != 1 || !bytes.Equal(recs[0].WAL[0], rec("new")) ||
+			len(recs[1].WAL) != 1 {
+			t.Fatalf("recreated c1 after reopen: %+v", recs)
+		}
+	}
+	check(d2)
+	d2.Close()
+	check(mustOpen(t, root))
+}
+
+// TestDirRecreateWhileAppendQueued: an append staged before its cluster
+// was removed still flushes afterwards; a cluster recreated under the
+// same id in between must not replay it.
+func TestDirRecreateWhileAppendQueued(t *testing.T) {
+	d := mustOpen(t, t.TempDir())
+	if err := d.Put("c1", []byte(`{"f":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	wait, err := d.StageEvents("c1", [][]byte{rec("old")}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Remove("c1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Put("c1", []byte(`{"f":2}`)); err != nil {
+		t.Fatal(err)
+	}
+	if err := wait(); err != nil { // the stager leads: its flush runs here
+		t.Fatal(err)
+	}
+	if err := d.AppendEvents("c1", [][]byte{rec("new")}); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := d.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 1 || len(recs[0].WAL) != 1 || !bytes.Equal(recs[0].WAL[0], rec("new")) {
+		t.Fatalf("recreated c1 = %+v", recs)
+	}
+}
+
+func mustOpen(t *testing.T, root string) *Dir {
+	t.Helper()
+	d, err := NewDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	return d
+}
+
+// writeLegacyWAL hand-writes a per-cluster wal-0.log, the file older
+// releases appended to, under an existing cluster directory.
+func writeLegacyWAL(t *testing.T, root, id, data string) string {
+	t.Helper()
+	path := filepath.Join(root, id, "wal-0.log")
+	if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestDirTornTail: a crash mid-append leaves a torn final record in a
+// legacy WAL, which Load drops; torn bytes anywhere else are corruption
+// and an error.
 func TestDirTornTail(t *testing.T) {
 	root := t.TempDir()
 	d, err := NewDir(root)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer d.Close()
 	if err := d.Put("c1", []byte(`{}`)); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.AppendEvents("c1", [][]byte{rec("a"), rec("b")}); err != nil {
-		t.Fatal(err)
-	}
-	wal := filepath.Join(root, "c1", "wal-0.log")
-	f, err := os.OpenFile(wal, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"op":"tor`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	wal := writeLegacyWAL(t, root, "c1", string(rec("a"))+"\n"+string(rec("b"))+"\n"+`{"op":"tor`)
 
 	recs, err := d.Load()
 	if err != nil {
@@ -208,7 +318,10 @@ func TestDirTornTail(t *testing.T) {
 	}
 
 	// Same torn bytes followed by a valid record: corruption, not a tail.
-	f, _ = os.OpenFile(wal, os.O_WRONLY|os.O_APPEND, 0)
+	f, err := os.OpenFile(wal, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	f.WriteString("\n" + string(rec("c")) + "\n")
 	f.Close()
 	if _, err := d.Load(); err == nil {
@@ -216,68 +329,52 @@ func TestDirTornTail(t *testing.T) {
 	}
 }
 
-// TestDirAppendAfterTornTail: a reopened WAL is repaired (torn bytes
-// truncated) before new appends, so a failed write followed by a
-// successful one never leaves invalid JSON mid-file — which would make
-// every future Load fail.
+// TestDirAppendAfterTornTail: appends never touch a legacy WAL, so its
+// torn tail — bytes without a newline, or a newline-terminated garbage
+// sector — stays a tolerated tail after new records are appended,
+// instead of turning into mid-file corruption that fails every Load.
 func TestDirAppendAfterTornTail(t *testing.T) {
-	root := t.TempDir()
-	d1, err := NewDir(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d1.Put("c1", []byte(`{}`)); err != nil {
-		t.Fatal(err)
-	}
-	if err := d1.AppendEvents("c1", [][]byte{rec("a")}); err != nil {
-		t.Fatal(err)
-	}
-	wal := filepath.Join(root, "c1", "wal-0.log")
-	f, err := os.OpenFile(wal, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.WriteString(`{"op":"tor`) // torn write, no newline, never acknowledged
-	f.Close()
+	for name, tail := range map[string]string{
+		"no-newline":     `{"op":"tor`,
+		"garbage-sector": "{\"op\":\"gar\x00bage\n",
+	} {
+		t.Run(name, func(t *testing.T) {
+			root := t.TempDir()
+			d1, err := NewDir(root)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d1.Put("c1", []byte(`{}`)); err != nil {
+				t.Fatal(err)
+			}
+			d1.Close()
+			legacy := string(rec("a")) + "\n" + tail
+			wal := writeLegacyWAL(t, root, "c1", legacy)
 
-	// A fresh store (fresh handle → lazy reopen) appends cleanly.
-	d2, err := NewDir(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d2.AppendEvents("c1", [][]byte{rec("b")}); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := d2.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs[0].WAL) != 2 || !bytes.Equal(recs[0].WAL[0], rec("a")) || !bytes.Equal(recs[0].WAL[1], rec("b")) {
-		t.Fatalf("WAL after torn-tail repair = %q", recs[0].WAL)
-	}
-
-	// A torn sector that still got its newline: Load tolerates it as the
-	// final record and drops it, so reopen-repair must drop it too —
-	// otherwise the next append would turn it into mid-file corruption.
-	f, err = os.OpenFile(wal, os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.WriteString("{\"op\":\"gar\x00bage\n")
-	f.Close()
-	d3, err := NewDir(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d3.AppendEvents("c1", [][]byte{rec("c")}); err != nil {
-		t.Fatal(err)
-	}
-	recs, err = d3.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs[0].WAL) != 3 || !bytes.Equal(recs[0].WAL[2], rec("c")) {
-		t.Fatalf("WAL after newline-terminated garbage repair = %q", recs[0].WAL)
+			for i, e := range []string{"b", "c"} {
+				// A fresh store per append: each reopen seals the
+				// previous segment and starts a new one.
+				d, err := NewDir(root)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := d.AppendEvents("c1", [][]byte{rec(e)}); err != nil {
+					t.Fatal(err)
+				}
+				recs, err := d.Load()
+				d.Close()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(recs[0].WAL) != i+2 || !bytes.Equal(recs[0].WAL[0], rec("a")) ||
+					!bytes.Equal(recs[0].WAL[i+1], rec(e)) {
+					t.Fatalf("WAL after append %d = %q", i+1, recs[0].WAL)
+				}
+			}
+			if data, err := os.ReadFile(wal); err != nil || string(data) != legacy {
+				t.Fatalf("legacy WAL changed: %q, %v", data, err)
+			}
+		})
 	}
 }
 
@@ -322,8 +419,9 @@ func TestDirSnapshotCrashWindows(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Crash after the next generation's WAL was created but before the
-	// snapshot rename committed: the old snapshot+WAL must win.
+	// Crash before the snapshot rename committed (older releases also
+	// pre-created the next generation's empty WAL): the old generation
+	// and its records must win.
 	dir := filepath.Join(root, "c1")
 	if err := os.WriteFile(filepath.Join(dir, "wal-1.log"), nil, 0o644); err != nil {
 		t.Fatal(err)
@@ -340,7 +438,7 @@ func TestDirSnapshotCrashWindows(t *testing.T) {
 	}
 
 	// Commit point: once snapshot-1.json exists, the new generation wins
-	// even though the old WAL still lingers on disk.
+	// even though the old generation's record still lingers in a segment.
 	if err := os.Rename(filepath.Join(dir, "snapshot-1.json.tmp"), filepath.Join(dir, "snapshot-1.json")); err != nil {
 		t.Fatal(err)
 	}

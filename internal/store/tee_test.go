@@ -3,6 +3,7 @@ package store
 import (
 	"fmt"
 	"testing"
+	"time"
 )
 
 func TestLogAppendSinceAndTrim(t *testing.T) {
@@ -164,4 +165,38 @@ func TestTeeLoadSeedsAnchors(t *testing.T) {
 	if len(ops) != 1 || ops[0].PrevWAL != 2 {
 		t.Fatalf("post-Load append anchored at %d, want 2", ops[0].PrevWAL)
 	}
+}
+
+// TestTeePutDuringFlush: a Tee holds its lock across the inner Put while
+// a flush's commit callback needs that lock to publish, so Dir.Put must
+// never wait for the flusher. The linger holds a batch in flight while
+// Put runs.
+func TestTeePutDuringFlush(t *testing.T) {
+	d, err := NewDirWith(t.TempDir(), DirOptions{MaxBatchDelay: 100 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tee := NewTee("default", d, NewLog(1, 0))
+	if err := tee.Put("c1", []byte(`{"f":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	wait, err := tee.StageEvents("c1", [][]byte{rec("a")}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 2)
+	go func() { done <- wait() }()
+	time.Sleep(20 * time.Millisecond) // the leader is lingering
+	go func() { done <- tee.Put("c2", []byte(`{"f":1}`)) }()
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("Put and an in-flight flush deadlocked") // no Close: it would block too
+		}
+	}
+	d.Close()
 }
