@@ -173,3 +173,29 @@ func TestWorkersFlagDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestGoldenTable diffs Algorithm 2's output on the MESI,TCP,A,B suite
+// (a 176-state top, two generated machines) against a checked-in golden,
+// at one worker and at four: any closure-kernel or descent change must
+// leave the generated machines bit-identical.
+func TestGoldenTable(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "mesi-tcp-a-b-f2-table.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []string{"1", "4"} {
+		got, err := runCapture(t, "-zoo", "MESI,TCP,A,B", "-f", "2", "-table", "-workers", w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != string(want) {
+			gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+			for i := 0; i < len(gl) && i < len(wl); i++ {
+				if gl[i] != wl[i] {
+					t.Fatalf("-workers %s: output differs from golden at line %d:\n got %q\nwant %q", w, i+1, gl[i], wl[i])
+				}
+			}
+			t.Fatalf("-workers %s: output has %d lines, golden %d", w, len(gl), len(wl))
+		}
+	}
+}

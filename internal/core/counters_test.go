@@ -1,0 +1,51 @@
+package core
+
+import (
+	"testing"
+
+	"repro/internal/machines"
+)
+
+// descentWork is the deterministic part of a generation's work: the
+// counters that depend only on the machines and f, never on pool
+// scheduling. The implied/seeded/cold split of ColdClosures is left out —
+// which neighbour's memo entry a cascade sees in time is a race.
+type descentWork struct {
+	Levels, ColdClosures, SeededJoins, PrunedSkips, TopCacheHits int64
+}
+
+// TestTable1DescentWork pins how much work Algorithm 2 does on each
+// Table 1 suite. The fusions are pinned elsewhere; this catches a kernel
+// or descent change that keeps the output but evaluates more (or
+// different) pairs — a lost pruning, a seeded join turned cold, a missed
+// ⊤-cache hit.
+func TestTable1DescentWork(t *testing.T) {
+	want := map[string]descentWork{
+		"tab1.1": {Levels: 4, ColdClosures: 10296, SeededJoins: 0, PrunedSkips: 2256, TopCacheHits: 10296},
+		"tab1.2": {Levels: 5, ColdClosures: 2016, SeededJoins: 16, PrunedSkips: 600, TopCacheHits: 4032},
+		"tab1.3": {Levels: 18, ColdClosures: 16110, SeededJoins: 133, PrunedSkips: 21667, TopCacheHits: 16110},
+		"tab1.4": {Levels: 2, ColdClosures: 15400, SeededJoins: 0, PrunedSkips: 8646, TopCacheHits: 0},
+		"tab1.5": {Levels: 4, ColdClosures: 2926, SeededJoins: 11, PrunedSkips: 3619, TopCacheHits: 2926},
+	}
+	for _, s := range machines.PaperSuites() {
+		sys, err := NewSystem(machineSet(t, s.Machines...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := GenerationCounters()
+		if _, err := GenerateFusion(sys, s.F, GenerateOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		after := GenerationCounters()
+		got := descentWork{
+			Levels:       after.Levels - before.Levels,
+			ColdClosures: after.ColdClosures - before.ColdClosures,
+			SeededJoins:  after.SeededJoins - before.SeededJoins,
+			PrunedSkips:  after.PrunedSkips - before.PrunedSkips,
+			TopCacheHits: after.TopCacheHits - before.TopCacheHits,
+		}
+		if got != want[s.Name] {
+			t.Errorf("%s: descent work %+v, want %+v", s.Name, got, want[s.Name])
+		}
+	}
+}

@@ -37,75 +37,141 @@ func IsClosed(top *dfsm.Machine, p P) bool {
 // propagating during closure.
 type statePair struct{ a, b int }
 
-// closureScratch bundles the per-closure working set — union-find forest,
-// propagation stack, first-of-block table, and the forbidden-pair guard —
-// so a merge-closure fan-out's thousands of closures per call can recycle
-// buffers instead of allocating each time. One scratch lives in each exec
-// worker's closureSlot, persisting across calls and across whole
-// fan-outs; serial entry points share the same recycling through the
-// pool's Do contexts.
+// levelStart is one closure fan-out's shared setup, built once before the
+// pool runs and only read while it does: the level start's forest and
+// the armed forbidden-pair guard. Every cascade of the fan-out starts
+// from a copy of it instead of re-deriving the level start state by
+// state.
+type levelStart struct {
+	// base is the union-find of close(p), flattened so parent[s] is s's
+	// root. Closing p first keeps a fan-out over a p that is not closed
+	// exact: close(p ∪ {x~y}) = close(close(p) ∪ {x~y}).
+	base *UnionFind
+	// violated reports that close(p) already merges a forbidden pair —
+	// (s, s) included, which no partition separates — so every task of
+	// the fan-out fails without running a cascade.
+	violated bool
+	// The guard, armed when the forbidden list is non-empty: ends lists
+	// the distinct forbidden-pair endpoints and partners[i] the states
+	// ends[i] must stay apart from.
+	ends     []int
+	partners [][]int
+}
+
+// newLevelStart builds the fan-out setup for level start p: close(p) by
+// the from-⊤ propagation (unite p's blocks, push every union, run the
+// fixpoint), flattened, then the guard over forbidden.
+func newLevelStart(top *dfsm.Machine, p P, forbidden [][2]int) *levelStart {
+	sc := &closureScratch{uf: NewUnionFind(top.NumStates())}
+	sc.absorb(p, true)
+	sc.propagate(top, sc.stack, 0, 0, nil)
+	sc.uf.flatten()
+	st := &levelStart{base: sc.uf}
+	if len(forbidden) == 0 {
+		return st
+	}
+	root := st.base.parent
+	index := make(map[int]int, 2*len(forbidden))
+	var deg []int
+	for _, e := range forbidden {
+		if root[e[0]] == root[e[1]] {
+			st.violated = true
+			return st
+		}
+		for _, s := range e {
+			i, ok := index[s]
+			if !ok {
+				i = len(st.ends)
+				index[s] = i
+				st.ends = append(st.ends, s)
+				deg = append(deg, 0)
+			}
+			deg[i]++
+		}
+	}
+	// Carve every endpoint's partner list out of one backing array.
+	flat := make([]int, 2*len(forbidden))
+	st.partners = make([][]int, len(st.ends))
+	for i, d := range deg {
+		st.partners[i], flat = flat[:0:d], flat[d:]
+	}
+	for _, e := range forbidden {
+		i, j := index[e[0]], index[e[1]]
+		st.partners[i] = append(st.partners[i], e[1])
+		st.partners[j] = append(st.partners[j], e[0])
+	}
+	return st
+}
+
+// closureScratch is one worker's closure working set — union-find forest,
+// propagation stack, first-of-block table, and the guard's tag lists —
+// kept in the worker's closureSlot across cascades and across whole
+// fan-outs so none of them allocates per closure.
 type closureScratch struct {
 	uf    *UnionFind
 	stack []statePair
 	first []int // first state seen per block id of the partition being absorbed
-	// Guard state, live while guarded: tags[r] lists the forbidden-pair
-	// endpoints currently in root r's set; adj[s] lists s's forbidden
-	// partners.
-	guarded bool
-	tags    [][]int
-	adj     [][]int
+	// Guard state of the running cascade: g is its fan-out's levelStart
+	// when the guard is armed (nil otherwise). The endpoints (indices into
+	// g.ends) inside root r's set form a linked list: head[r] is the
+	// first (-1 for none) and next[i] follows endpoint i. Outside a
+	// cascade every head is -1.
+	g    *levelStart
+	head []int32
+	next []int32
 }
 
 // closureSlot is the per-worker scratch slot holding a *closureScratch.
 var closureSlot = exec.NewSlotID()
 
-// scratchFor returns the context's closure scratch reset for an n-state
-// closure, allocating it on the worker's first use.
-func scratchFor(c *exec.Ctx, n int) *closureScratch {
+// scratchFor returns the context's closure scratch set up for one cascade
+// of st's fan-out: the forest a copy of st's base and, when st's guard is
+// armed, each endpoint tagged at its base root. Pair with release.
+func scratchFor(c *exec.Ctx, st *levelStart) *closureScratch {
 	s, _ := c.Get(closureSlot).(*closureScratch)
 	if s == nil {
 		s = &closureScratch{uf: &UnionFind{}}
 		c.Set(closureSlot, s)
 	}
-	s.uf.Reset(n)
+	s.uf.copyFrom(st.base)
 	s.stack = s.stack[:0]
+	if len(st.ends) == 0 {
+		return s
+	}
+	s.g = st
+	if n := len(st.base.parent); cap(s.head) >= n {
+		s.head = s.head[:n]
+	} else {
+		s.head = make([]int32, n)
+		for i := range s.head {
+			s.head[i] = -1
+		}
+	}
+	if cap(s.next) >= len(st.ends) {
+		s.next = s.next[:len(st.ends)]
+	} else {
+		s.next = make([]int32, len(st.ends))
+	}
+	for i, e := range st.ends {
+		r := st.base.parent[e]
+		s.next[i] = s.head[r]
+		s.head[r] = int32(i)
+	}
 	return s
 }
 
-// guard arms the forbidden-pair index for n states; an empty forbidden
-// list disarms it, so unite takes the plain union path. false reports a
-// degenerate pair (s, s), which no partition separates.
-func (s *closureScratch) guard(n int, forbidden [][2]int) bool {
-	s.guarded = len(forbidden) > 0
-	if !s.guarded {
-		return true
+// release disarms the guard and clears the tag lists the cascade wrote —
+// the heads at the roots of the endpoints' sets, the only ones unite
+// leaves set — so the next cascade on this worker, whatever its fan-out,
+// starts from empty lists.
+func (s *closureScratch) release() {
+	if s.g == nil {
+		return
 	}
-	if cap(s.tags) >= n {
-		s.tags = s.tags[:n]
-		s.adj = s.adj[:n]
-		for i := range s.tags {
-			s.tags[i] = s.tags[i][:0]
-			s.adj[i] = s.adj[i][:0]
-		}
-	} else {
-		s.tags = make([][]int, n)
-		s.adj = make([][]int, n)
+	for _, e := range s.g.ends {
+		s.head[s.uf.Find(e)] = -1
 	}
-	for _, e := range forbidden {
-		x, y := e[0], e[1]
-		if x == y {
-			return false
-		}
-		if len(s.adj[x]) == 0 {
-			s.tags[x] = append(s.tags[x], x)
-		}
-		if len(s.adj[y]) == 0 {
-			s.tags[y] = append(s.tags[y], y)
-		}
-		s.adj[x] = append(s.adj[x], y)
-		s.adj[y] = append(s.adj[y], x)
-	}
-	return true
+	s.g = nil
 }
 
 // unite merges the sets of a and b. merged reports that they were
@@ -113,10 +179,12 @@ func (s *closureScratch) guard(n int, forbidden [][2]int) bool {
 // Violation detection is incremental: each root carries the forbidden-pair
 // endpoints ("tags") inside its set, and a union only checks the absorbed
 // root's tags against their partners' roots — O(tags·deg) per union
-// instead of an O(|forbidden|) rescan with two Finds per pair.
+// instead of an O(|forbidden|) rescan with two Finds per pair. The
+// absorbed root's list is spliced onto the surviving root's even on a
+// violation, which keeps every set head at a current root.
 func (s *closureScratch) unite(a, b int) (merged, ok bool) {
 	uf := s.uf
-	if !s.guarded {
+	if s.g == nil {
 		return uf.Union(a, b), true
 	}
 	ra, rb := uf.Find(a), uf.Find(b)
@@ -126,16 +194,25 @@ func (s *closureScratch) unite(a, b int) (merged, ok bool) {
 	uf.Union(ra, rb)
 	root := uf.Find(ra)
 	child := ra + rb - root // the absorbed root
-	for _, x := range s.tags[child] {
-		for _, t := range s.adj[x] {
-			if uf.Find(t) == root {
-				return true, false
+	h := s.head[child]
+	if h < 0 {
+		return true, true
+	}
+	ok = true
+	tail := h
+	for i := h; i >= 0; i = s.next[i] {
+		tail = i
+		for _, t := range s.g.partners[i] {
+			if !ok {
+				break
 			}
+			ok = uf.Find(t) != root
 		}
 	}
-	s.tags[root] = append(s.tags[root], s.tags[child]...)
-	s.tags[child] = s.tags[child][:0]
-	return true, true
+	s.next[tail] = s.head[root]
+	s.head[root] = h
+	s.head[child] = -1
+	return true, ok
 }
 
 // absorb unites the states of every block of m, pushing each union for
@@ -145,6 +222,9 @@ func (s *closureScratch) unite(a, b int) (merged, ok bool) {
 // transitivity through the forest covers the cross effects and no
 // propagation is owed.
 func (s *closureScratch) absorb(m P, push bool) bool {
+	if m.NumBlocks() == m.N() {
+		return true // singletons: nothing to unite
+	}
 	if blocks := m.NumBlocks(); cap(s.first) >= blocks {
 		s.first = s.first[:blocks]
 	} else {
@@ -191,13 +271,14 @@ const (
 )
 
 // cascade is the package's one Hartmanis–Stearns closure kernel: it
-// computes close(p ∨ seed ∪ {x~y}). The union-find absorbs the optional
-// closed seed (zero P for none) without propagation pushes, then unites
-// p's blocks and x with y (x == y merges nothing), and runs the
-// propagation fixpoint: merge two states, then merge their successors
-// under every event until nothing changes. The merged start partition is
-// never materialized, which spares every closure of a fan-out a vector
-// copy and an FNV hash.
+// computes close(p ∨ seed ∪ {x~y}) for the level start p that st was
+// built from (st must not be violated). The worker's forest starts as a
+// copy of st's base, close(p); the optional closed seed (zero P for none)
+// is joined into it without propagation pushes, then x is united with y
+// (x == y merges nothing) and the propagation fixpoint runs: merge two
+// states, then merge their successors under every event until nothing
+// changes. The merged start partition is never materialized, which spares
+// every closure of a fan-out a vector copy and an FNV hash.
 //
 // A seed is the incremental descent's survivor join: with seed =
 // close(m ∪ {x~y}) from the previous level and p the new level start m′,
@@ -205,12 +286,10 @@ const (
 // in p or seed maps under every event to a chain of same-block steps)
 // makes the result close(m′ ∪ {x~y}) — the residual fixpoint never fires
 // on closed inputs, so the re-evaluation is O(N·α) union-find work.
-// Unions of p's blocks across two seed sets are still pushed, as defense
-// in depth against a caller breaking the closedness precondition.
 //
-// A non-empty forbidden list guards every union: the kernel returns
+// When st's guard is armed, every union is guarded: the kernel returns
 // ok=false at the first union that merges the two endpoints of any
-// forbidden pair, typically after a handful of unions. An empty list
+// forbidden pair, typically after a handful of unions. An unarmed guard
 // takes the plain union path, free of the guard's extra Finds and tag
 // bookkeeping.
 //
@@ -228,16 +307,15 @@ const (
 // memo-free cascade in every case — the memo only changes which unions
 // pay for transition-table walks.
 //
-// Complexity: O(N·|Σ|·α(N)) unions in the worst case.
-func cascade(c *exec.Ctx, top *dfsm.Machine, p, seed P, x, y int, forbidden [][2]int, memo *pairMemo) (P, cascadeOutcome, bool) {
-	sc := scratchFor(c, top.NumStates())
-	if !sc.guard(top.NumStates(), forbidden) ||
-		seed.N() > 0 && !sc.absorb(seed, false) ||
-		!sc.absorb(p, true) {
+// Complexity: O(N) for the copy plus O(N·|Σ|·α(N)) unions in the worst
+// case.
+func cascade(c *exec.Ctx, top *dfsm.Machine, st *levelStart, seed P, x, y int, memo *pairMemo) (P, cascadeOutcome, bool) {
+	sc := scratchFor(c, st)
+	defer sc.release()
+	if seed.N() > 0 && !sc.absorb(seed, false) {
 		return P{}, cascadeCold, false
 	}
 	stack := sc.stack
-	defer func() { sc.stack = stack }() // keep the grown stack for reuse
 	if x != y {
 		merged, ok := sc.unite(x, y)
 		if !ok {
@@ -247,8 +325,20 @@ func cascade(c *exec.Ctx, top *dfsm.Machine, p, seed P, x, y int, forbidden [][2
 			stack = append(stack, statePair{x, y})
 		}
 	}
-	uf := sc.uf
-	outcome := cascadeCold
+	implied, outcome, ok := sc.propagate(top, stack, x, y, memo)
+	if !ok || outcome == cascadeImplied {
+		return implied, outcome, ok
+	}
+	return sc.uf.Partition(), outcome, true
+}
+
+// propagate runs the closure fixpoint over the pending unions on stack,
+// keeping the grown stack for reuse. With a memo (see cascade) it may
+// resolve early: cascadeImplied with ok returns the memoized closure of
+// the pair (x, y) as implied.
+func (s *closureScratch) propagate(top *dfsm.Machine, stack []statePair, x, y int, memo *pairMemo) (implied P, outcome cascadeOutcome, ok bool) {
+	defer func() { s.stack = stack[:0] }()
+	uf := s.uf
 	for len(stack) > 0 {
 		pr := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -268,27 +358,33 @@ func cascade(c *exec.Ctx, top *dfsm.Machine, p, seed P, x, y int, forbidden [][2
 						return m, cascadeImplied, true
 					}
 					outcome = cascadeSeeded
-					if !sc.absorb(m, false) {
+					if !s.absorb(m, false) {
 						return P{}, outcome, false
 					}
 					continue
 				}
 			}
-			if _, ok := sc.unite(ta, tb); !ok {
+			if _, ok := s.unite(ta, tb); !ok {
 				return P{}, outcome, false
 			}
 			stack = append(stack, statePair{ta, tb})
 		}
 	}
-	return uf.Partition(), outcome, true
+	return P{}, outcome, true
 }
 
-// closeOnDefault runs one cascade on a context of the shared default pool.
+// closeOnDefault runs one closure through the fan-out path — its own
+// level start and guard, then one cascade — inline on a context of the
+// shared default pool.
 func closeOnDefault(top *dfsm.Machine, p P, x, y int, forbidden [][2]int) (P, bool) {
+	st := newLevelStart(top, p, forbidden)
+	if st.violated {
+		return P{}, false
+	}
 	pool := exec.Default()
 	c := pool.Acquire()
 	defer pool.Release(c)
-	cand, _, ok := cascade(c, top, p, P{}, x, y, forbidden, nil)
+	cand, _, ok := cascade(c, top, st, P{}, x, y, nil)
 	return cand, ok
 }
 

@@ -228,16 +228,24 @@ func blockPairs(p P) []pairTask {
 }
 
 // closePairs is the one pool fan-out over a level's block pairs, shared by
-// the min-descent, the ⊤-cache fill and the full candidate list: each task
-// closes p merged along its pair (joined with its seed, if any) under con.
-// Cold tasks thread memo (nil when sharing is off) and publish their
-// outcome into it; onClose, when set, observes every evaluated pair and
-// must be internally synchronized. The pool's atomic cursor load-balances
-// the tasks and per-worker scratch slots recycle the union-find working
-// sets; results land in task-indexed slots, so every reduction over them
-// is independent of worker scheduling.
+// the min-descent, the ⊤-cache fill, the full candidate list and the
+// single-shot closures: each task closes p merged along its pair (joined
+// with its seed, if any) under con. The level start's forest and the
+// forbidden-pair guard are built once, before the pool runs, and every
+// cascade starts from a copy; when close(p) already merges a forbidden
+// pair, every task fails without running. Cold tasks thread memo (nil
+// when sharing is off) and publish their outcome into it; onClose, when
+// set, observes every evaluated pair and must be internally synchronized.
+// The pool's atomic cursor load-balances the tasks and per-worker scratch
+// slots recycle the union-find working sets; results land in task-indexed
+// slots, so every reduction over them is independent of worker
+// scheduling.
 func closePairs(pool *exec.Pool, top *dfsm.Machine, p P, tasks []pairTask, con constraint, memo *pairMemo, onClose func(x, y int)) []pairResult {
 	res := make([]pairResult, len(tasks))
+	st := newLevelStart(top, p, con.forbidden)
+	if st.violated {
+		return res
+	}
 	pool.Run(len(tasks), func(c *exec.Ctx, k int) {
 		t := tasks[k]
 		if onClose != nil {
@@ -247,7 +255,7 @@ func closePairs(pool *exec.Pool, top *dfsm.Machine, p P, tasks []pairTask, con c
 		if t.seed.N() > 0 {
 			m = nil // a seeded join neither needs nor defines a memo entry
 		}
-		cand, out, ok := cascade(c, top, p, t.seed, t.x, t.y, con.forbidden, m)
+		cand, out, ok := cascade(c, top, st, t.seed, t.x, t.y, m)
 		// A cascade aborted by an implied violation carries over to this
 		// pair by the constraint's monotonicity, so keep only judges
 		// finished closures.

@@ -41,9 +41,7 @@ func TestSeededCloseMatchesJoinClosure(t *testing.T) {
 		}
 		want := Close(top, join)
 
-		c := pool.Acquire()
-		got, _, _ := cascade(c, top, p, prev, 0, 0, nil, nil)
-		pool.Release(c)
+		got := closePairs(pool, top, p, []pairTask{{seed: prev}}, constraint{}, nil, nil)[0].cand
 		if !got.Equal(want) {
 			t.Fatalf("trial %d: seeded close %s, Close(Join) %s (p=%s prev=%s)",
 				trial, got, want, p, prev)
@@ -72,9 +70,8 @@ func TestSeededCloseGuardedMatchesGuarded(t *testing.T) {
 		}
 		want, wantOK := CloseGuarded(top, join, forbidden)
 
-		c := pool.Acquire()
-		got, _, gotOK := cascade(c, top, p, prev, 0, 0, forbidden, nil)
-		pool.Release(c)
+		r := closePairs(pool, top, p, []pairTask{{seed: prev}}, constraint{forbidden: forbidden}, nil, nil)[0]
+		got, gotOK := r.cand, r.ok
 		if gotOK != wantOK {
 			t.Fatalf("trial %d: seeded verdict %v, reference %v (p=%s prev=%s forbidden=%v)",
 				trial, gotOK, wantOK, p, prev, forbidden)

@@ -2,8 +2,10 @@ package partition
 
 // UnionFind is a classic disjoint-set forest with union by rank and path
 // compression. It is the workhorse of the closed-partition closure
-// computation (Hartmanis–Stearns pair algebra). The zero value is an empty
-// forest; call Reset to (re)initialize it, reusing prior allocations.
+// computation (Hartmanis–Stearns pair algebra). The closure kernel builds
+// one forest per fan-out and starts every cascade from a copy of it
+// (copyFrom) in a worker's exec scratch slot, so no forest is reset or
+// allocated per closure.
 type UnionFind struct {
 	parent []int
 	rank   []byte
@@ -12,27 +14,35 @@ type UnionFind struct {
 
 // NewUnionFind returns a forest of n singleton sets.
 func NewUnionFind(n int) *UnionFind {
-	uf := &UnionFind{}
-	uf.Reset(n)
+	uf := &UnionFind{parent: make([]int, n), rank: make([]byte, n), sets: n}
+	for i := range uf.parent {
+		uf.parent[i] = i
+	}
 	return uf
 }
 
-// Reset reinitializes the forest to n singleton sets, reusing the backing
-// arrays when they are large enough. This is what lets the closure hot path
-// recycle forests through a sync.Pool instead of allocating per call.
-func (uf *UnionFind) Reset(n int) {
+// copyFrom makes uf a copy of base, reusing uf's arrays when they are
+// large enough.
+func (uf *UnionFind) copyFrom(base *UnionFind) {
+	n := len(base.parent)
 	if cap(uf.parent) >= n {
 		uf.parent = uf.parent[:n]
 		uf.rank = uf.rank[:n]
-		clear(uf.rank)
 	} else {
 		uf.parent = make([]int, n)
 		uf.rank = make([]byte, n)
 	}
-	for i := range uf.parent {
-		uf.parent[i] = i
+	copy(uf.parent, base.parent)
+	copy(uf.rank, base.rank)
+	uf.sets = base.sets
+}
+
+// flatten points every element straight at its root, so parent doubles
+// as a root table and a copy of the forest answers each Find in one step.
+func (uf *UnionFind) flatten() {
+	for x := range uf.parent {
+		uf.parent[x] = uf.Find(x)
 	}
-	uf.sets = n
 }
 
 // Find returns the canonical representative of x's set.
@@ -67,26 +77,30 @@ func (uf *UnionFind) Same(x, y int) bool { return uf.Find(x) == uf.Find(y) }
 // Sets returns the current number of disjoint sets.
 func (uf *UnionFind) Sets() int { return uf.sets }
 
-// Partition snapshots the forest as a normalized partition. Roots are
-// renumbered by first appearance through a scratch table — no map, and the
-// only allocations are the result vector and the table.
+// Partition snapshots the forest as a normalized partition, with roots
+// renumbered by first appearance. The result vector doubles as the
+// renumbering table, so it is the only allocation: states are visited in
+// increasing order, so the slot of a root above the current state is not
+// written yet and can hold the root's id, encoded as -(id+1), until the
+// visit reaches it; the slot of a root below it already holds its id.
 func (uf *UnionFind) Partition() P {
 	n := len(uf.parent)
 	blockOf := make([]int, n)
-	norm := make([]int, n)
-	for i := range norm {
-		norm[i] = -1
-	}
 	blocks := 0
 	for x := 0; x < n; x++ {
 		r := uf.Find(x)
-		id := norm[r]
-		if id == -1 {
-			id = blocks
-			norm[r] = id
+		switch {
+		case r < x:
+			blockOf[x] = blockOf[r]
+		case blockOf[r] < 0: // id noted at the root by an earlier member
+			blockOf[x] = -blockOf[r] - 1
+		default: // x is the first member of its set
+			blockOf[x] = blocks
+			if r > x {
+				blockOf[r] = -blocks - 1
+			}
 			blocks++
 		}
-		blockOf[x] = id
 	}
 	return newP(blockOf, blocks)
 }
