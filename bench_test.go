@@ -135,8 +135,8 @@ func BenchmarkTable1Row4(b *testing.B) { benchTableRow(b, machines.PaperSuites()
 func BenchmarkTable1Row5(b *testing.B) { benchTableRow(b, machines.PaperSuites()[4]) }
 
 // BenchmarkTable1Row1NoIncremental is Row 1 with the incremental descent
-// engine off (cold levels, no ⊤-closure cache) — the tracked ablation
-// that keeps the cross-level-reuse win measurable.
+// engine off (cold levels: no pruning, seeding or pair memo) — the
+// tracked ablation that keeps the cross-level-reuse win measurable.
 func BenchmarkTable1Row1NoIncremental(b *testing.B) {
 	benchTableRowOpts(b, machines.PaperSuites()[0], core.GenerateOptions{NoIncremental: true})
 }

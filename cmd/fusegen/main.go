@@ -150,7 +150,7 @@ func run(args []string, out io.Writer) error {
 // counters around this run's generation: how many descents and levels it
 // took, and how each candidate closure was resolved — the within-level
 // pair-implication split (implied / seeded-absorb / cold cascade) plus
-// the cross-level reuses (seeded joins, pruned skips, ⊤-cache hits).
+// the cross-level reuses (seeded joins, pruned skips).
 // Counters are process-wide, but fusegen runs exactly one generation, so
 // the delta is that generation's work. Small systems (below the descent
 // engine's gate) report all closures as cold cascades.
@@ -162,10 +162,9 @@ func printDescentStats(out io.Writer, before, after fusion.GenerationStats) {
 		after.SeededCascades-before.SeededCascades,
 		after.ColdCascades-before.ColdCascades,
 		after.ColdClosures-before.ColdClosures)
-	fmt.Fprintf(out, "  cross-level: seeded-joins=%d pruned-skips=%d top-cache-hits=%d\n",
+	fmt.Fprintf(out, "  cross-level: seeded-joins=%d pruned-skips=%d\n",
 		after.SeededJoins-before.SeededJoins,
-		after.PrunedSkips-before.PrunedSkips,
-		after.TopCacheHits-before.TopCacheHits)
+		after.PrunedSkips-before.PrunedSkips)
 }
 
 func ratio(a, b uint64) float64 {

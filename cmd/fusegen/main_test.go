@@ -51,6 +51,7 @@ func TestDescentStatsFlag(t *testing.T) {
 		t.Fatalf("-descent-stats output missing stats block:\n%s", out)
 	}
 	var descents, levels, implied, seeded, cold, closures int
+	joins, skips := -1, -1
 	for _, line := range strings.Split(out, "\n") {
 		line = strings.TrimSpace(line)
 		if strings.HasPrefix(line, "descent stats:") {
@@ -63,6 +64,17 @@ func TestDescentStatsFlag(t *testing.T) {
 				t.Fatalf("parse %q: %v", line, err)
 			}
 		}
+		if strings.HasPrefix(line, "cross-level:") {
+			if _, err := fmt.Sscanf(line, "cross-level: seeded-joins=%d pruned-skips=%d", &joins, &skips); err != nil {
+				t.Fatalf("parse %q: %v", line, err)
+			}
+		}
+	}
+	if joins < 0 || skips < 0 {
+		t.Errorf("-descent-stats output missing the cross-level line:\n%s", out)
+	}
+	if strings.Contains(out, "top-cache") {
+		t.Errorf("-descent-stats still reports the removed ⊤-closure cache:\n%s", out)
 	}
 	if descents != 2 {
 		t.Errorf("descents = %d, want 2 (f=2 from dmin=1)", descents)

@@ -32,7 +32,7 @@
 // the measured before/after and the baseline-regression workflow under
 // scripts/bench.sh).
 //
-// On top of that, Algorithm 2's candidate closures are shared at three
+// On top of that, Algorithm 2's candidate closures are shared at two
 // tiers, each exact (bit-identical results to the cold path, pinned by
 // equivalence suites) and each firing at a different scope:
 //
@@ -56,12 +56,11 @@
 //     their remembered closure with the new level's partition instead of
 //     cold cascades.
 //
-//   - Across the descents of one generation, a ⊤-closure cache: level-0
-//     closures from ⊤ are constraint-independent, so when f demands
-//     several machines, every descent after the first replaces its
-//     level-0 fan-out with a filter over the first descent's cache.
+// Nothing is shared across the descents of one generation: each descent
+// closes its own level 0 under its own weakest-edge constraint, so the
+// memo records violations and guarded cascades abort early.
 //
-// All three report through process-wide counters (GenerationCounters,
+// Both tiers report through process-wide counters (GenerationCounters,
 // fusegen -descent-stats, fusiond /metrics and /healthz); the within-
 // level tier's implied/seeded/cold split always sums to the cold-closure
 // count, so sharing effectiveness is inspectable in production.

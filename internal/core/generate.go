@@ -93,13 +93,6 @@ func GenerateFusion(s *System, f int, opts GenerateOptions) ([]partition.P, erro
 		if opts.NoPairMemo {
 			d.DisablePairMemo()
 		}
-		if f-g.Dmin()+1 >= 2 {
-			// Two or more descents are coming (each generated machine
-			// raises dmin by one): retain the constraint-independent ⊤
-			// closures of the first descent so the later ones replace
-			// their level-0 fan-out with a filter over the cache.
-			d.EnableTopCache()
-		}
 	}
 
 	for g.Dmin() <= f {

@@ -19,7 +19,6 @@ var genCounters struct {
 	coldClosures atomic.Int64 // from-scratch merge closures
 	seededJoins  atomic.Int64 // re-evaluations served as join(survivor, m′)
 	prunedSkips  atomic.Int64 // pair evaluations skipped by violation pruning
-	topCacheHits atomic.Int64 // level-0 evaluations served from the ⊤-closure cache
 
 	// Within-level pair-implication memo: the split of ColdClosures by how
 	// each cascade actually resolved (implied + seeded + cold == coldClosures
@@ -41,6 +40,9 @@ type GenerationStats struct {
 	ColdClosures int64
 	SeededJoins  int64
 	PrunedSkips  int64
+
+	// Deprecated: the cross-descent ⊤-closure cache is gone; every
+	// descent evaluates its own level 0, so TopCacheHits is always zero.
 	TopCacheHits int64
 
 	// Pair-implication memo split of ColdClosures (see DescentStats): which
@@ -63,7 +65,6 @@ func GenerationCounters() GenerationStats {
 		ColdClosures: genCounters.coldClosures.Load(),
 		SeededJoins:  genCounters.seededJoins.Load(),
 		PrunedSkips:  genCounters.prunedSkips.Load(),
-		TopCacheHits: genCounters.topCacheHits.Load(),
 
 		ImpliedCascades: genCounters.impliedCascades.Load(),
 		SeededCascades:  genCounters.seededCascades.Load(),
@@ -79,7 +80,6 @@ func recordDescent(s partition.DescentStats) {
 	genCounters.coldClosures.Add(int64(s.ColdClosures))
 	genCounters.seededJoins.Add(int64(s.SeededJoins))
 	genCounters.prunedSkips.Add(int64(s.PrunedSkips))
-	genCounters.topCacheHits.Add(int64(s.TopCacheHits))
 	genCounters.impliedCascades.Add(int64(s.ImpliedCascades))
 	genCounters.seededCascades.Add(int64(s.SeededCascades))
 	genCounters.coldCascades.Add(int64(s.ColdCascades))

@@ -32,8 +32,11 @@ func TestGenerationCounters(t *testing.T) {
 	if after.Levels <= before.Levels || after.ColdClosures <= before.ColdClosures {
 		t.Fatalf("incremental counters idle: %+v vs %+v", after, before)
 	}
-	if after.TopCacheHits <= before.TopCacheHits {
-		t.Fatalf("no top-cache reuse across %d descents: %+v", len(F), after)
+	// Every descent closes its own level 0: nothing is served across
+	// descents, so the deprecated TopCacheHits never advances.
+	if after.TopCacheHits != before.TopCacheHits {
+		t.Fatalf("TopCacheHits advanced by %d across %d descents; the ⊤-closure cache is gone",
+			after.TopCacheHits-before.TopCacheHits, len(F))
 	}
 	// The within-level memo must have resolved cascades by implication on
 	// a top this size, and the split accounts for this run's cold closures

@@ -35,17 +35,14 @@ import (
 // only pay off from level 1 down, the memo attacks the all-cold level 0
 // itself, which is what remains of the big single-descent rows.
 //
-// A fourth mechanism spans descents: the closures of the TOP level are
-// constraint-independent — every descent starts from ⊤, and
-// close(⊤ ∪ {x~y}) depends only on the machine — so with EnableTopCache
-// the first descent retains them and later descents re-run only the
-// (cheap) constraint filter instead of N²/2 closures. See EnableTopCache
-// for when that trade is worth it.
+// Nothing carries across descents: every descent's level 0 is a
+// constrained, memoized fan-out like any other level, so its guarded
+// cascades abort early and publish violations into the memo.
 //
 // A DescentState serves exactly one descent: call Reset before starting
 // the next one (the weakest-edge constraint changes between outer
 // iterations of Algorithm 2, so recorded violations expire with the
-// descent; the top cache, being constraint-independent, survives Reset).
+// descent).
 // It is not safe for concurrent descents; within one level the pool
 // tasks only read it — except the pair memo, whose entries are built for
 // exactly that concurrent publish/lookup pattern.
@@ -61,16 +58,6 @@ type DescentState struct {
 	// equivalence baselines.
 	memo    *pairMemo
 	memoOff bool
-
-	// Top-level closure cache (EnableTopCache): constraint-independent,
-	// so it persists across Reset. topCache holds the closure of every ⊤
-	// pair in blockPairs order (each descent overwrites the verdicts with
-	// its own constraint's); topSet interns the cached closures — distinct
-	// top closures are typically far fewer than pairs.
-	cacheTop  bool
-	topFilled bool
-	topCache  []pairResult
-	topSet    *Set
 
 	stats DescentStats
 
@@ -94,9 +81,6 @@ type DescentStats struct {
 	// PrunedSkips counts pair evaluations skipped outright because the
 	// pair violated at an earlier level.
 	PrunedSkips int
-	// TopCacheHits counts top-level pair evaluations served from the
-	// cross-descent closure cache (a filter check instead of a closure).
-	TopCacheHits int
 
 	// The within-level pair-implication memo splits ColdClosures by how
 	// each from-scratch evaluation actually resolved; the three always
@@ -124,10 +108,10 @@ func NewDescentState() *DescentState {
 }
 
 // Reset clears all recorded outcomes for a fresh descent, retaining the
-// allocated maps and the cross-descent top-level closure cache. The
-// pair-implication memo is dropped outright: its entries are keyed by
-// the block ids of one level's start partition and assume that level's
-// constraint, so nothing in it may survive into another descent.
+// allocated maps. The pair-implication memo is dropped outright: its
+// entries are keyed by the block ids of one level's start partition and
+// assume that level's constraint, so nothing in it may survive into
+// another descent.
 func (d *DescentState) Reset() {
 	clear(d.pruned)
 	clear(d.survivors)
@@ -144,20 +128,6 @@ func (d *DescentState) Reset() {
 // Output is identical either way; ablation benchmarks and equivalence
 // baselines use it to keep the unmemoized path measurable.
 func (d *DescentState) DisablePairMemo() { d.memoOff = true }
-
-// EnableTopCache makes the first descent retain the full closure of every
-// top-level pair so later descents replace their level-0 closure fan-out
-// with a pure constraint filter over the cache. Worth it only when the
-// caller will run two or more descents against the same machine
-// (Algorithm 2 with an expected f − dmin + 1 ≥ 2): filling the cache
-// computes full closures even for pairs the guarded path would have
-// abandoned mid-propagation, a cost only reuse amortizes.
-func (d *DescentState) EnableTopCache() {
-	d.cacheTop = true
-	if d.topSet == nil {
-		d.topSet = NewSet(64)
-	}
-}
 
 // Stats returns the reuse counters accumulated since the last Reset.
 func (d *DescentState) Stats() DescentStats { return d.stats }
@@ -201,18 +171,6 @@ type constraint struct {
 	keep      func(P) bool
 }
 
-// accepts checks a finished closure against the constraint: the verdict
-// the guarded cascade reaches by aborting, plus keep.
-func (k constraint) accepts(cand P) bool {
-	view := cand.View()
-	for _, e := range k.forbidden {
-		if view[e[0]] == view[e[1]] {
-			return false
-		}
-	}
-	return k.keep == nil || k.keep(cand)
-}
-
 // blockPairs returns one cold task per unordered block pair of p, in
 // block order.
 func blockPairs(p P) []pairTask {
@@ -228,18 +186,17 @@ func blockPairs(p P) []pairTask {
 }
 
 // closePairs is the one pool fan-out over a level's block pairs, shared by
-// the min-descent, the ⊤-cache fill, the full candidate list and the
-// single-shot closures: each task closes p merged along its pair (joined
-// with its seed, if any) under con. The level start's forest and the
-// forbidden-pair guard are built once, before the pool runs, and every
-// cascade starts from a copy; when close(p) already merges a forbidden
-// pair, every task fails without running. Cold tasks thread memo (nil
-// when sharing is off) and publish their outcome into it; onClose, when
-// set, observes every evaluated pair and must be internally synchronized.
-// The pool's atomic cursor load-balances the tasks and per-worker scratch
-// slots recycle the union-find working sets; results land in task-indexed
-// slots, so every reduction over them is independent of worker
-// scheduling.
+// the min-descent, the full candidate list and the single-shot closures:
+// each task closes p merged along its pair (joined with its seed, if any)
+// under con. The level start's forest and the forbidden-pair guard are
+// built once, before the pool runs, and every cascade starts from a copy;
+// when close(p) already merges a forbidden pair, every task fails without
+// running. Cold tasks thread memo (nil when sharing is off) and publish
+// their outcome into it; onClose, when set, observes every evaluated pair
+// and must be internally synchronized. The pool's atomic cursor
+// load-balances the tasks and per-worker scratch slots recycle the
+// union-find working sets; results land in task-indexed slots, so every
+// reduction over them is independent of worker scheduling.
 func closePairs(pool *exec.Pool, top *dfsm.Machine, p P, tasks []pairTask, con constraint, memo *pairMemo, onClose func(x, y int)) []pairResult {
 	res := make([]pairResult, len(tasks))
 	st := newLevelStart(top, p, con.forbidden)
@@ -302,14 +259,7 @@ func MinMergeClosureOn(pool *exec.Pool, d *DescentState, top *dfsm.Machine, p P,
 	if d == nil {
 		return minAccepted(closePairs(pool, top, p, blockPairs(p), con, nil, nil))
 	}
-	var tasks []pairTask
-	var res []pairResult
-	if d.cacheTop && p.NumBlocks() == p.N() {
-		tasks = blockPairs(p)
-		res = d.topLevel(pool, top, p, tasks, con)
-	} else {
-		tasks, res = d.liveLevel(pool, top, p, con)
-	}
+	tasks, res := d.liveLevel(pool, top, p, con)
 
 	// Record outcomes serially, in task order, so d's contents are
 	// independent of worker scheduling. The survivors just recorded
@@ -343,9 +293,9 @@ func (d *DescentState) levelMemo(p P, coldTasks int) *pairMemo {
 	return d.memo
 }
 
-// liveLevel evaluates one level without the top cache: skip the pairs d
-// has pruned, seed the survivors from their previous-level closures, and
-// close the rest cold through the level's pair memo.
+// liveLevel evaluates one level: skip the pairs d has pruned, seed the
+// survivors from their previous-level closures, and close the rest cold
+// through the level's pair memo.
 func (d *DescentState) liveLevel(pool *exec.Pool, top *dfsm.Machine, p P, con constraint) ([]pairTask, []pairResult) {
 	all := blockPairs(p)
 	tasks := all[:0]
@@ -388,33 +338,4 @@ func (s *DescentStats) recordCascade(out cascadeOutcome) {
 	default:
 		s.ColdCascades++
 	}
-}
-
-// topLevel evaluates the ⊤ level through the cross-descent closure
-// cache: the first descent fills it with the unconstrained closure of
-// every pair, and each descent then only re-runs con's filter over it.
-// The survivor set and winner are identical to a cold evaluation —
-// accepts on the completed closure gives the same verdict the guarded
-// abort or keep predicate would. ⊤'s blocks are singletons, so tasks
-// (blockPairs of ⊤) are the same pairs in the same order every time.
-func (d *DescentState) topLevel(pool *exec.Pool, top *dfsm.Machine, p P, tasks []pairTask, con constraint) []pairResult {
-	if !d.topFilled {
-		// The fill closes unconstrained, so the memo holds no violation
-		// markers and only the mutual-implication and absorption reuses
-		// fire — every cached entry is still the complete closure of its
-		// pair.
-		d.topCache = closePairs(pool, top, p, tasks, constraint{}, d.levelMemo(p, len(tasks)), d.onClose)
-		for k := range d.topCache {
-			d.topCache[k].cand = d.topSet.Intern(d.topCache[k].cand)
-			d.stats.recordCascade(d.topCache[k].out)
-		}
-		d.topFilled = true
-		d.stats.ColdClosures += len(tasks)
-	} else {
-		d.stats.TopCacheHits += len(tasks)
-	}
-	for k := range d.topCache {
-		d.topCache[k].ok = con.accepts(d.topCache[k].cand)
-	}
-	return d.topCache
 }

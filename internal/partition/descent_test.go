@@ -126,9 +126,6 @@ func TestMinMergeClosureMatchesFullDescent(t *testing.T) {
 
 		for _, guarded := range []bool{false, true} {
 			d := NewDescentState()
-			if trial%2 == 0 {
-				d.EnableTopCache()
-			}
 			m := Singletons(n)
 			for m.NumBlocks() > 1 {
 				var got P
@@ -192,10 +189,6 @@ func TestPairMemoMatchesUnmemoized(t *testing.T) {
 				dm := NewDescentState()
 				dc := NewDescentState()
 				dc.DisablePairMemo()
-				if trial%2 == 0 {
-					dm.EnableTopCache()
-					dc.EnableTopCache()
-				}
 				level := func(d *DescentState, m P) (P, bool) {
 					if guarded {
 						return MinMergeClosureOn(pool, d, top, m, forbidden, nil)
@@ -297,14 +290,13 @@ func TestPrunedPairNeverReclosed(t *testing.T) {
 }
 
 // TestDescentStateReset: a reset state records nothing from the previous
-// descent except the constraint-independent top cache.
+// descent.
 func TestDescentStateReset(t *testing.T) {
 	top := dfsm.RandomMachine(rand.New(rand.NewSource(5)), "T", 12, []string{"a", "b"})
 	pool := exec.Default()
 	forbidden := [][2]int{{0, 1}, {2, 3}}
 
 	d := NewDescentState()
-	d.EnableTopCache()
 	m := Singletons(12)
 	for m.NumBlocks() > 1 {
 		best, ok := MinMergeClosureOn(pool, d, top, m, forbidden, nil)
@@ -313,7 +305,6 @@ func TestDescentStateReset(t *testing.T) {
 		}
 		m = best
 	}
-	cached := len(d.topCache)
 	if d.memo == nil || d.memo.empty() {
 		t.Fatal("descent never engaged the pair memo; the reset check below would be vacuous")
 	}
@@ -328,9 +319,6 @@ func TestDescentStateReset(t *testing.T) {
 	if !d.memo.empty() {
 		t.Fatalf("Reset left the pair memo populated: %d blocks, %d entries",
 			d.memo.blocks, len(d.memo.state))
-	}
-	if !d.topFilled || len(d.topCache) != cached {
-		t.Fatalf("Reset dropped the top cache: filled=%v size %d (was %d)", d.topFilled, len(d.topCache), cached)
 	}
 
 	// The second descent must still produce the cold-start result.
@@ -352,8 +340,5 @@ func TestDescentStateReset(t *testing.T) {
 	}
 	if !m.Equal(mCold) {
 		t.Fatalf("post-Reset descent reached %s, cold descent %s", m, mCold)
-	}
-	if d.Stats().TopCacheHits == 0 {
-		t.Fatal("second descent did not hit the top cache")
 	}
 }

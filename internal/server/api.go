@@ -173,7 +173,6 @@ type GenerationHealth struct {
 	ColdClosures int64 `json:"coldClosures"`
 	SeededJoins  int64 `json:"seededJoins"`
 	PrunedSkips  int64 `json:"prunedSkips"`
-	TopCacheHits int64 `json:"topCacheHits"`
 
 	ImpliedCascades int64 `json:"impliedCascades"`
 	SeededCascades  int64 `json:"seededCascades"`

@@ -223,7 +223,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"fusiond_generate_cold_closures_total", "From-scratch merge closures evaluated.", gen.ColdClosures},
 		{"fusiond_generate_seeded_joins_total", "Candidate re-evaluations served as survivor joins.", gen.SeededJoins},
 		{"fusiond_generate_pruned_skips_total", "Pair evaluations skipped by cross-level violation pruning.", gen.PrunedSkips},
-		{"fusiond_generate_top_cache_hits_total", "Level-0 evaluations served from the cross-descent top-closure cache.", gen.TopCacheHits},
 		{"fusiond_generate_implied_cascades_total", "Closure cascades resolved O(1) from a memoized within-level closure or violation.", gen.ImpliedCascades},
 		{"fusiond_generate_seeded_cascades_total", "Closure cascades that absorbed at least one memoized within-level closure.", gen.SeededCascades},
 		{"fusiond_generate_cold_cascades_total", "Closure cascades that ran with no within-level memo contact.", gen.ColdCascades},

@@ -223,7 +223,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		`fusiond_cluster_servers_restored_total{tenant="default",cluster="c1"} 1`,
 		"# TYPE fusiond_generate_runs_total counter",
 		"# TYPE fusiond_generate_descents_total counter",
-		"# TYPE fusiond_generate_top_cache_hits_total counter",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q\n%s", want, body)

@@ -798,7 +798,6 @@ func (s *Server) Health() HealthResponse {
 			ColdClosures: gen.ColdClosures,
 			SeededJoins:  gen.SeededJoins,
 			PrunedSkips:  gen.PrunedSkips,
-			TopCacheHits: gen.TopCacheHits,
 
 			ImpliedCascades: gen.ImpliedCascades,
 			SeededCascades:  gen.SeededCascades,
