@@ -135,17 +135,18 @@ func BenchmarkTable1Row4(b *testing.B) { benchTableRow(b, machines.PaperSuites()
 func BenchmarkTable1Row5(b *testing.B) { benchTableRow(b, machines.PaperSuites()[4]) }
 
 // BenchmarkTable1Row1NoIncremental is Row 1 with the incremental descent
-// engine off (cold levels: no pruning, seeding or pair memo) — the
+// engine off (cold levels: no pruning, seeding or pair-graph pass) — the
 // tracked ablation that keeps the cross-level-reuse win measurable.
 func BenchmarkTable1Row1NoIncremental(b *testing.B) {
 	benchTableRowOpts(b, machines.PaperSuites()[0], core.GenerateOptions{NoIncremental: true})
 }
 
-// BenchmarkTable1Row4LevelSharing isolates the within-level
-// pair-implication memo on the heaviest row (176-state top, one descent
-// whose level 0 runs 15,400 guarded closures): "shared" is the default
-// path, "unshared" the NoPairMemo ablation with the cross-level engine
-// still on, so the pair is the memo's own win.
+// BenchmarkTable1Row4LevelSharing isolates the within-level sharing on
+// the heaviest row (176-state top, one descent whose level 0 has 15,400
+// cold pairs): "shared" is the default path, whose pass over the pair
+// graph runs 7 cascades for them, "unshared" the NoPairMemo ablation
+// that runs all 15,400 on the pool with the cross-level engine still on,
+// so the pair is the pass's own win.
 func BenchmarkTable1Row4LevelSharing(b *testing.B) {
 	b.Run("shared", func(b *testing.B) {
 		benchTableRowOpts(b, machines.PaperSuites()[3], core.GenerateOptions{})

@@ -148,9 +148,10 @@ func run(args []string, out io.Writer) error {
 
 // printDescentStats prints the delta of the process-wide generation
 // counters around this run's generation: how many descents and levels it
-// took, and how each candidate closure was resolved — the within-level
-// pair-implication split (implied / seeded-absorb / cold cascade) plus
-// the cross-level reuses (seeded joins, pruned skips).
+// took, and how each candidate closure was resolved — the level-0
+// pair-graph pass's split (implied / seeded-absorb / cold cascade, each
+// deterministic) plus the cross-level reuses (seeded joins, pruned
+// skips).
 // Counters are process-wide, but fusegen runs exactly one generation, so
 // the delta is that generation's work. Small systems (below the descent
 // engine's gate) report all closures as cold cascades.

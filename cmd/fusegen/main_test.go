@@ -86,7 +86,7 @@ func TestDescentStatsFlag(t *testing.T) {
 		t.Errorf("cascade split %d+%d+%d != %d closures", implied, seeded, cold, closures)
 	}
 	if implied == 0 {
-		t.Errorf("implied = 0; the pair-implication memo should fire on a 36-state top")
+		t.Errorf("implied = 0; the level-0 pair-graph pass should share cascades on a 36-state top")
 	}
 }
 

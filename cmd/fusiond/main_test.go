@@ -168,7 +168,7 @@ func TestSIGTERMFloodAcceptance(t *testing.T) {
 	genBody := `{"zoo":["MESI","TCP"],"f":2}`
 
 	// Occupy both in-flight slots with generations heavy enough (seconds
-	// even with the pair-implication memo sharing cascades) that the flood
+	// even with the pair-graph pass sharing cascades) that the flood
 	// below deterministically overlaps them, and wait until /healthz
 	// confirms both are admitted and running.
 	blockBody := `{"zoo":["MESI","TCP","A","B","SumMod3"],"f":2}`

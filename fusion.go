@@ -36,18 +36,17 @@
 // tiers, each exact (bit-identical results to the cold path, pinned by
 // equivalence suites) and each firing at a different scope:
 //
-//   - Within a descent level, a pair-implication memo: the closure
-//     cascade of candidate pair p is forced to unite other candidate
-//     pairs' blocks, and along every such implication edge the closures
-//     nest, so a cascade touching an already-published pair either aborts
-//     (the implied pair violated the level constraint), returns the
-//     published closure outright (mutual implication — the published
-//     closure re-unites p, so the two are equal), or absorbs it wholesale
-//     and skips its entire transition-table walk. Fires between the
-//     ~B²/2 candidates of a single level, which is where the big-row
-//     work lives: on Table 1 Row 4's 176-state top, 15,356 of the
-//     15,400 level-0 closures resolve by implication, a 33× wall-clock
-//     reduction for the row (437ms → 13ms).
+//   - Within a descent level, one pass over the pair graph of the
+//     quotient machine ⊤/p: a candidate pair {a,b} steps to
+//     {δ(a,e), δ(b,e)} under every event, closures nest along these
+//     edges, and all pairs of one strongly connected component (SCC)
+//     share one closure. An iterative Tarjan search judges each SCC as
+//     it is emitted: it fails in O(|Σ|) per pair when a member is a
+//     forbidden pair or a successor failed, and otherwise runs one
+//     guarded cascade that absorbs its successors' finished closures.
+//     This is the all-cold level 0 of every descent, where the big-row
+//     work lives: on Table 1 Row 4's 176-state top, 7 cascades decide
+//     all 15,400 level-0 pairs. The pass is serial and deterministic.
 //
 //   - Across the levels of one descent, a DescentState: pairs whose
 //     closure lost a weakest edge are pruned for the rest of the descent
@@ -57,21 +56,23 @@
 //     cold cascades.
 //
 // Nothing is shared across the descents of one generation: each descent
-// closes its own level 0 under its own weakest-edge constraint, so the
-// memo records violations and guarded cascades abort early.
+// closes its own level 0 under its own weakest-edge constraint, so failed
+// successors decide most pairs and guarded cascades abort early.
 //
 // Both tiers report through process-wide counters (GenerationCounters,
 // fusegen -descent-stats, fusiond /metrics and /healthz); the within-
 // level tier's implied/seeded/cold split always sums to the cold-closure
-// count, so sharing effectiveness is inspectable in production.
+// count and, like every other counter, is deterministic, so sharing
+// effectiveness is inspectable in production.
 //
-// Every tier runs through one closure kernel (internal/partition) and one
-// pool fan-out over a level's block pairs. Which weakest-edge check the
+// Every tier runs through one closure kernel (internal/partition): the
+// level-0 pass runs it on the caller, and one pool fan-out over the block
+// pairs runs it for every other level. Which weakest-edge check the
 // kernel applies is chosen from the input, not by an option: up to 64
 // weakest edges the cascade aborts at the first union that merges one
 // (the guarded closure), past that each finished closure is filtered. The
 // ablation knobs are GenerateOptions.NoIncremental (no cross-level reuse)
-// and NoPairMemo (no within-level memo), each measured by a tracked
+// and NoPairMemo (no within-level pass), each measured by a tracked
 // benchmark row.
 //
 // All parallelism flows through one execution engine (see Engine): a

@@ -2,8 +2,9 @@ package core_test
 
 // Equivalence suite for the incremental descent engine: Algorithm 2 with
 // cross-level candidate reuse (violation pruning, survivor-seeded joins)
-// and the within-level pair memo must produce bit-identical fusions to
-// the cold-start descent, on random systems and on every Table 1 suite.
+// and the within-level pair-graph pass must produce bit-identical fusions
+// to the cold-start descent, on random systems and on every Table 1
+// suite.
 
 import (
 	"math/rand"

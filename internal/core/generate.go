@@ -26,13 +26,14 @@ type GenerateOptions struct {
 	// Incremental and cold descents return bit-identical fusions (the
 	// equivalence suite pins this).
 	NoIncremental bool
-	// NoPairMemo disables the within-level pair-implication memo — the
-	// sharing of finished union cascades between candidate pairs of the
-	// same descent level — while keeping the cross-level incremental
-	// machinery; used by the ablation benchmark. Memoized and unmemoized
-	// levels return bit-identical fusions (the equivalence suite pins
-	// this). Implied by NoIncremental, which drops the DescentState the
-	// memo lives in.
+	// NoPairMemo disables the within-level sharing — level 0's single
+	// pass over the quotient pair graph, where pairs of one strongly
+	// connected component share one cascade — while keeping the
+	// cross-level incremental machinery, so every cold pair runs its own
+	// cascade on the pool; used by the ablation benchmark. Shared and
+	// unshared levels return bit-identical fusions (the equivalence suite
+	// pins this). Implied by NoIncremental, which drops the DescentState
+	// the pass lives in.
 	NoPairMemo bool
 	// NoCache opts this call out of the content-addressed fusion cache.
 	// GenerateFusion itself ignores it — core always computes — but the
@@ -46,11 +47,12 @@ type GenerateOptions struct {
 // guarded closure is used; past it each finished closure is filtered by
 // Covers instead. The guard is armed once per fan-out, then costs each
 // cascade O(endpoints) to tag and clear and each union O(tags·deg) to
-// check the absorbed set's endpoints against their partners. At 720
-// edges (BenchmarkAblationGuardedClosure, 144-state top, 2-vCPU Xeon VM)
-// one guarded descent takes ~11 ms against ~7 ms filtered, so the
-// filtered path still wins on large edge sets; the crossover below 720
-// has not been remeasured.
+// check the absorbed set's endpoints against their partners. Since level
+// 0 runs as one pass over the pair graph, few cascades pay that cost: at
+// 720 edges (BenchmarkAblationGuardedClosure, 144-state top, 2-vCPU Xeon
+// VM, min/median/max of 3 runs) one guarded descent takes 2.64/2.71/3.02
+// ms against 2.47/2.83/3.53 ms filtered, so the filtered path no longer
+// wins on large edge sets. The limit has not been retuned to match.
 const guardedClosureLimit = 64
 
 // incrementalMinStates is the top size below which the descent runs cold:

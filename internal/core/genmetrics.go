@@ -20,12 +20,12 @@ var genCounters struct {
 	seededJoins  atomic.Int64 // re-evaluations served as join(survivor, m′)
 	prunedSkips  atomic.Int64 // pair evaluations skipped by violation pruning
 
-	// Within-level pair-implication memo: the split of ColdClosures by how
-	// each cascade actually resolved (implied + seeded + cold == coldClosures
-	// on memoized descents).
-	impliedCascades atomic.Int64 // resolved O(1) from a memoized closure or violation
-	seededCascades  atomic.Int64 // absorbed at least one memoized closure mid-cascade
-	coldCascades    atomic.Int64 // ran the full union cascade with no memo contact
+	// Level-0 pair-graph pass: the split of ColdClosures by how each pair
+	// resolved (implied + seeded + cold == coldClosures on incremental
+	// descents).
+	impliedCascades atomic.Int64 // ran no cascade of its own: shared its SCC's verdict or a failed successor's
+	seededCascades  atomic.Int64 // its SCC's cascade absorbed at least one finished successor closure
+	coldCascades    atomic.Int64 // its SCC's cascade ran with no successor closure to absorb
 }
 
 // GenerationStats is a point-in-time copy of the process-wide generation
@@ -45,12 +45,12 @@ type GenerationStats struct {
 	// descent evaluates its own level 0, so TopCacheHits is always zero.
 	TopCacheHits int64
 
-	// Pair-implication memo split of ColdClosures (see DescentStats): which
-	// reuse tier resolved each non-seeded cascade. The individual values are
-	// scheduling-dependent (a pair may resolve implied on one run and cold
-	// on another, depending on publication order under work stealing); the
-	// sum ImpliedCascades+SeededCascades+ColdCascades == ColdClosures is
-	// not, and neither are the produced partitions.
+	// Pair-graph pass split of ColdClosures (see DescentStats): how each
+	// from-scratch evaluation resolved, with
+	// ImpliedCascades+SeededCascades+ColdCascades == ColdClosures. The
+	// pass is serial and ordered by the task list, so each value is as
+	// deterministic as the produced partitions (TestTable1DescentWork pins
+	// them per Table 1 suite).
 	ImpliedCascades int64
 	SeededCascades  int64
 	ColdCascades    int64

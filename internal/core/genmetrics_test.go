@@ -38,11 +38,12 @@ func TestGenerationCounters(t *testing.T) {
 		t.Fatalf("TopCacheHits advanced by %d across %d descents; the ⊤-closure cache is gone",
 			after.TopCacheHits-before.TopCacheHits, len(F))
 	}
-	// The within-level memo must have resolved cascades by implication on
-	// a top this size, and the split accounts for this run's cold closures
-	// exactly (the invariant holds per descent, so it holds on deltas).
+	// The level-0 pair-graph pass must have decided pairs without their
+	// own cascade on a top this size, and the split accounts for this
+	// run's cold closures exactly (the invariant holds per descent, so it
+	// holds on deltas).
 	if after.ImpliedCascades <= before.ImpliedCascades {
-		t.Fatalf("pair-implication memo idle on a 36-state top: %+v vs %+v", after, before)
+		t.Fatalf("pair-graph pass idle on a 36-state top: %+v vs %+v", after, before)
 	}
 	split := (after.ImpliedCascades - before.ImpliedCascades) +
 		(after.SeededCascades - before.SeededCascades) +

@@ -250,23 +250,25 @@ func (s *closureScratch) absorb(m P, push bool) bool {
 	return true
 }
 
-// cascadeOutcome classifies how a memo-aware closure cascade resolved,
-// for the level-sharing counters of DescentStats. The classification is
-// scheduling-dependent under the pooled fan-out (whether a neighbouring
-// pair's entry was published in time is a race the memo is designed to
-// tolerate); the returned partitions and verdicts are not.
+// cascadeOutcome classifies how one pair of an all-cold level resolved,
+// for the level-sharing counters of DescentStats. The level's pair-graph
+// pass (sccTable) is serial and ordered by the task list, so the
+// classification is as deterministic as the returned partitions and
+// verdicts.
 type cascadeOutcome uint8
 
 const (
-	// cascadeCold: the cascade ran entirely from scratch (no memo, or
-	// every induced pair it touched was still unpublished).
+	// cascadeCold: the pair's own cascade ran entirely from scratch (no
+	// pass, or its SCC's cascade met no finished successor closure).
 	cascadeCold cascadeOutcome = iota
-	// cascadeSeeded: the cascade absorbed at least one memoized closure
-	// wholesale instead of re-walking its transition-table cascade.
+	// cascadeSeeded: the pair's own cascade absorbed at least one finished
+	// successor closure wholesale instead of re-walking its
+	// transition-table cascade.
 	cascadeSeeded
-	// cascadeImplied: the evaluation was resolved outright by an
-	// implication — an induced pair's published violation aborted it, or
-	// a mutually-implying pair's published closure WAS the answer.
+	// cascadeImplied: the pair was resolved without a cascade of its own —
+	// it shares the verdict of its SCC's root, its SCC failed on a
+	// forbidden member or a failed successor, or its cascade met a
+	// successor closure equal to its own and returned it.
 	cascadeImplied
 )
 
@@ -293,23 +295,23 @@ const (
 // takes the plain union path, free of the guard's extra Finds and tag
 // bookkeeping.
 //
-// A non-nil memo is the level's pair-implication memo (p must be the
-// level start it was reset with). Each union the cascade is about to
-// propagate first consults the memo entry of its canonical induced pair:
-// a published violation aborts the whole evaluation (ok=false — sound
-// only under a constraint monotone under coarsening); a published closure
-// that also unites x and y IS this pair's closure (mutual implication)
-// and is returned as-is; any other published closure is absorbed
+// A non-nil tab is the level's pair-graph pass judging the SCC of (x, y)
+// (p must be the level start it was reset with). Each union the cascade
+// is about to propagate first looks up the node of its block pair: a
+// node of the same SCC propagates as usual; any other node belongs to a
+// finished SCC that passed (the pass runs no cascade for an SCC with a
+// failed successor), and its closure, when it also unites x and y, IS
+// this pair's closure and is returned as-is; otherwise it is absorbed
 // wholesale. Absorbed closures still pass the guard: the absorbed
 // partition respects the forbidden pairs on its own, but its sets can
 // collide with sets this cascade already built, and such a collision is
 // a true violation of this pair. The result is bit-identical to the
-// memo-free cascade in every case — the memo only changes which unions
+// table-free cascade in every case — the table only changes which unions
 // pay for transition-table walks.
 //
 // Complexity: O(N) for the copy plus O(N·|Σ|·α(N)) unions in the worst
 // case.
-func cascade(c *exec.Ctx, top *dfsm.Machine, st *levelStart, seed P, x, y int, memo *pairMemo) (P, cascadeOutcome, bool) {
+func cascade(c *exec.Ctx, top *dfsm.Machine, st *levelStart, seed P, x, y int, tab *sccTable) (P, cascadeOutcome, bool) {
 	sc := scratchFor(c, st)
 	defer sc.release()
 	if seed.N() > 0 && !sc.absorb(seed, false) {
@@ -325,7 +327,7 @@ func cascade(c *exec.Ctx, top *dfsm.Machine, st *levelStart, seed P, x, y int, m
 			stack = append(stack, statePair{x, y})
 		}
 	}
-	implied, outcome, ok := sc.propagate(top, stack, x, y, memo)
+	implied, outcome, ok := sc.propagate(top, stack, x, y, tab)
 	if !ok || outcome == cascadeImplied {
 		return implied, outcome, ok
 	}
@@ -333,10 +335,10 @@ func cascade(c *exec.Ctx, top *dfsm.Machine, st *levelStart, seed P, x, y int, m
 }
 
 // propagate runs the closure fixpoint over the pending unions on stack,
-// keeping the grown stack for reuse. With a memo (see cascade) it may
-// resolve early: cascadeImplied with ok returns the memoized closure of
+// keeping the grown stack for reuse. With a table (see cascade) it may
+// resolve early: cascadeImplied with ok returns the finished closure of
 // the pair (x, y) as implied.
-func (s *closureScratch) propagate(top *dfsm.Machine, stack []statePair, x, y int, memo *pairMemo) (implied P, outcome cascadeOutcome, ok bool) {
+func (s *closureScratch) propagate(top *dfsm.Machine, stack []statePair, x, y int, tab *sccTable) (implied P, outcome cascadeOutcome, ok bool) {
 	defer func() { s.stack = stack[:0] }()
 	uf := s.uf
 	for len(stack) > 0 {
@@ -348,12 +350,8 @@ func (s *closureScratch) propagate(top *dfsm.Machine, stack []statePair, x, y in
 			if uf.Find(ta) == uf.Find(tb) {
 				continue
 			}
-			if memo != nil {
-				st, m := memo.lookup(ta, tb)
-				if st&memoViolated != 0 {
-					return P{}, cascadeImplied, false
-				}
-				if st&memoHasPart != 0 {
+			if tab != nil {
+				if m, done := tab.lookup(ta, tb); done {
 					if m.BlockOf(x) == m.BlockOf(y) {
 						return m, cascadeImplied, true
 					}

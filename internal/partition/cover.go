@@ -65,7 +65,7 @@ func MergeClosuresOn(pool *exec.Pool, top *dfsm.Machine, p P, forbidden [][2]int
 	tasks := blockPairs(p)
 	seen := NewSet(len(tasks))
 	var uniq []P
-	for _, r := range closePairs(pool, top, p, tasks, constraint{forbidden, keep}, nil, nil) {
+	for _, r := range closePairs(pool, top, p, tasks, constraint{forbidden, keep}, nil) {
 		if r.ok && seen.Add(r.cand) {
 			uniq = append(uniq, r.cand)
 		}

@@ -27,44 +27,47 @@ import (
 //     consulted by a residual fixpoint check that never fires on closed
 //     inputs, turning each re-evaluation into O(N·α) union-find work.
 //
-// A third mechanism shares *within* a level: the cold evaluations of one
-// level publish their cascade outcomes into a pair-implication memo
-// (pairMemo), so a pair whose closure is implied by — or identical to —
-// an already-finished pair's resolves without re-walking the shared
-// union cascade over the transition table. Where pruning and seeding
-// only pay off from level 1 down, the memo attacks the all-cold level 0
-// itself, which is what remains of the big single-descent rows.
+// A third mechanism shares *within* a level: a level whose tasks are all
+// cold (in a descent, level 0, since every deeper pair is either pruned
+// or seeded) is evaluated in one serial pass over the pair graph of the
+// quotient machine ⊤/p (sccTable). Pairs in one strongly connected
+// component share one closure, and a pair whose successor failed fails
+// in O(|Σ|), so only a few cascades run per level, each absorbing the
+// finished closures of its successors. The pass is deterministic, so the
+// implied/seeded/cold split of ColdClosures is as pinnable as the other
+// counters. Levels that mix seeded and cold tasks, and states built with
+// DisablePairMemo, run the pooled fan-out (closePairs) instead.
 //
 // Nothing carries across descents: every descent's level 0 is a
-// constrained, memoized fan-out like any other level, so its guarded
-// cascades abort early and publish violations into the memo.
+// constrained pass like any other all-cold level, so its guarded
+// cascades abort early.
 //
 // A DescentState serves exactly one descent: call Reset before starting
 // the next one (the weakest-edge constraint changes between outer
 // iterations of Algorithm 2, so recorded violations expire with the
-// descent).
-// It is not safe for concurrent descents; within one level the pool
-// tasks only read it — except the pair memo, whose entries are built for
-// exactly that concurrent publish/lookup pattern.
+// descent). It is not safe for concurrent descents; within one level the
+// pool tasks only read it.
 type DescentState struct {
-	pruned    map[uint64]struct{}
-	survivors map[uint64]P
-	next      map[uint64]P
+	// pruned holds one bit per unordered state pair of ⊤
+	// (triangular-indexed by pairIndex): set once the pair violated.
+	pruned    pairBits
+	survivors map[int]P
+	next      map[int]P
 	interned  *Set // canonical survivor storage: equal candidates share one P
 
-	// memo is the within-level pair-implication memo, reset for each
-	// level's start partition and dropped by Reset. memoOff (see
-	// DisablePairMemo) keeps the cascades cold for ablations and
-	// equivalence baselines.
-	memo    *pairMemo
-	memoOff bool
+	// table is the per-level pair-graph pass, its buffers kept across
+	// levels and descents. passOff (see DisablePairMemo) keeps every
+	// level on the cold fan-out for ablations and equivalence baselines.
+	table   sccTable
+	passOff bool
 
 	stats DescentStats
 
-	// onClose observes every closure actually evaluated (cold or seeded)
-	// with the pair's representative states; tests hook it to prove that
-	// pruned pairs are never re-closed. Called from pool workers — a
-	// non-nil hook must be internally synchronized.
+	// onClose observes every closure evaluated (cold or seeded) with the
+	// pair's representative states; tests hook it to prove that pruned
+	// pairs are never re-closed. Called from pool workers (the pair-graph
+	// pass calls it on the caller) — a non-nil hook must be internally
+	// synchronized.
 	onClose func(x, y int)
 }
 
@@ -82,16 +85,14 @@ type DescentStats struct {
 	// pair violated at an earlier level.
 	PrunedSkips int
 
-	// The within-level pair-implication memo splits ColdClosures by how
-	// each from-scratch evaluation actually resolved; the three always
-	// sum to ColdClosures. ImpliedCascades were answered outright by an
-	// implication (a derived pair's published violation, or a
-	// mutually-implying pair's published closure); SeededCascades
-	// absorbed at least one finished closure wholesale instead of
-	// re-walking its cascade; ColdCascades ran with no memo assist. The
-	// split — unlike every other counter here — depends on pool
-	// scheduling (whether a neighbour's entry was published in time),
-	// so only its sum is deterministic.
+	// The pair-graph pass splits ColdClosures by how each from-scratch
+	// evaluation resolved; the three always sum to ColdClosures.
+	// ImpliedCascades ran no cascade of their own (they share their SCC
+	// root's verdict, failed on a forbidden member or a failed successor,
+	// or met a successor closure equal to their own); SeededCascades
+	// absorbed at least one finished successor closure wholesale;
+	// ColdCascades ran with no assist. Like every other counter here the
+	// split is deterministic.
 	ImpliedCascades int
 	SeededCascades  int
 	ColdCascades    int
@@ -100,45 +101,57 @@ type DescentStats struct {
 // NewDescentState returns an empty state, ready for one descent.
 func NewDescentState() *DescentState {
 	return &DescentState{
-		pruned:    make(map[uint64]struct{}),
-		survivors: make(map[uint64]P),
-		next:      make(map[uint64]P),
+		survivors: make(map[int]P),
+		next:      make(map[int]P),
 		interned:  NewSet(64),
 	}
 }
 
 // Reset clears all recorded outcomes for a fresh descent, retaining the
-// allocated maps. The pair-implication memo is dropped outright: its
-// entries are keyed by the block ids of one level's start partition and
-// assume that level's constraint, so nothing in it may survive into
-// another descent.
+// allocated maps, the pruned bitset and the pass's buffers. The pass's
+// closure references are dropped: nothing of one descent's partitions
+// may survive into another.
 func (d *DescentState) Reset() {
 	clear(d.pruned)
 	clear(d.survivors)
 	clear(d.next)
 	d.interned = NewSet(64)
-	if d.memo != nil {
-		d.memo.drop()
-	}
+	d.table.release()
 	d.stats = DescentStats{}
 }
 
-// DisablePairMemo turns off the within-level pair-implication memo for
-// the life of this state: every cold evaluation runs its full cascade.
-// Output is identical either way; ablation benchmarks and equivalence
-// baselines use it to keep the unmemoized path measurable.
-func (d *DescentState) DisablePairMemo() { d.memoOff = true }
+// DisablePairMemo turns off the per-level pair-graph pass for the life of
+// this state: every cold evaluation runs its own full cascade on the
+// pool. Output is identical either way; ablation benchmarks and
+// equivalence baselines use it to keep the unshared path measurable.
+func (d *DescentState) DisablePairMemo() { d.passOff = true }
 
 // Stats returns the reuse counters accumulated since the last Reset.
 func (d *DescentState) Stats() DescentStats { return d.stats }
 
-// pairKey packs two distinct states (representatives are < 1<<22, the
-// dfsm product bound) into one map key, order-normalized.
-func pairKey(x, y int) uint64 {
+// pairIndex triangular-indexes the unordered pair of distinct states
+// {x, y}; the index does not depend on the number of states.
+func pairIndex(x, y int) int {
 	if x > y {
 		x, y = y, x
 	}
-	return uint64(x)<<32 | uint64(y)
+	return y*(y-1)/2 + x
+}
+
+// pairBits is a dense bitset over pairIndex values that grows on demand.
+type pairBits []uint64
+
+func (b pairBits) has(i int) bool {
+	w := i >> 6
+	return w < len(b) && b[w]&(1<<(i&63)) != 0
+}
+
+func (b *pairBits) add(i int) {
+	w := i >> 6
+	if w >= len(*b) {
+		*b = append(*b, make([]uint64, w+1-len(*b))...)
+	}
+	(*b)[w] |= 1 << (i & 63)
 }
 
 // pairTask is one candidate evaluation of a fan-out: the representative
@@ -151,8 +164,8 @@ type pairTask struct {
 }
 
 // pairResult is one task's slot in a fan-out: the candidate closure, its
-// verdict against the level constraint, and how a cold cascade resolved
-// against the pair memo.
+// verdict against the level constraint, and how a cold evaluation
+// resolved.
 type pairResult struct {
 	cand P
 	ok   bool
@@ -163,9 +176,9 @@ type pairResult struct {
 // forbidden pair (enforced inside the cascade, which aborts early) and
 // pass keep (checked on the finished closure). Either part may be empty.
 // Both must be monotone under coarsening — if a partition fails, every
-// coarser one fails — for the descent's pruning and the memo's implied
-// violations to be sound; the fault-graph Covers predicate is (losing an
-// edge is permanent).
+// coarser one fails — for the descent's pruning and the pair-graph pass's
+// failed successors to be sound; the fault-graph Covers predicate is
+// (losing an edge is permanent).
 type constraint struct {
 	forbidden [][2]int
 	keep      func(P) bool
@@ -191,13 +204,12 @@ func blockPairs(p P) []pairTask {
 // under con. The level start's forest and the forbidden-pair guard are
 // built once, before the pool runs, and every cascade starts from a copy;
 // when close(p) already merges a forbidden pair, every task fails without
-// running. Cold tasks thread memo (nil when sharing is off) and publish
-// their outcome into it; onClose, when set, observes every evaluated pair
-// and must be internally synchronized. The pool's atomic cursor
-// load-balances the tasks and per-worker scratch slots recycle the
-// union-find working sets; results land in task-indexed slots, so every
-// reduction over them is independent of worker scheduling.
-func closePairs(pool *exec.Pool, top *dfsm.Machine, p P, tasks []pairTask, con constraint, memo *pairMemo, onClose func(x, y int)) []pairResult {
+// running. onClose, when set, observes every evaluated pair and must be
+// internally synchronized. The pool's atomic cursor load-balances the
+// tasks and per-worker scratch slots recycle the union-find working sets;
+// results land in task-indexed slots, so every reduction over them is
+// independent of worker scheduling.
+func closePairs(pool *exec.Pool, top *dfsm.Machine, p P, tasks []pairTask, con constraint, onClose func(x, y int)) []pairResult {
 	res := make([]pairResult, len(tasks))
 	st := newLevelStart(top, p, con.forbidden)
 	if st.violated {
@@ -208,18 +220,8 @@ func closePairs(pool *exec.Pool, top *dfsm.Machine, p P, tasks []pairTask, con c
 		if onClose != nil {
 			onClose(t.x, t.y)
 		}
-		m := memo
-		if t.seed.N() > 0 {
-			m = nil // a seeded join neither needs nor defines a memo entry
-		}
-		cand, out, ok := cascade(c, top, st, t.seed, t.x, t.y, m)
-		// A cascade aborted by an implied violation carries over to this
-		// pair by the constraint's monotonicity, so keep only judges
-		// finished closures.
+		cand, out, ok := cascade(c, top, st, t.seed, t.x, t.y, nil)
 		ok = ok && (con.keep == nil || con.keep(cand))
-		if m != nil {
-			m.publish(t.x, t.y, cand, ok)
-		}
 		res[k] = pairResult{cand: cand, ok: ok, out: out}
 	})
 	return res
@@ -257,7 +259,7 @@ func MinMergeClosureOn(pool *exec.Pool, d *DescentState, top *dfsm.Machine, p P,
 	}
 	con := constraint{forbidden, keep}
 	if d == nil {
-		return minAccepted(closePairs(pool, top, p, blockPairs(p), con, nil, nil))
+		return minAccepted(closePairs(pool, top, p, blockPairs(p), con, nil))
 	}
 	tasks, res := d.liveLevel(pool, top, p, con)
 
@@ -265,11 +267,11 @@ func MinMergeClosureOn(pool *exec.Pool, d *DescentState, top *dfsm.Machine, p P,
 	// independent of worker scheduling. The survivors just recorded
 	// become the seeds of the next level.
 	for k, t := range tasks {
-		key := pairKey(t.x, t.y)
+		i := pairIndex(t.x, t.y)
 		if res[k].ok {
-			d.next[key] = res[k].cand
+			d.next[i] = res[k].cand
 		} else {
-			d.pruned[key] = struct{}{}
+			d.pruned.add(i)
 		}
 	}
 	d.stats.Levels++
@@ -278,42 +280,32 @@ func MinMergeClosureOn(pool *exec.Pool, d *DescentState, top *dfsm.Machine, p P,
 	return minAccepted(res)
 }
 
-// levelMemo returns the pair memo reset for a level starting at p, or
-// nil when sharing is off or the level cannot profit (fewer than two
-// cold evaluations means no cascade can reuse another's). coldTasks
-// counts the level's from-scratch evaluations.
-func (d *DescentState) levelMemo(p P, coldTasks int) *pairMemo {
-	if d.memoOff || coldTasks < 2 {
-		return nil
-	}
-	if d.memo == nil {
-		d.memo = &pairMemo{}
-	}
-	d.memo.reset(p)
-	return d.memo
-}
-
 // liveLevel evaluates one level: skip the pairs d has pruned, seed the
-// survivors from their previous-level closures, and close the rest cold
-// through the level's pair memo.
+// survivors from their previous-level closures, and close the rest cold —
+// in one pair-graph pass when every task is cold and the pass is on.
 func (d *DescentState) liveLevel(pool *exec.Pool, top *dfsm.Machine, p P, con constraint) ([]pairTask, []pairResult) {
 	all := blockPairs(p)
 	tasks := all[:0]
 	cold := 0
 	for _, t := range all {
-		key := pairKey(t.x, t.y)
-		if _, dead := d.pruned[key]; dead {
+		i := pairIndex(t.x, t.y)
+		if d.pruned.has(i) {
 			d.stats.PrunedSkips++
 			continue
 		}
-		if prev, ok := d.survivors[key]; ok {
+		if prev, ok := d.survivors[i]; ok {
 			t.seed = prev
 		} else {
 			cold++
 		}
 		tasks = append(tasks, t)
 	}
-	res := closePairs(pool, top, p, tasks, con, d.levelMemo(p, cold), d.onClose)
+	var res []pairResult
+	if !d.passOff && cold > 0 && cold == len(tasks) {
+		res = d.table.closeLevel(pool, top, p, tasks, con, d.onClose)
+	} else {
+		res = closePairs(pool, top, p, tasks, con, d.onClose)
+	}
 	for k, t := range tasks {
 		if t.seed.N() == 0 {
 			d.stats.recordCascade(res[k].out)

@@ -1,7 +1,9 @@
 package partition
 
 import (
+	"math/bits"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -41,7 +43,7 @@ func TestSeededCloseMatchesJoinClosure(t *testing.T) {
 		}
 		want := Close(top, join)
 
-		got := closePairs(pool, top, p, []pairTask{{seed: prev}}, constraint{}, nil, nil)[0].cand
+		got := closePairs(pool, top, p, []pairTask{{seed: prev}}, constraint{}, nil)[0].cand
 		if !got.Equal(want) {
 			t.Fatalf("trial %d: seeded close %s, Close(Join) %s (p=%s prev=%s)",
 				trial, got, want, p, prev)
@@ -70,7 +72,7 @@ func TestSeededCloseGuardedMatchesGuarded(t *testing.T) {
 		}
 		want, wantOK := CloseGuarded(top, join, forbidden)
 
-		r := closePairs(pool, top, p, []pairTask{{seed: prev}}, constraint{forbidden: forbidden}, nil, nil)[0]
+		r := closePairs(pool, top, p, []pairTask{{seed: prev}}, constraint{forbidden: forbidden}, nil)[0]
 		got, gotOK := r.cand, r.ok
 		if gotOK != wantOK {
 			t.Fatalf("trial %d: seeded verdict %v, reference %v (p=%s prev=%s forbidden=%v)",
@@ -153,18 +155,20 @@ func TestMinMergeClosureMatchesFullDescent(t *testing.T) {
 	}
 }
 
-// TestPairMemoMatchesUnmemoized is the pair-implication memo's
-// equivalence property: random systems descended twice per configuration
-// — once memoized (the default), once through DisablePairMemo — must
-// produce bit-identical winners at every level, on the shared pool and
-// on a serial one, guarded and unguarded. It also pins the counter
-// contracts: the memoized run's cascade split accounts for every cold
-// closure, and the unmemoized run reports every cascade cold.
+// TestPairMemoMatchesUnmemoized is the pair-graph pass's equivalence
+// property: random systems descended twice per configuration — once with
+// the pass (the default), once through DisablePairMemo — must produce
+// bit-identical winners at every level, on a serial pool and a
+// four-worker one, guarded and unguarded. It also pins the counter
+// contracts: the pass's cascade split accounts for every cold closure
+// and is identical at both pool sizes, and the unshared run reports
+// every cascade cold.
 func TestPairMemoMatchesUnmemoized(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
-	serial := exec.New(1)
+	serial, four := exec.New(1), exec.New(4)
 	defer serial.Close()
-	pools := []*exec.Pool{exec.Default(), serial}
+	defer four.Close()
+	pools := []*exec.Pool{serial, four}
 	for trial := 0; trial < 30; trial++ {
 		top := dfsm.RandomMachine(rng, "T", 6+rng.Intn(14), []string{"a", "b"})
 		n := top.NumStates()
@@ -184,8 +188,9 @@ func TestPairMemoMatchesUnmemoized(t *testing.T) {
 			return true
 		}
 
+		var splits [2][]DescentStats // per guarded, one per pool
 		for _, pool := range pools {
-			for _, guarded := range []bool{false, true} {
+			for gi, guarded := range []bool{false, true} {
 				dm := NewDescentState()
 				dc := NewDescentState()
 				dc.DisablePairMemo()
@@ -223,6 +228,13 @@ func TestPairMemoMatchesUnmemoized(t *testing.T) {
 					t.Fatalf("trial %d guarded=%v workers=%d: unmemoized stats claim sharing: %+v",
 						trial, guarded, pool.Workers(), sc)
 				}
+				splits[gi] = append(splits[gi], sm)
+			}
+		}
+		for gi, s := range splits {
+			if s[0] != s[1] {
+				t.Fatalf("trial %d guarded=%v: stats differ by pool size: 1 worker %+v, 4 workers %+v",
+					trial, gi == 1, s[0], s[1])
 			}
 		}
 	}
@@ -248,10 +260,10 @@ func TestPrunedPairNeverReclosed(t *testing.T) {
 
 		d := NewDescentState()
 		var mu sync.Mutex
-		closed := make(map[uint64]int) // pair key -> closures observed
+		closed := make(map[int]int) // pair index -> closures observed
 		d.onClose = func(x, y int) {
 			mu.Lock()
-			closed[pairKey(x, y)]++
+			closed[pairIndex(x, y)]++
 			mu.Unlock()
 		}
 
@@ -260,10 +272,7 @@ func TestPrunedPairNeverReclosed(t *testing.T) {
 		for m.NumBlocks() > 1 {
 			// Snapshot what was pruned before this level; none of those
 			// pairs may reach the close function now or later.
-			pruned := make(map[uint64]struct{}, len(d.pruned))
-			for k := range d.pruned {
-				pruned[k] = struct{}{}
-			}
+			pruned := slices.Clone(d.pruned)
 			mu.Lock()
 			clear(closed)
 			mu.Unlock()
@@ -274,7 +283,7 @@ func TestPrunedPairNeverReclosed(t *testing.T) {
 			}
 			mu.Lock()
 			for k, cnt := range closed {
-				if _, dead := pruned[k]; dead {
+				if pruned.has(k) {
 					t.Fatalf("trial %d level %d: pruned pair %d re-closed %d times", trial, level, k, cnt)
 				}
 			}
@@ -282,11 +291,20 @@ func TestPrunedPairNeverReclosed(t *testing.T) {
 			m = best
 			level++
 		}
-		if level > 1 && d.Stats().PrunedSkips == 0 && len(d.pruned) > 0 {
+		if n := setBits(d.pruned); level > 1 && d.Stats().PrunedSkips == 0 && n > 0 {
 			t.Fatalf("trial %d: %d pairs pruned over %d levels but no skip recorded",
-				trial, len(d.pruned), level)
+				trial, n, level)
 		}
 	}
+}
+
+// setBits counts the pairs a bitset holds.
+func setBits(b pairBits) int {
+	n := 0
+	for _, w := range b {
+		n += bits.OnesCount64(w)
+	}
+	return n
 }
 
 // TestDescentStateReset: a reset state records nothing from the previous
@@ -305,20 +323,21 @@ func TestDescentStateReset(t *testing.T) {
 		}
 		m = best
 	}
-	if d.memo == nil || d.memo.empty() {
-		t.Fatal("descent never engaged the pair memo; the reset check below would be vacuous")
+	if len(d.table.parts) == 0 || setBits(d.pruned) == 0 {
+		t.Fatal("descent never engaged the pair-graph pass or pruned a pair; the reset check below would be vacuous")
 	}
 	d.Reset()
-	if len(d.pruned) != 0 || len(d.survivors) != 0 || d.Stats() != (DescentStats{}) {
+	if setBits(d.pruned) != 0 || len(d.survivors) != 0 || d.Stats() != (DescentStats{}) {
 		t.Fatalf("Reset left descent outcomes behind: %d pruned, %d survivors, stats %+v",
-			len(d.pruned), len(d.survivors), d.Stats())
+			setBits(d.pruned), len(d.survivors), d.Stats())
 	}
-	// The per-level memo must be demonstrably gone: its entries are keyed
-	// by the old level-start partition's block ids and hold its closures,
-	// so a stale memo would leak partitions into the next descent.
-	if !d.memo.empty() {
-		t.Fatalf("Reset left the pair memo populated: %d blocks, %d entries",
-			d.memo.blocks, len(d.memo.state))
+	// The pass's closures must be demonstrably gone, also past the
+	// table's length: a stale reference would keep one descent's
+	// partitions alive into the next.
+	for i, m := range d.table.parts[:cap(d.table.parts)] {
+		if m.N() != 0 {
+			t.Fatalf("Reset left closure %d of the pair-graph pass referenced: %s", i, m)
+		}
 	}
 
 	// The second descent must still produce the cold-start result.

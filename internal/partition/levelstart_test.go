@@ -3,6 +3,7 @@ package partition
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/dfsm"
@@ -309,6 +310,205 @@ func TestFanOutStateDoesNotLeak(t *testing.T) {
 				t.Fatalf("%s, single %d: got %s (ok=%v), reference %s (ok=%v)",
 					label, (i+round)%len(singles), got, ok, s.want, s.wantOK)
 			}
+		}
+	}
+}
+
+// checkPass evaluates tasks at level start p through the pair-graph pass
+// twice — guarded by forbidden, then filtered by a keep that demands every
+// forbidden pair stay separated — on the shared table tab. Each task's
+// verdict, and closure when it passes, must match unmemoized closePairs
+// and the naive fixpoint, and onClose must see every task exactly once
+// (none when p already merges a forbidden pair).
+// It returns the pass's results, guarded first.
+func checkPass(t *testing.T, label string, pool *exec.Pool, tab *sccTable, top *dfsm.Machine, p P, tasks []pairTask, forbidden [][2]int) [2][]pairResult {
+	t.Helper()
+	keep := func(c P) bool {
+		for _, e := range forbidden {
+			if !c.Separates(e[0], e[1]) {
+				return false
+			}
+		}
+		return true
+	}
+	var out [2][]pairResult
+	for k, con := range []constraint{{forbidden: forbidden}, {keep: keep}} {
+		path := [2]string{"guarded", "keep"}[k]
+		var mu sync.Mutex // an open p falls back to the pooled fan-out
+		seen := map[int]int{}
+		got := tab.closeLevel(pool, top, p, tasks, con, func(x, y int) {
+			mu.Lock()
+			seen[pairIndex(x, y)]++
+			mu.Unlock()
+		})
+		want := len(tasks)
+		if newLevelStart(top, p, con.forbidden).violated {
+			want = 0 // every task fails before any closure runs
+		}
+		if len(seen) != want {
+			t.Fatalf("%s, %s: onClose saw %d pairs, want %d", label, path, len(seen), want)
+		}
+		for i, cnt := range seen {
+			if cnt != 1 {
+				t.Fatalf("%s, %s: onClose saw pair %d %d times", label, path, i, cnt)
+			}
+		}
+		cold := closePairs(pool, top, p, tasks, con, nil)
+		for i, task := range tasks {
+			assign := p.Assignment()
+			bx, by := assign[task.x], assign[task.y]
+			for s, b := range assign {
+				if b == by {
+					assign[s] = bx
+				}
+			}
+			want := naiveClose(top, assign)
+			wantOK := keep(want)
+			g, c := got[i], cold[i]
+			if g.ok != wantOK || c.ok != wantOK {
+				t.Fatalf("%s, %s, pair (%d,%d): pass ok=%v, closePairs ok=%v, reference ok=%v",
+					label, path, task.x, task.y, g.ok, c.ok, wantOK)
+			}
+			if wantOK && (!g.cand.Equal(want) || !c.cand.Equal(want)) {
+				t.Fatalf("%s, %s, pair (%d,%d): pass %s, closePairs %s, reference %s",
+					label, path, task.x, task.y, g.cand, c.cand, want)
+			}
+		}
+		out[k] = got
+	}
+	return out
+}
+
+// cascadesRun counts the results whose pair ran a cascade of its own.
+func cascadesRun(res []pairResult) int {
+	n := 0
+	for _, r := range res {
+		if r.out != cascadeImplied {
+			n++
+		}
+	}
+	return n
+}
+
+// TestPairGraphPassHardCases checks the per-level pair-graph pass against
+// unmemoized closePairs and the naive fixpoint on the cases its shortcuts
+// could get wrong, guarded and keep-filtered, on one reused table: a
+// violation the SCC's own cascade must catch, a pair graph that is one
+// SCC, a search 10⁵ nodes deep, and random product tops from closed and
+// open level starts.
+func TestPairGraphPassHardCases(t *testing.T) {
+	pool := exec.New(2)
+	defer pool.Close()
+	var tab sccTable
+	machine := func(n int, events []string, delta func(s, e int) int) *dfsm.Machine {
+		names := make([]string, n)
+		rows := make([][]int, n)
+		for s := range rows {
+			names[s] = fmt.Sprintf("s%d", s)
+			rows[s] = make([]int, len(events))
+			for e := range events {
+				rows[s][e] = delta(s, e)
+			}
+		}
+		m, err := dfsm.NewMachine("T", names, events, rows, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+
+	// Transitive violation: (0,1) steps to (2,3) under x and to (3,4)
+	// under y, and those two only loop. The forbidden pair (2,4) is not
+	// reachable from (0,1), and both of its successors pass, so only
+	// (0,1)'s own cascade can see 2 and 4 merged through 3. The constant
+	// event j makes state 1 reachable and adds no pair-graph edge.
+	trans := machine(5, []string{"x", "y", "j"}, func(s, e int) int {
+		switch {
+		case e == 2:
+			return 1
+		case s == 0:
+			return []int{2, 3}[e]
+		case s == 1:
+			return []int{3, 4}[e]
+		}
+		return s
+	})
+	top := Singletons(5)
+	res := checkPass(t, "transitive", pool, &tab, trans, top, blockPairs(top), [][2]int{{2, 4}})
+	for k, r := range res {
+		for i, task := range blockPairs(top) {
+			switch {
+			case task.x == 0 && task.y == 1 && (r[i].ok || r[i].out == cascadeImplied):
+				t.Fatalf("transitive, path %d: (0,1) ok=%v outcome %d; want its own cascade to fail", k, r[i].ok, r[i].out)
+			case (task.x == 2 && task.y == 3 || task.x == 3 && task.y == 4) && !r[i].ok:
+				t.Fatalf("transitive, path %d: successor (%d,%d) failed", k, task.x, task.y)
+			}
+		}
+	}
+
+	// One giant SCC: a rotation and a transposition generate the full
+	// symmetric group, which moves every unordered pair to every other.
+	// The guarded pass fails the SCC on its forbidden member without a
+	// cascade; the keep path runs exactly one.
+	const g = 24
+	giant := machine(g, []string{"rot", "swap"}, func(s, e int) int {
+		switch {
+		case e == 0:
+			return (s + 1) % g
+		case s < 2:
+			return 1 - s
+		}
+		return s
+	})
+	top = Singletons(g)
+	res = checkPass(t, "giant SCC", pool, &tab, giant, top, blockPairs(top), [][2]int{{0, 5}})
+	if n := cascadesRun(res[0]); n != 0 {
+		t.Fatalf("giant SCC, guarded: %d cascades ran, want 0", n)
+	}
+	if n := cascadesRun(res[1]); n != 1 {
+		t.Fatalf("giant SCC, keep: %d cascades ran, want 1", n)
+	}
+	if len(tab.sccs) != 1 {
+		t.Fatalf("giant SCC: %d SCCs, want 1", len(tab.sccs))
+	}
+
+	// A 10⁵-node chain: tracks x_0..x_{m-1} (states 0..m-1) and
+	// y_0..y_{m-1} (states m..2m-1). dx steps x down (x_0 stays); wrap
+	// sends x_0 to x_{m-1} and steps y down (y_0 stays). From (x_{m-1},
+	// y_{m-1}) the search walks every mixed pair row by row, each its own
+	// SCC down to row 0, before it meets a visited node. The constant
+	// event j makes the y track reachable.
+	const m = 317
+	chain := machine(2*m, []string{"dx", "wrap", "j"}, func(s, e int) int {
+		switch {
+		case e == 2:
+			return 2*m - 1
+		case s < m && e == 0:
+			return max(s-1, 0)
+		case s == 0:
+			return m - 1
+		case s < m || e == 0:
+			return s
+		}
+		return max(s-1, m)
+	})
+	top = Singletons(2 * m)
+	tasks := []pairTask{{x: m - 1, y: 2*m - 1}}
+	for _, forbidden := range [][][2]int{{{0, m}}, nil} {
+		checkPass(t, fmt.Sprintf("chain, forbidden %v", forbidden), pool, &tab, chain, top, tasks, forbidden)
+		if d := cap(tab.frames); d < m*m {
+			t.Fatalf("chain: the search held at most %d frames, want %d", d, m*m)
+		}
+	}
+
+	// Random product tops, from ⊤, a closed level start and an open one.
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 4; trial++ {
+		top := productTop(t, rng, 20+trial*10, 40+trial*10)
+		closed := descentStart(top, 30)
+		for _, p := range []P{Singletons(top.NumStates()), closed, notClosed(t, rng, top, closed)} {
+			label := fmt.Sprintf("trial %d, %d blocks", trial, p.NumBlocks())
+			checkPass(t, label, pool, &tab, top, p, blockPairs(p), randomPairs(rng, top.NumStates(), 3))
 		}
 	}
 }

@@ -1,143 +1,302 @@
 package partition
 
-import "sync/atomic"
-
-// pairMemo is the within-level pair-implication memo of one descent level.
-// It complements DescentState's two cross-level mechanisms (violation
-// pruning and survivor seeding) with sharing *inside* a level: the
-// candidate pairs of a level form an implication graph — pair p implies
-// pair q when the closure cascade of p is forced to unite q's blocks —
-// and along every implication edge the closures nest,
-//
-//	close(m ∪ {q}) ⊆ close(m ∪ {p})   (q's merges are a subset of p's),
-//
-// because the union of q inside p's cascade is itself forced, so
-// everything q forces is forced for p too. Three exact reuses follow,
-// all applied the moment a cascade is about to unite a pair whose memo
-// entry is published:
-//
-//   - Implied violation: if q is recorded as violating the level
-//     constraint (a forbidden pair collapsed, or the monotone keep
-//     predicate rejected its closure), then p violates too — the cascade
-//     aborts without finishing its own closure.
-//
-//   - Mutual implication (one SCC of the implication graph): if q's
-//     finished closure also unites p's own two blocks, then p implies q
-//     and q implies p, so the closures are equal — the cascade returns
-//     q's memoized partition outright, sharing its backing vector.
-//
-//   - Cascade absorption: otherwise q's finished closure is a closed
-//     partition wholly contained in p's final closure, so its blocks are
-//     united wholesale (an O(N·α) scan with no propagation pushes, by
-//     the same closed-under-join argument as a survivor seed) instead of
-//     re-walking q's entire transition-table cascade.
-//
-// Entries are keyed by the canonical induced pair — the ordered pair of
-// level-start block ids, triangular-indexed — and published exactly once,
-// by the pool task that evaluated that pair. Publication is contention-
-// safe under work stealing without locks: the partition value is written
-// first, then the state word is atomically released; readers atomically
-// acquire the state word before touching the partition. A reader that
-// races ahead of publication simply sees an empty entry and proceeds
-// cold, so the memo never blocks, and the miss path allocates nothing.
-//
-// The memo is valid only for the level-start partition it was reset
-// with (keys are that partition's block ids, and entries assume its
-// constraint), so the descent resets it at every level and
-// DescentState.Reset drops it between descents.
-type pairMemo struct {
-	blocks  int
-	blockOf []int // level-start partition's block vector (shared, read-only)
-	state   []atomic.Uint32
-	parts   []P
-}
-
-// Memo entry states: bit 0 says parts holds the pair's finished closure,
-// bit 1 says the pair's closure is known to violate the level constraint.
-// A guarded abort publishes memoViolated alone (no closure was finished);
-// a keep-rejected closure publishes both (the closure is still a valid
-// seed for other cascades).
-const (
-	memoHasPart  uint32 = 1 << 0
-	memoViolated uint32 = 1 << 1
+import (
+	"repro/internal/dfsm"
+	"repro/internal/exec"
 )
 
-// reset prepares the memo for one level starting at p, reusing the
-// backing arrays across levels. It must be called (and the previous
-// level's tasks joined) before any task of the new level runs; the plain
-// stores here are ordered before the workers' atomic loads by the pool's
-// fan-out barrier.
-func (mm *pairMemo) reset(p P) {
-	mm.blocks = p.NumBlocks()
-	mm.blockOf = p.View()
-	n := mm.blocks * (mm.blocks - 1) / 2
-	if cap(mm.state) >= n {
-		mm.state = mm.state[:n]
-		mm.parts = mm.parts[:n]
-		for i := range mm.state {
-			mm.state[i].Store(0)
-			mm.parts[i] = P{}
+// sccTable evaluates one all-cold descent level as a single serial pass
+// over the pair graph of the quotient machine ⊤/p, where p is the level
+// start (closed). Its nodes are the unordered block pairs {i, j} of p,
+// and its edges are the Hartmanis–Stearns pair algebra's successor map
+// {i, j} → {δ(i,e), δ(j,e)} (no edge where both blocks map into one).
+// The merge closure of a pair is the equivalence generated by every pair
+// reachable from it, so closures nest along edges,
+//
+//	close(p ∪ {v}) ⊆ close(p ∪ {u})   whenever v is reachable from u,
+//
+// and all pairs of one strongly connected component (SCC) have equal
+// closures. An iterative Tarjan search (an explicit frame stack, since a
+// chain of pairs can be B²/2 deep) emits the SCCs in reverse topological
+// order, and each is judged as soon as it is emitted:
+//
+//   - It fails in O(|Σ|·|C|), without a cascade, if one of its members is
+//     a forbidden pair or if any successor SCC failed: the constraint is
+//     monotone under coarsening and the successor's closure is contained
+//     in this one.
+//   - Otherwise one guarded cascade of one member (the SCC's Tarjan root)
+//     runs. Each union it is about to propagate first looks up the node
+//     of its block pair. A node of a finished SCC has a passing closure,
+//     which is absorbed wholesale, or returned outright when it also
+//     unites the member's own two blocks (the closures are then equal).
+//     The guard still catches a forbidden pair merged only transitively,
+//     and keep judges the finished closure.
+//
+// Every member shares the SCC's verdict and closure. The pass is serial
+// and its order is fixed by the task order, so the outcome of every pair,
+// including the implied/seeded/cold split, is deterministic.
+//
+// Per node the table holds index, low and comp as int32 plus a flag
+// byte: 13 B, where the racing per-pair memo it replaced held a 4 B
+// state word and a 40 B P. Per SCC it holds an 8 B verdict, and a P only
+// for the SCCs whose cascade finished. The buffers survive across levels
+// and Reset, which clears the closure references but keeps the capacity.
+type sccTable struct {
+	// The level start as a quotient machine: blockOf is p's block vector
+	// (read-only view), rep[b] the least state of block b, and
+	// next[b*events+e] the block b maps into under event e.
+	events  int
+	blockOf []int
+	rep     []int
+	next    []int32
+
+	// Per node, triangular-indexed: Tarjan's visit index (-1 while
+	// unvisited) and low link, the SCC id (-1 while on the stack), and
+	// the node flags.
+	index, low, comp []int32
+	flags            []uint8
+
+	// Per SCC in emission order; parts holds the finished closures, and
+	// its entries past len are always zero.
+	sccs  []sccVerdict
+	parts []P
+
+	frames  []sccFrame
+	stack   []int32
+	counter int32
+	cur     int32 // the SCC whose cascade is running
+}
+
+// Node flags: the node is a forbidden pair, or a successor SCC failed.
+const (
+	nodeForbidden uint8 = 1 << 0
+	nodeDoomed    uint8 = 1 << 1
+)
+
+// sccVerdict is one SCC's judgement: whether its closure passes the level
+// constraint, the index of its closure in parts (-1 when no cascade
+// finished), and how its root's cascade resolved (cascadeImplied when
+// none ran).
+type sccVerdict struct {
+	part int32
+	ok   bool
+	out  cascadeOutcome
+}
+
+// sccFrame is one open node of the Tarjan search: its blocks i < j and
+// the next event whose successor it explores.
+type sccFrame struct{ i, j, e int32 }
+
+// node triangular-indexes the block pair {i, j}, i < j.
+func node(i, j int32) int { return int(j)*(int(j)-1)/2 + int(i) }
+
+// reset prepares the table for a level starting at the closed p.
+func (t *sccTable) reset(top *dfsm.Machine, p P) {
+	b := p.NumBlocks()
+	t.events = top.NumEvents()
+	t.blockOf = p.View()
+	t.rep = resize(t.rep, b)
+	for i := range t.rep {
+		t.rep[i] = -1
+	}
+	for s, blk := range t.blockOf {
+		if t.rep[blk] < 0 {
+			t.rep[blk] = s
 		}
-	} else {
-		mm.state = make([]atomic.Uint32, n)
-		mm.parts = make([]P, n)
+	}
+	t.next = resize(t.next, b*t.events)
+	for blk, s := range t.rep {
+		for e := 0; e < t.events; e++ {
+			t.next[blk*t.events+e] = int32(t.blockOf[top.NextByIndex(s, e)])
+		}
+	}
+	n := b * (b - 1) / 2
+	t.index = resize(t.index, n)
+	t.low = resize(t.low, n)
+	t.comp = resize(t.comp, n)
+	t.flags = resize(t.flags, n)
+	for i := range t.index {
+		t.index[i] = -1
+	}
+	clear(t.flags)
+	t.sccs = t.sccs[:0]
+	t.release()
+	t.counter = 0
+}
+
+// release drops every closure reference the table holds, keeping the
+// capacity. DescentState.Reset calls it so no partition of one descent
+// outlives it.
+func (t *sccTable) release() {
+	clear(t.parts)
+	t.parts = t.parts[:0]
+}
+
+// resize returns s with length n, reusing its backing array when it is
+// large enough. The contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	return make([]T, n)
+}
+
+// closeLevel is closePairs for a level whose tasks are all cold: it
+// evaluates them in one pass over the pair graph instead of one cascade
+// each, and returns the same results. A p that is not closed falls back
+// to closePairs. onClose observes every task once, on the caller.
+func (t *sccTable) closeLevel(pool *exec.Pool, top *dfsm.Machine, p P, tasks []pairTask, con constraint, onClose func(x, y int)) []pairResult {
+	st := newLevelStart(top, p, con.forbidden)
+	if st.base.Sets() != p.NumBlocks() {
+		return closePairs(pool, top, p, tasks, con, onClose)
+	}
+	res := make([]pairResult, len(tasks))
+	if st.violated {
+		return res
+	}
+	t.reset(top, p)
+	for _, e := range con.forbidden {
+		t.flags[t.nodeOf(e[0], e[1])] |= nodeForbidden
+	}
+	c := pool.Acquire()
+	defer pool.Release(c)
+	lv := &levelPass{t: t, c: c, top: top, st: st, keep: con.keep}
+	for _, task := range tasks {
+		if onClose != nil {
+			onClose(task.x, task.y)
+		}
+		if u := t.nodeOf(task.x, task.y); t.index[u] < 0 {
+			lv.search(u, task.x, task.y)
+		}
+	}
+	for k, task := range tasks {
+		u := t.nodeOf(task.x, task.y)
+		v := t.sccs[t.comp[u]]
+		r := pairResult{ok: v.ok, out: cascadeImplied}
+		if v.part >= 0 {
+			r.cand = t.parts[v.part]
+		}
+		if t.index[u] == t.low[u] {
+			r.out = v.out // the SCC's root ran its cascade
+		}
+		res[k] = r
+	}
+	return res
+}
+
+// nodeOf returns the node of the states a and b, which lie in distinct
+// blocks.
+func (t *sccTable) nodeOf(a, b int) int {
+	i, j := int32(t.blockOf[a]), int32(t.blockOf[b])
+	if i > j {
+		i, j = j, i
+	}
+	return node(i, j)
+}
+
+// lookup returns the closure of the finished SCC holding the node of
+// states a and b, or done=false when that node belongs to the SCC being
+// judged. Every SCC reachable from the one being judged passed, so it
+// has a closure.
+func (t *sccTable) lookup(a, b int) (m P, done bool) {
+	c := t.comp[t.nodeOf(a, b)]
+	if c == t.cur {
+		return P{}, false
+	}
+	return t.parts[t.sccs[c].part], true
+}
+
+// levelPass is the per-level context of closeLevel's search.
+type levelPass struct {
+	t    *sccTable
+	c    *exec.Ctx
+	top  *dfsm.Machine
+	st   *levelStart
+	keep func(P) bool
+}
+
+// open pushes the unvisited node u of blocks i < j onto both stacks.
+func (t *sccTable) open(u int, i, j int32) {
+	t.index[u], t.low[u], t.comp[u] = t.counter, t.counter, -1
+	t.counter++
+	t.stack = append(t.stack, int32(u))
+	t.frames = append(t.frames, sccFrame{i: i, j: j})
+}
+
+// search runs Tarjan's algorithm from the unvisited node root of states
+// x and y, judging each SCC as it is emitted.
+func (lv *levelPass) search(root, x, y int) {
+	t := lv.t
+	i, j := int32(t.blockOf[x]), int32(t.blockOf[y])
+	if i > j {
+		i, j = j, i
+	}
+	t.open(root, i, j)
+	for len(t.frames) > 0 {
+		f := &t.frames[len(t.frames)-1]
+		u := node(f.i, f.j)
+		if int(f.e) < t.events {
+			e := int(f.e)
+			f.e++
+			a, b := t.next[int(f.i)*t.events+e], t.next[int(f.j)*t.events+e]
+			if a == b {
+				continue
+			}
+			if a > b {
+				a, b = b, a
+			}
+			switch v := node(a, b); {
+			case t.index[v] < 0:
+				t.open(v, a, b)
+			case t.comp[v] < 0:
+				t.low[u] = min(t.low[u], t.index[v])
+			case !t.sccs[t.comp[v]].ok:
+				t.flags[u] |= nodeDoomed
+			}
+			continue
+		}
+		fi, fj := f.i, f.j
+		t.frames = t.frames[:len(t.frames)-1]
+		if t.low[u] == t.index[u] {
+			lv.emit(u, fi, fj)
+		}
+		if len(t.frames) > 0 {
+			pf := t.frames[len(t.frames)-1]
+			pu := node(pf.i, pf.j)
+			if t.comp[u] < 0 {
+				t.low[pu] = min(t.low[pu], t.low[u])
+			} else if !t.sccs[t.comp[u]].ok {
+				t.flags[pu] |= nodeDoomed
+			}
+		}
 	}
 }
 
-// drop releases everything the memo holds. DescentState.Reset calls it so
-// a stale memo can never leak partitions — or block-id keys of the old
-// level-start partition — into the next descent.
-func (mm *pairMemo) drop() {
-	mm.blocks = 0
-	mm.blockOf = nil
-	mm.state = mm.state[:0]
-	mm.parts = mm.parts[:0]
-}
-
-// empty reports whether the memo holds no level state (post-drop).
-func (mm *pairMemo) empty() bool {
-	return mm.blockOf == nil && len(mm.state) == 0 && len(mm.parts) == 0
-}
-
-// idx triangular-indexes the block pair {bi, bj}, bi != bj.
-func (mm *pairMemo) idx(bi, bj int) int {
-	if bi > bj {
-		bi, bj = bj, bi
+// emit pops the SCC rooted at node u (blocks i < j) off the stack and
+// judges it.
+func (lv *levelPass) emit(u int, i, j int32) {
+	t := lv.t
+	c := int32(len(t.sccs))
+	doomed := false
+	for {
+		w := t.stack[len(t.stack)-1]
+		t.stack = t.stack[:len(t.stack)-1]
+		t.comp[w] = c
+		doomed = doomed || t.flags[w] != 0
+		if int(w) == u {
+			break
+		}
 	}
-	return bj*(bj-1)/2 + bi
-}
-
-// lookup returns the published state of the canonical induced pair of
-// states a and b (which must lie in distinct level-start blocks), and the
-// finished closure when state has memoHasPart set.
-func (mm *pairMemo) lookup(a, b int) (uint32, P) {
-	i := mm.idx(mm.blockOf[a], mm.blockOf[b])
-	st := mm.state[i].Load()
-	if st&memoHasPart != 0 {
-		return st, mm.parts[i]
+	v := sccVerdict{part: -1, out: cascadeImplied}
+	if !doomed {
+		t.cur = c
+		cand, out, ok := cascade(lv.c, lv.top, lv.st, P{}, t.rep[i], t.rep[j], t)
+		v.ok = ok && (lv.keep == nil || lv.keep(cand))
+		v.out = out
+		if cand.N() > 0 {
+			v.part = int32(len(t.parts))
+			t.parts = append(t.parts, cand)
+		}
 	}
-	return st, P{}
-}
-
-// publish records the outcome of the pair (x, y)'s own evaluation: cand
-// is its finished closure when one was computed (absent for guarded
-// aborts), ok its verdict against the level constraint. Each pair is
-// published by exactly one task, so the non-atomic parts write is safe;
-// the atomic state store orders it for concurrent lookups.
-func (mm *pairMemo) publish(x, y int, cand P, ok bool) {
-	var st uint32
-	if cand.N() > 0 {
-		st |= memoHasPart
-	}
-	if !ok {
-		st |= memoViolated
-	}
-	if st == 0 {
-		return
-	}
-	i := mm.idx(mm.blockOf[x], mm.blockOf[y])
-	if st&memoHasPart != 0 {
-		mm.parts[i] = cand
-	}
-	mm.state[i].Store(st)
+	t.sccs = append(t.sccs, v)
 }

@@ -223,9 +223,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"fusiond_generate_cold_closures_total", "From-scratch merge closures evaluated.", gen.ColdClosures},
 		{"fusiond_generate_seeded_joins_total", "Candidate re-evaluations served as survivor joins.", gen.SeededJoins},
 		{"fusiond_generate_pruned_skips_total", "Pair evaluations skipped by cross-level violation pruning.", gen.PrunedSkips},
-		{"fusiond_generate_implied_cascades_total", "Closure cascades resolved O(1) from a memoized within-level closure or violation.", gen.ImpliedCascades},
-		{"fusiond_generate_seeded_cascades_total", "Closure cascades that absorbed at least one memoized within-level closure.", gen.SeededCascades},
-		{"fusiond_generate_cold_cascades_total", "Closure cascades that ran with no within-level memo contact.", gen.ColdCascades},
+		{"fusiond_generate_implied_cascades_total", "Cold pair closures resolved without a cascade of their own: shared their pair-graph SCC's verdict or failed on a failed successor.", gen.ImpliedCascades},
+		{"fusiond_generate_seeded_cascades_total", "Pair-graph SCC cascades that absorbed at least one finished successor closure.", gen.SeededCascades},
+		{"fusiond_generate_cold_cascades_total", "Pair-graph SCC cascades that ran with no successor closure to absorb.", gen.ColdCascades},
 	} {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", g.name, g.help, g.name, g.name, g.v)
 	}
