@@ -275,39 +275,24 @@ func BenchmarkAblationExhaustiveSearch(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationGuardedClosure compares the two candidate-evaluation
-// paths core.GenerateFusion chooses between at guardedClosureLimit
-// weakest edges (experiment abl1 family): one greedy descent of the
-// suite's top along its weakest edges, evaluated by the abort-early
-// guarded cascade (the edges as forbidden pairs) and by
-// filter-after-closure (Covers on each finished closure). It is the
-// instrument for retuning that limit.
-func BenchmarkAblationGuardedClosure(b *testing.B) {
+// BenchmarkWeakestEdgeDescent measures one greedy descent of Algorithm 2
+// (experiment abl1 family) on a 144-state top with a dense constraint:
+// the suite's 720 weakest edges, each a state pair every candidate must
+// separate. It is the kernel-level row for large forbidden lists, where
+// level 0's pair-graph pass gives forbidden pairs free verdicts and every
+// other closure is checked once it is finished.
+func BenchmarkWeakestEdgeDescent(b *testing.B) {
 	sys := mustSystem(b, "MESI", "1-Counter", "0-Counter", "ShiftRegister")
 	required := core.BuildFaultGraph(sys.N(), sys.Parts).WeakestEdges()
-	forbidden := make([][2]int, len(required))
-	for i, e := range required {
-		forbidden[i] = [2]int{e.I, e.J}
+	if len(required) != 720 {
+		b.Fatalf("%d weakest edges, want 720", len(required))
 	}
-	covers := func(p partition.P) bool { return core.Covers(p, required) }
-	for _, mode := range []struct {
-		name      string
-		forbidden [][2]int
-		keep      func(partition.P) bool
-	}{{"guarded", forbidden, nil}, {"unguarded", nil, covers}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				d := partition.NewDescentState()
-				m := partition.Singletons(sys.N())
-				for m.NumBlocks() > 1 {
-					best, ok := partition.MinMergeClosureOn(exec.Default(), d, sys.Top, m, mode.forbidden, mode.keep)
-					if !ok {
-						break
-					}
-					m = best
-				}
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if m := core.GreedyDescent(sys, required); m.NumBlocks() == sys.N() {
+			b.Fatal("descent never left ⊤")
+		}
 	}
 }
 
@@ -318,7 +303,7 @@ func BenchmarkLowerCoverVsMergeClosures(b *testing.B) {
 	top := partition.Singletons(sys.N())
 	b.Run("mergeClosures", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if got := partition.MergeClosuresOn(exec.Default(), sys.Top, top, nil, nil); len(got) == 0 {
+			if got := partition.MergeClosuresOn(exec.Default(), sys.Top, top, nil); len(got) == 0 {
 				b.Fatal("empty")
 			}
 		}

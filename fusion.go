@@ -43,10 +43,10 @@
 //     share one closure. An iterative Tarjan search judges each SCC as
 //     it is emitted: it fails in O(|Σ|) per pair when a member is a
 //     forbidden pair or a successor failed, and otherwise runs one
-//     guarded cascade that absorbs its successors' finished closures.
-//     This is the all-cold level 0 of every descent, where the big-row
-//     work lives: on Table 1 Row 4's 176-state top, 7 cascades decide
-//     all 15,400 level-0 pairs. The pass is serial and deterministic.
+//     cascade that absorbs its successors' finished closures. This is
+//     the all-cold level 0 of every descent, where the big-row work
+//     lives: on Table 1 Row 4's 176-state top, 1 cascade decides all
+//     15,400 level-0 pairs. The pass is serial and deterministic.
 //
 //   - Across the levels of one descent, a DescentState: pairs whose
 //     closure lost a weakest edge are pruned for the rest of the descent
@@ -57,7 +57,7 @@
 //
 // Nothing is shared across the descents of one generation: each descent
 // closes its own level 0 under its own weakest-edge constraint, so failed
-// successors decide most pairs and guarded cascades abort early.
+// successors decide most pairs without a cascade.
 //
 // Both tiers report through process-wide counters (GenerationCounters,
 // fusegen -descent-stats, fusiond /metrics and /healthz); the within-
@@ -67,13 +67,13 @@
 //
 // Every tier runs through one closure kernel (internal/partition): the
 // level-0 pass runs it on the caller, and one pool fan-out over the block
-// pairs runs it for every other level. Which weakest-edge check the
-// kernel applies is chosen from the input, not by an option: up to 64
-// weakest edges the cascade aborts at the first union that merges one
-// (the guarded closure), past that each finished closure is filtered. The
-// ablation knobs are GenerateOptions.NoIncremental (no cross-level reuse)
-// and NoPairMemo (no within-level pass), each measured by a tracked
-// benchmark row.
+// pairs runs it for every other level. The weakest-edge check is one
+// thing at every size: the weakest edges become a list of state pairs,
+// level 0's pass fails each pair of the list (and everything that reaches
+// it) without a cascade, and every closure that does run is checked
+// against the list once it is finished. The ablation knobs are
+// GenerateOptions.NoIncremental (no cross-level reuse) and NoPairMemo (no
+// within-level pass), each measured by a tracked benchmark row.
 //
 // All parallelism flows through one execution engine (see Engine): a
 // persistent worker pool, sized to GOMAXPROCS by default, whose workers

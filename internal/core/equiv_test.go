@@ -1,9 +1,10 @@
 package core_test
 
 // Property tests pinning the optimization equivalences of the
-// allocation-light hot path: the guarded merge-closure evaluation, the
-// incremental fault-graph bookkeeping, and the hashed candidate dedup must
-// all be observationally identical to their straightforward counterparts.
+// allocation-light hot path: the forbidden-pair merge-closure evaluation,
+// the incremental fault-graph bookkeeping, and the hashed candidate dedup
+// must all be observationally identical to their straightforward
+// counterparts.
 
 import (
 	"fmt"
@@ -38,10 +39,9 @@ func randomEquivSystem(t *testing.T, rng *rand.Rand, maxTop int) *core.System {
 }
 
 // TestGuardedMergeClosuresEquivalence checks, along full Algorithm 2
-// descents of random systems, that MergeClosuresOn with forbidden pairs
-// (abort-early closure with the forbidden-partner index) returns exactly
-// the candidates of MergeClosuresOn filtered by Covers — same partitions,
-// same order.
+// descents of random systems, that MergeClosuresOn with the weakest edges
+// as forbidden pairs returns exactly the unconstrained candidates of
+// MergeClosuresOn filtered by Covers — same partitions, same order.
 func TestGuardedMergeClosuresEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 25; trial++ {
@@ -52,26 +52,30 @@ func TestGuardedMergeClosuresEquivalence(t *testing.T) {
 		for i, e := range required {
 			forbidden[i] = [2]int{e.I, e.J}
 		}
-		covers := func(p partition.P) bool { return core.Covers(p, required) }
 
 		m := partition.Singletons(sys.N())
 		for m.NumBlocks() > 1 {
-			guarded := partition.MergeClosuresOn(exec.Default(), sys.Top, m, forbidden, nil)
-			plain := partition.MergeClosuresOn(exec.Default(), sys.Top, m, nil, covers)
-			if len(guarded) != len(plain) {
-				t.Fatalf("trial %d: guarded returned %d candidates, unguarded %d", trial, len(guarded), len(plain))
-			}
-			for i := range guarded {
-				if !guarded[i].Equal(plain[i]) {
-					t.Fatalf("trial %d: candidate %d differs: guarded %s vs unguarded %s",
-						trial, i, guarded[i], plain[i])
+			constrained := partition.MergeClosuresOn(exec.Default(), sys.Top, m, forbidden)
+			var plain []partition.P
+			for _, c := range partition.MergeClosuresOn(exec.Default(), sys.Top, m, nil) {
+				if core.Covers(c, required) {
+					plain = append(plain, c)
 				}
 			}
-			if len(guarded) == 0 {
+			if len(constrained) != len(plain) {
+				t.Fatalf("trial %d: constrained returned %d candidates, filtered %d", trial, len(constrained), len(plain))
+			}
+			for i := range constrained {
+				if !constrained[i].Equal(plain[i]) {
+					t.Fatalf("trial %d: candidate %d differs: constrained %s vs filtered %s",
+						trial, i, constrained[i], plain[i])
+				}
+			}
+			if len(constrained) == 0 {
 				break
 			}
-			m = guarded[0]
-			for _, c := range guarded[1:] {
+			m = constrained[0]
+			for _, c := range constrained[1:] {
 				if c.Less(m) {
 					m = c
 				}

@@ -43,18 +43,6 @@ type GenerateOptions struct {
 	NoCache bool
 }
 
-// guardedClosureLimit bounds the weakest-edge count up to which the
-// guarded closure is used; past it each finished closure is filtered by
-// Covers instead. The guard is armed once per fan-out, then costs each
-// cascade O(endpoints) to tag and clear and each union O(tags·deg) to
-// check the absorbed set's endpoints against their partners. Since level
-// 0 runs as one pass over the pair graph, few cascades pay that cost: at
-// 720 edges (BenchmarkAblationGuardedClosure, 144-state top, 2-vCPU Xeon
-// VM, min/median/max of 3 runs) one guarded descent takes 2.64/2.71/3.02
-// ms against 2.47/2.83/3.53 ms filtered, so the filtered path no longer
-// wins on large edge sets. The limit has not been retuned to match.
-const guardedClosureLimit = 64
-
 // incrementalMinStates is the top size below which the descent runs cold:
 // the cross-level bookkeeping of a DescentState (outcome maps, survivor
 // interning) costs more than the handful of closures it saves when a
@@ -72,13 +60,16 @@ const incrementalMinStates = 16
 // walks down the closed-partition lattice: among the lower-cover candidates
 // that still cover every weakest edge of the current fault graph — the
 // paper's "dmin(F ∪ A ∪ F) > dmin(A ∪ F)" test on line 6 — it descends
-// into the smallest one, stopping when no candidate qualifies. Candidate
-// evaluation is parallelized inside the partition merge-closure fan-out,
-// and one partition.DescentState threads pair outcomes across the levels
-// of each descent: pairs whose closure lost a weakest edge are pruned for
-// the rest of the descent, and surviving candidates are re-evaluated at
-// the next level as cheap union-find joins instead of cold closures
-// (opts.NoIncremental falls back to cold levels for the ablation).
+// into the smallest one, stopping when no candidate qualifies. The
+// weakest edges become one list of state pairs per descent, and a
+// candidate qualifies when its finished closure separates each of them.
+// Candidate evaluation is parallelized inside the partition merge-closure
+// fan-out, and one partition.DescentState threads pair outcomes across
+// the levels of each descent: pairs whose closure lost a weakest edge are
+// pruned for the rest of the descent, and surviving candidates are
+// re-evaluated at the next level as cheap union-find joins instead of
+// cold closures (opts.NoIncremental falls back to cold levels for the
+// ablation).
 //
 // Complexity: O(N³·|Σ|·f) as shown in Section 5.1.
 func GenerateFusion(s *System, f int, opts GenerateOptions) ([]partition.P, error) {
@@ -86,6 +77,10 @@ func GenerateFusion(s *System, f int, opts GenerateOptions) ([]partition.P, erro
 		return nil, fmt.Errorf("core: cannot tolerate %d faults", f)
 	}
 	genCounters.runs.Add(1)
+	pool := opts.Pool
+	if pool == nil {
+		pool = exec.Default()
+	}
 	n := s.N()
 	g := BuildFaultGraph(n, s.Parts)
 	var fusions []partition.P
@@ -102,7 +97,7 @@ func GenerateFusion(s *System, f int, opts GenerateOptions) ([]partition.P, erro
 			return nil, fmt.Errorf("core: fusion for f=%d needs more than %d machines (dmin currently %d)",
 				f, opts.MaxMachines, g.Dmin())
 		}
-		required := g.WeakestEdges()
+		forbidden := edgePairs(g.WeakestEdges())
 		if d != nil {
 			// Recorded violations are only permanent within one descent:
 			// the weakest-edge set changes with every generated machine.
@@ -110,14 +105,16 @@ func GenerateFusion(s *System, f int, opts GenerateOptions) ([]partition.P, erro
 		}
 
 		// Start at ⊤, which separates every pair and therefore always
-		// covers the required edges. Descend through merge closures rather
+		// covers the weakest edges. Descend through merge closures rather
 		// than the maximality-filtered lower cover: every closed partition
 		// strictly below m is ≤ some merge closure of m, so the down-set
 		// explored is identical while skipping the O(B⁴·N) maximality
-		// filter (see partition.MergeClosuresOn).
+		// filter (see partition.MergeClosuresOn). Each level's pick is the
+		// Less-minimal qualifying closure: fewest blocks first, then the
+		// lexicographically least normalized vector.
 		m := partition.Singletons(n)
 		for m.NumBlocks() > 1 {
-			best, ok := bestCandidate(s, m, required, opts, d)
+			best, ok := partition.MinMergeClosureOn(pool, d, s.Top, m, forbidden)
 			if !ok {
 				break
 			}
@@ -137,30 +134,14 @@ func GenerateFusion(s *System, f int, opts GenerateOptions) ([]partition.P, erro
 	return fusions, nil
 }
 
-// bestCandidate evaluates one descent level: among the merge closures of
-// m that still separate every required edge, return the Less-minimal one
-// (Algorithm 2's deterministic pick — fewest blocks first, then
-// lexicographically least normalized vector). Up to guardedClosureLimit
-// required edges it hands them to the guarded (abort-early) cascade as
-// forbidden pairs, past it it filters each finished closure by Covers;
-// both return the same candidate. The fan-out runs on the options' pool
-// (the shared default when unset) and threads the descent state for
-// cross-level pruning and seeding (d may be nil for cold levels). ok is
-// false when no candidate qualifies.
-func bestCandidate(s *System, m partition.P, required []Edge, opts GenerateOptions, d *partition.DescentState) (partition.P, bool) {
-	pool := opts.Pool
-	if pool == nil {
-		pool = exec.Default()
+// edgePairs returns the fault-graph edges as the state pairs a descent's
+// candidates must separate.
+func edgePairs(edges []Edge) [][2]int {
+	pairs := make([][2]int, len(edges))
+	for i, e := range edges {
+		pairs[i] = [2]int{e.I, e.J}
 	}
-	if len(required) <= guardedClosureLimit {
-		forbidden := make([][2]int, len(required))
-		for i, e := range required {
-			forbidden[i] = [2]int{e.I, e.J}
-		}
-		return partition.MinMergeClosureOn(pool, d, s.Top, m, forbidden, nil)
-	}
-	covers := func(p partition.P) bool { return Covers(p, required) }
-	return partition.MinMergeClosureOn(pool, d, s.Top, m, nil, covers)
+	return pairs
 }
 
 // GreedyDescent exposes one inner-loop descent of Algorithm 2: starting
@@ -169,14 +150,14 @@ func bestCandidate(s *System, m partition.P, required []Edge, opts GenerateOptio
 // search ablation. Like GenerateFusion's inner loop it carries a
 // DescentState, so deeper levels reuse pair outcomes from shallower ones.
 func GreedyDescent(s *System, required []Edge) partition.P {
-	covers := func(p partition.P) bool { return Covers(p, required) }
+	forbidden := edgePairs(required)
 	var d *partition.DescentState
 	if s.N() >= incrementalMinStates {
 		d = partition.NewDescentState()
 	}
 	m := partition.Singletons(s.N())
 	for m.NumBlocks() > 1 {
-		best, ok := partition.MinMergeClosureOn(exec.Default(), d, s.Top, m, nil, covers)
+		best, ok := partition.MinMergeClosureOn(exec.Default(), d, s.Top, m, forbidden)
 		if !ok {
 			break
 		}

@@ -38,10 +38,9 @@ func IsClosed(top *dfsm.Machine, p P) bool {
 type statePair struct{ a, b int }
 
 // levelStart is one closure fan-out's shared setup, built once before the
-// pool runs and only read while it does: the level start's forest and
-// the armed forbidden-pair guard. Every cascade of the fan-out starts
-// from a copy of it instead of re-deriving the level start state by
-// state.
+// pool runs and only read while it does. Every cascade of the fan-out
+// starts from a copy of its forest instead of re-deriving the level start
+// state by state.
 type levelStart struct {
 	// base is the union-find of close(p), flattened so parent[s] is s's
 	// root. Closing p first keeps a fan-out over a p that is not closed
@@ -51,82 +50,41 @@ type levelStart struct {
 	// (s, s) included, which no partition separates — so every task of
 	// the fan-out fails without running a cascade.
 	violated bool
-	// The guard, armed when the forbidden list is non-empty: ends lists
-	// the distinct forbidden-pair endpoints and partners[i] the states
-	// ends[i] must stay apart from.
-	ends     []int
-	partners [][]int
 }
 
 // newLevelStart builds the fan-out setup for level start p: close(p) by
 // the from-⊤ propagation (unite p's blocks, push every union, run the
-// fixpoint), flattened, then the guard over forbidden.
+// fixpoint), flattened, then checked against forbidden.
 func newLevelStart(top *dfsm.Machine, p P, forbidden [][2]int) *levelStart {
 	sc := &closureScratch{uf: NewUnionFind(top.NumStates())}
 	sc.absorb(p, true)
 	sc.propagate(top, sc.stack, 0, 0, nil)
 	sc.uf.flatten()
 	st := &levelStart{base: sc.uf}
-	if len(forbidden) == 0 {
-		return st
-	}
-	root := st.base.parent
-	index := make(map[int]int, 2*len(forbidden))
-	var deg []int
 	for _, e := range forbidden {
-		if root[e[0]] == root[e[1]] {
+		if sc.uf.parent[e[0]] == sc.uf.parent[e[1]] {
 			st.violated = true
-			return st
+			break
 		}
-		for _, s := range e {
-			i, ok := index[s]
-			if !ok {
-				i = len(st.ends)
-				index[s] = i
-				st.ends = append(st.ends, s)
-				deg = append(deg, 0)
-			}
-			deg[i]++
-		}
-	}
-	// Carve every endpoint's partner list out of one backing array.
-	flat := make([]int, 2*len(forbidden))
-	st.partners = make([][]int, len(st.ends))
-	for i, d := range deg {
-		st.partners[i], flat = flat[:0:d], flat[d:]
-	}
-	for _, e := range forbidden {
-		i, j := index[e[0]], index[e[1]]
-		st.partners[i] = append(st.partners[i], e[1])
-		st.partners[j] = append(st.partners[j], e[0])
 	}
 	return st
 }
 
 // closureScratch is one worker's closure working set — union-find forest,
-// propagation stack, first-of-block table, and the guard's tag lists —
-// kept in the worker's closureSlot across cascades and across whole
-// fan-outs so none of them allocates per closure.
+// propagation stack and first-of-block table — kept in the worker's
+// closureSlot across cascades and across whole fan-outs so none of them
+// allocates per closure.
 type closureScratch struct {
 	uf    *UnionFind
 	stack []statePair
 	first []int // first state seen per block id of the partition being absorbed
-	// Guard state of the running cascade: g is its fan-out's levelStart
-	// when the guard is armed (nil otherwise). The endpoints (indices into
-	// g.ends) inside root r's set form a linked list: head[r] is the
-	// first (-1 for none) and next[i] follows endpoint i. Outside a
-	// cascade every head is -1.
-	g    *levelStart
-	head []int32
-	next []int32
 }
 
 // closureSlot is the per-worker scratch slot holding a *closureScratch.
 var closureSlot = exec.NewSlotID()
 
 // scratchFor returns the context's closure scratch set up for one cascade
-// of st's fan-out: the forest a copy of st's base and, when st's guard is
-// armed, each endpoint tagged at its base root. Pair with release.
+// of st's fan-out: the forest a copy of st's base and the stack empty.
 func scratchFor(c *exec.Ctx, st *levelStart) *closureScratch {
 	s, _ := c.Get(closureSlot).(*closureScratch)
 	if s == nil {
@@ -135,95 +93,17 @@ func scratchFor(c *exec.Ctx, st *levelStart) *closureScratch {
 	}
 	s.uf.copyFrom(st.base)
 	s.stack = s.stack[:0]
-	if len(st.ends) == 0 {
-		return s
-	}
-	s.g = st
-	if n := len(st.base.parent); cap(s.head) >= n {
-		s.head = s.head[:n]
-	} else {
-		s.head = make([]int32, n)
-		for i := range s.head {
-			s.head[i] = -1
-		}
-	}
-	if cap(s.next) >= len(st.ends) {
-		s.next = s.next[:len(st.ends)]
-	} else {
-		s.next = make([]int32, len(st.ends))
-	}
-	for i, e := range st.ends {
-		r := st.base.parent[e]
-		s.next[i] = s.head[r]
-		s.head[r] = int32(i)
-	}
 	return s
 }
 
-// release disarms the guard and clears the tag lists the cascade wrote —
-// the heads at the roots of the endpoints' sets, the only ones unite
-// leaves set — so the next cascade on this worker, whatever its fan-out,
-// starts from empty lists.
-func (s *closureScratch) release() {
-	if s.g == nil {
-		return
-	}
-	for _, e := range s.g.ends {
-		s.head[s.uf.Find(e)] = -1
-	}
-	s.g = nil
-}
-
-// unite merges the sets of a and b. merged reports that they were
-// distinct; ok=false reports that the union collapsed a forbidden pair.
-// Violation detection is incremental: each root carries the forbidden-pair
-// endpoints ("tags") inside its set, and a union only checks the absorbed
-// root's tags against their partners' roots — O(tags·deg) per union
-// instead of an O(|forbidden|) rescan with two Finds per pair. The
-// absorbed root's list is spliced onto the surviving root's even on a
-// violation, which keeps every set head at a current root.
-func (s *closureScratch) unite(a, b int) (merged, ok bool) {
-	uf := s.uf
-	if s.g == nil {
-		return uf.Union(a, b), true
-	}
-	ra, rb := uf.Find(a), uf.Find(b)
-	if ra == rb {
-		return false, true
-	}
-	uf.Union(ra, rb)
-	root := uf.Find(ra)
-	child := ra + rb - root // the absorbed root
-	h := s.head[child]
-	if h < 0 {
-		return true, true
-	}
-	ok = true
-	tail := h
-	for i := h; i >= 0; i = s.next[i] {
-		tail = i
-		for _, t := range s.g.partners[i] {
-			if !ok {
-				break
-			}
-			ok = uf.Find(t) != root
-		}
-	}
-	s.next[tail] = s.head[root]
-	s.head[root] = h
-	s.head[child] = -1
-	return true, ok
-}
-
 // absorb unites the states of every block of m, pushing each union for
-// propagation when push is set; false reports a forbidden-pair violation.
-// Without push, m must be closed: same-block states then have same-block
-// successors, and every block is fully united by the end of the pass, so
-// transitivity through the forest covers the cross effects and no
-// propagation is owed.
-func (s *closureScratch) absorb(m P, push bool) bool {
+// propagation when push is set. Without push, m must be closed:
+// same-block states then have same-block successors, and every block is
+// fully united by the end of the pass, so transitivity through the
+// forest covers the cross effects and no propagation is owed.
+func (s *closureScratch) absorb(m P, push bool) {
 	if m.NumBlocks() == m.N() {
-		return true // singletons: nothing to unite
+		return // singletons: nothing to unite
 	}
 	if blocks := m.NumBlocks(); cap(s.first) >= blocks {
 		s.first = s.first[:blocks]
@@ -239,15 +119,10 @@ func (s *closureScratch) absorb(m P, push bool) bool {
 			s.first[b] = st
 			continue
 		}
-		merged, ok := s.unite(prev, st)
-		if !ok {
-			return false
-		}
-		if merged && push {
+		if s.uf.Union(prev, st) && push {
 			s.stack = append(s.stack, statePair{prev, st})
 		}
 	}
-	return true
 }
 
 // cascadeOutcome classifies how one pair of an all-cold level resolved,
@@ -274,13 +149,13 @@ const (
 
 // cascade is the package's one Hartmanis–Stearns closure kernel: it
 // computes close(p ∨ seed ∪ {x~y}) for the level start p that st was
-// built from (st must not be violated). The worker's forest starts as a
-// copy of st's base, close(p); the optional closed seed (zero P for none)
-// is joined into it without propagation pushes, then x is united with y
-// (x == y merges nothing) and the propagation fixpoint runs: merge two
-// states, then merge their successors under every event until nothing
-// changes. The merged start partition is never materialized, which spares
-// every closure of a fan-out a vector copy and an FNV hash.
+// built from. The worker's forest starts as a copy of st's base,
+// close(p); the optional closed seed (zero P for none) is joined into it
+// without propagation pushes, then x is united with y (x == y merges
+// nothing) and the propagation fixpoint runs: merge two states, then
+// merge their successors under every event until nothing changes. The
+// merged start partition is never materialized, which spares every
+// closure of a fan-out a vector copy and an FNV hash.
 //
 // A seed is the incremental descent's survivor join: with seed =
 // close(m ∪ {x~y}) from the previous level and p the new level start m′,
@@ -289,11 +164,8 @@ const (
 // makes the result close(m′ ∪ {x~y}) — the residual fixpoint never fires
 // on closed inputs, so the re-evaluation is O(N·α) union-find work.
 //
-// When st's guard is armed, every union is guarded: the kernel returns
-// ok=false at the first union that merges the two endpoints of any
-// forbidden pair, typically after a handful of unions. An unarmed guard
-// takes the plain union path, free of the guard's extra Finds and tag
-// bookkeeping.
+// The cascade knows no constraint: callers check the finished closure
+// against their forbidden pairs.
 //
 // A non-nil tab is the level's pair-graph pass judging the SCC of (x, y)
 // (p must be the level start it was reset with). Each union the cascade
@@ -302,43 +174,33 @@ const (
 // finished SCC that passed (the pass runs no cascade for an SCC with a
 // failed successor), and its closure, when it also unites x and y, IS
 // this pair's closure and is returned as-is; otherwise it is absorbed
-// wholesale. Absorbed closures still pass the guard: the absorbed
-// partition respects the forbidden pairs on its own, but its sets can
-// collide with sets this cascade already built, and such a collision is
-// a true violation of this pair. The result is bit-identical to the
-// table-free cascade in every case — the table only changes which unions
-// pay for transition-table walks.
+// wholesale. The result is bit-identical to the table-free cascade in
+// every case — the table only changes which unions pay for
+// transition-table walks.
 //
 // Complexity: O(N) for the copy plus O(N·|Σ|·α(N)) unions in the worst
 // case.
-func cascade(c *exec.Ctx, top *dfsm.Machine, st *levelStart, seed P, x, y int, tab *sccTable) (P, cascadeOutcome, bool) {
+func cascade(c *exec.Ctx, top *dfsm.Machine, st *levelStart, seed P, x, y int, tab *sccTable) (P, cascadeOutcome) {
 	sc := scratchFor(c, st)
-	defer sc.release()
-	if seed.N() > 0 && !sc.absorb(seed, false) {
-		return P{}, cascadeCold, false
+	if seed.N() > 0 {
+		sc.absorb(seed, false)
 	}
 	stack := sc.stack
-	if x != y {
-		merged, ok := sc.unite(x, y)
-		if !ok {
-			return P{}, cascadeCold, false
-		}
-		if merged {
-			stack = append(stack, statePair{x, y})
-		}
+	if x != y && sc.uf.Union(x, y) {
+		stack = append(stack, statePair{x, y})
 	}
-	implied, outcome, ok := sc.propagate(top, stack, x, y, tab)
-	if !ok || outcome == cascadeImplied {
-		return implied, outcome, ok
+	implied, outcome := sc.propagate(top, stack, x, y, tab)
+	if outcome == cascadeImplied {
+		return implied, outcome
 	}
-	return sc.uf.Partition(), outcome, true
+	return sc.uf.Partition(), outcome
 }
 
 // propagate runs the closure fixpoint over the pending unions on stack,
 // keeping the grown stack for reuse. With a table (see cascade) it may
-// resolve early: cascadeImplied with ok returns the finished closure of
-// the pair (x, y) as implied.
-func (s *closureScratch) propagate(top *dfsm.Machine, stack []statePair, x, y int, tab *sccTable) (implied P, outcome cascadeOutcome, ok bool) {
+// resolve early: cascadeImplied returns the finished closure of the pair
+// (x, y) as implied.
+func (s *closureScratch) propagate(top *dfsm.Machine, stack []statePair, x, y int, tab *sccTable) (implied P, outcome cascadeOutcome) {
 	defer func() { s.stack = stack[:0] }()
 	uf := s.uf
 	for len(stack) > 0 {
@@ -353,37 +215,30 @@ func (s *closureScratch) propagate(top *dfsm.Machine, stack []statePair, x, y in
 			if tab != nil {
 				if m, done := tab.lookup(ta, tb); done {
 					if m.BlockOf(x) == m.BlockOf(y) {
-						return m, cascadeImplied, true
+						return m, cascadeImplied
 					}
 					outcome = cascadeSeeded
-					if !s.absorb(m, false) {
-						return P{}, outcome, false
-					}
+					s.absorb(m, false)
 					continue
 				}
 			}
-			if _, ok := s.unite(ta, tb); !ok {
-				return P{}, outcome, false
-			}
+			uf.Union(ta, tb)
 			stack = append(stack, statePair{ta, tb})
 		}
 	}
-	return P{}, outcome, true
+	return P{}, outcome
 }
 
 // closeOnDefault runs one closure through the fan-out path — its own
-// level start and guard, then one cascade — inline on a context of the
-// shared default pool.
-func closeOnDefault(top *dfsm.Machine, p P, x, y int, forbidden [][2]int) (P, bool) {
-	st := newLevelStart(top, p, forbidden)
-	if st.violated {
-		return P{}, false
-	}
+// level start, then one cascade — inline on a context of the shared
+// default pool.
+func closeOnDefault(top *dfsm.Machine, p P, x, y int) P {
+	st := newLevelStart(top, p, nil)
 	pool := exec.Default()
 	c := pool.Acquire()
 	defer pool.Release(c)
-	cand, _, ok := cascade(c, top, st, P{}, x, y, nil)
-	return cand, ok
+	cand, _ := cascade(c, top, st, P{}, x, y, nil)
+	return cand
 }
 
 // Close computes the finest closed partition that is coarser than or equal
@@ -395,25 +250,14 @@ func closeOnDefault(top *dfsm.Machine, p P, x, y int, forbidden [][2]int) (P, bo
 //
 // Complexity: O(N·|Σ|·α(N)) unions in the worst case.
 func Close(top *dfsm.Machine, p P) P {
-	c, _ := closeOnDefault(top, p, 0, 0, nil)
-	return c
+	return closeOnDefault(top, p, 0, 0)
 }
 
 // CloseMergingStates is Close applied to the partition obtained from p by
 // merging the blocks containing states x and y. It is the inner step of the
 // lower-cover computation.
 func CloseMergingStates(top *dfsm.Machine, p P, x, y int) P {
-	c, _ := closeOnDefault(top, p, x, y, nil)
-	return c
-}
-
-// CloseGuarded is Close that aborts as soon as the closure would merge the
-// two endpoints of any forbidden pair, returning ok=false. Algorithm 2
-// uses it to discard lower-cover candidates that stop covering a weakest
-// fault-graph edge without paying for the full closure: the abort fires
-// mid-propagation, typically after a handful of unions.
-func CloseGuarded(top *dfsm.Machine, p P, forbidden [][2]int) (P, bool) {
-	return closeOnDefault(top, p, 0, 0, forbidden)
+	return closeOnDefault(top, p, x, y)
 }
 
 // Quotient materializes the machine corresponding to a closed partition of

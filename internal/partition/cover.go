@@ -24,7 +24,7 @@ func LowerCover(top *dfsm.Machine, p P) []P {
 // engine (a dedicated pool) route through here so the cover's closure
 // fan-out runs on their capacity, not the shared default's.
 func LowerCoverOn(pool *exec.Pool, top *dfsm.Machine, p P) []P {
-	uniq := MergeClosuresOn(pool, top, p, nil, nil)
+	uniq := MergeClosuresOn(pool, top, p, nil)
 
 	// Keep maximal elements: drop c if some other candidate d is strictly
 	// finer than c (c < d means c is coarser, hence not maximal).
@@ -48,12 +48,9 @@ func LowerCoverOn(pool *exec.Pool, top *dfsm.Machine, p P) []P {
 }
 
 // MergeClosuresOn returns the deduplicated closures of all single-pair
-// block merges of p that separate every forbidden pair and pass keep
-// (either may be nil), without the maximality filter of LowerCover, in
-// block-pair order regardless of the pool's worker count. forbidden is
-// enforced by the abort-early guarded cascade, so violating candidates
-// stop mid-closure instead of completing and failing a check afterwards;
-// the result is the same as passing the equivalent keep predicate.
+// block merges of p that separate every forbidden pair (nil keeps them
+// all), without the maximality filter of LowerCover, in block-pair order
+// regardless of the pool's worker count.
 //
 // Every closed partition strictly coarser than p is ≤ one of the
 // unfiltered merge closures, so descending through merge closures explores
@@ -61,11 +58,11 @@ func LowerCoverOn(pool *exec.Pool, top *dfsm.Machine, p P) []P {
 // uses this as its fast path (MinMergeClosureOn) because the maximality
 // filter costs O(B⁴·N) comparisons at the top of large lattices while
 // adding nothing to correctness (see core.GenerateFusion).
-func MergeClosuresOn(pool *exec.Pool, top *dfsm.Machine, p P, forbidden [][2]int, keep func(P) bool) []P {
+func MergeClosuresOn(pool *exec.Pool, top *dfsm.Machine, p P, forbidden [][2]int) []P {
 	tasks := blockPairs(p)
 	seen := NewSet(len(tasks))
 	var uniq []P
-	for _, r := range closePairs(pool, top, p, tasks, constraint{forbidden, keep}, nil) {
+	for _, r := range closePairs(pool, top, p, tasks, forbidden, nil) {
 		if r.ok && seen.Add(r.cand) {
 			uniq = append(uniq, r.cand)
 		}

@@ -81,20 +81,22 @@ func TestLowerCoverOfBottom(t *testing.T) {
 	}
 }
 
-// TestMergeClosuresKeepPrunes: candidates failing keep never reach the
-// candidate list.
+// TestMergeClosuresKeepPrunes: candidates that merge a forbidden pair
+// never reach the candidate list.
 func TestMergeClosuresKeepPrunes(t *testing.T) {
 	top := fig2Top(t)
 	// Keep only partitions separating t1 and t2.
-	keep := func(p P) bool { return p.Separates(1, 2) }
-	cands := MergeClosuresOn(exec.Default(), top, Singletons(4), nil, keep)
+	cands := MergeClosuresOn(exec.Default(), top, Singletons(4), [][2]int{{1, 2}})
+	if len(cands) == 0 {
+		t.Fatal("no candidate separates t1 and t2; the check below would be vacuous")
+	}
 	for _, c := range cands {
 		if !c.Separates(1, 2) {
 			t.Errorf("filtered candidates contain %v which merges t1,t2", c)
 		}
 	}
-	// Rejecting everything yields no candidates.
-	none := MergeClosuresOn(exec.Default(), top, Singletons(4), nil, func(P) bool { return false })
+	// A degenerate pair, which no partition separates, rejects everything.
+	none := MergeClosuresOn(exec.Default(), top, Singletons(4), [][2]int{{1, 2}, {0, 0}})
 	if len(none) != 0 {
 		t.Errorf("filter-all-out returned %v", none)
 	}

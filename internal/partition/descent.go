@@ -12,12 +12,12 @@ import (
 // descent a constraint violation is permanent):
 //
 //   - Cross-level violation pruning: a state pair (x, y) whose merge
-//     closure collapsed a forbidden pair (or failed the monotone keep
-//     predicate) at level L is recorded and skipped at every deeper
-//     level without recomputation. Block representatives are minimal
-//     states, so every pair enumerated at level L+1 carries a state-pair
-//     key that was already evaluated at level L — after the first level
-//     the fan-out shrinks from O(B²) closures to the surviving pairs.
+//     closure collapsed a forbidden pair at level L is recorded and
+//     skipped at every deeper level without recomputation. Block
+//     representatives are minimal states, so every pair enumerated at
+//     level L+1 carries a state-pair key that was already evaluated at
+//     level L — after the first level the fan-out shrinks from O(B²)
+//     closures to the surviving pairs.
 //
 //   - Closure seeding: a pair that survived level L with candidate c is
 //     re-evaluated at level L+1 as the join of c with the new level
@@ -39,8 +39,8 @@ import (
 // DisablePairMemo, run the pooled fan-out (closePairs) instead.
 //
 // Nothing carries across descents: every descent's level 0 is a
-// constrained pass like any other all-cold level, so its guarded
-// cascades abort early.
+// constrained pass like any other all-cold level, so its forbidden pairs
+// and their predecessors fail without a cascade.
 //
 // A DescentState serves exactly one descent: call Reset before starting
 // the next one (the weakest-edge constraint changes between outer
@@ -172,16 +172,19 @@ type pairResult struct {
 	out  cascadeOutcome
 }
 
-// constraint is what a level's candidates must satisfy: separate every
-// forbidden pair (enforced inside the cascade, which aborts early) and
-// pass keep (checked on the finished closure). Either part may be empty.
-// Both must be monotone under coarsening — if a partition fails, every
-// coarser one fails — for the descent's pruning and the pair-graph pass's
-// failed successors to be sound; the fault-graph Covers predicate is
-// (losing an edge is permanent).
-type constraint struct {
-	forbidden [][2]int
-	keep      func(P) bool
+// separatesAll reports whether c keeps the two states of every forbidden
+// pair in distinct blocks — the one level constraint of a descent.
+// Coarsening never splits a block, so a partition that fails fails for
+// every coarser one: the descent's pruning and the pair-graph pass's
+// failed successors rest on that.
+func separatesAll(c P, forbidden [][2]int) bool {
+	blockOf := c.View()
+	for _, e := range forbidden {
+		if blockOf[e[0]] == blockOf[e[1]] {
+			return false
+		}
+	}
+	return true
 }
 
 // blockPairs returns one cold task per unordered block pair of p, in
@@ -200,18 +203,19 @@ func blockPairs(p P) []pairTask {
 
 // closePairs is the one pool fan-out over a level's block pairs, shared by
 // the min-descent, the full candidate list and the single-shot closures:
-// each task closes p merged along its pair (joined with its seed, if any)
-// under con. The level start's forest and the forbidden-pair guard are
-// built once, before the pool runs, and every cascade starts from a copy;
-// when close(p) already merges a forbidden pair, every task fails without
-// running. onClose, when set, observes every evaluated pair and must be
-// internally synchronized. The pool's atomic cursor load-balances the
-// tasks and per-worker scratch slots recycle the union-find working sets;
-// results land in task-indexed slots, so every reduction over them is
-// independent of worker scheduling.
-func closePairs(pool *exec.Pool, top *dfsm.Machine, p P, tasks []pairTask, con constraint, onClose func(x, y int)) []pairResult {
+// each task closes p merged along its pair (joined with its seed, if any),
+// and the finished closure passes when it separates every forbidden pair.
+// The level start's forest is built once, before the pool runs, and every
+// cascade starts from a copy; when close(p) already merges a forbidden
+// pair, every task fails without running. onClose, when set, observes
+// every evaluated pair and must be internally synchronized. The pool's
+// atomic cursor load-balances the tasks and per-worker scratch slots
+// recycle the union-find working sets; results land in task-indexed
+// slots, so every reduction over them is independent of worker
+// scheduling.
+func closePairs(pool *exec.Pool, top *dfsm.Machine, p P, tasks []pairTask, forbidden [][2]int, onClose func(x, y int)) []pairResult {
 	res := make([]pairResult, len(tasks))
-	st := newLevelStart(top, p, con.forbidden)
+	st := newLevelStart(top, p, forbidden)
 	if st.violated {
 		return res
 	}
@@ -220,9 +224,8 @@ func closePairs(pool *exec.Pool, top *dfsm.Machine, p P, tasks []pairTask, con c
 		if onClose != nil {
 			onClose(t.x, t.y)
 		}
-		cand, out, ok := cascade(c, top, st, t.seed, t.x, t.y, nil)
-		ok = ok && (con.keep == nil || con.keep(cand))
-		res[k] = pairResult{cand: cand, ok: ok, out: out}
+		cand, out := cascade(c, top, st, t.seed, t.x, t.y, nil)
+		res[k] = pairResult{cand: cand, ok: separatesAll(cand, forbidden), out: out}
 	})
 	return res
 }
@@ -241,27 +244,23 @@ func minAccepted(res []pairResult) (P, bool) {
 }
 
 // MinMergeClosureOn returns the Less-minimal merge closure of p that
-// separates every forbidden pair and passes keep — the pickCandidate
-// winner of Algorithm 2's line-6 fan-out — without materializing the full
-// candidate list, and records per-pair outcomes in d for cross-level
-// reuse. ok is false when no candidate passes (the descent has bottomed
-// out). d may be nil (no reuse: every level is evaluated cold).
+// separates every forbidden pair — the pickCandidate winner of Algorithm
+// 2's line-6 fan-out — without materializing the full candidate list, and
+// records per-pair outcomes in d for cross-level reuse. ok is false when
+// no candidate passes (the descent has bottomed out). d may be nil (no
+// reuse: every level is evaluated cold).
 //
-// forbidden is enforced by the abort-early guarded cascade and keep on
-// each finished closure; either may be nil. Pruning soundness requires
-// keep to be monotone under coarsening: if keep rejects a partition it
-// must reject every coarser one. The winner is identical to the
-// Less-minimum of MergeClosuresOn(pool, top, p, forbidden, keep) for any
-// such keep.
-func MinMergeClosureOn(pool *exec.Pool, d *DescentState, top *dfsm.Machine, p P, forbidden [][2]int, keep func(P) bool) (P, bool) {
+// Each finished closure is checked against forbidden (nil passes every
+// closure). The winner is identical to the Less-minimum of
+// MergeClosuresOn(pool, top, p, forbidden).
+func MinMergeClosureOn(pool *exec.Pool, d *DescentState, top *dfsm.Machine, p P, forbidden [][2]int) (P, bool) {
 	if p.NumBlocks() <= 1 {
 		return P{}, false // bottom has no merge closures
 	}
-	con := constraint{forbidden, keep}
 	if d == nil {
-		return minAccepted(closePairs(pool, top, p, blockPairs(p), con, nil))
+		return minAccepted(closePairs(pool, top, p, blockPairs(p), forbidden, nil))
 	}
-	tasks, res := d.liveLevel(pool, top, p, con)
+	tasks, res := d.liveLevel(pool, top, p, forbidden)
 
 	// Record outcomes serially, in task order, so d's contents are
 	// independent of worker scheduling. The survivors just recorded
@@ -283,7 +282,7 @@ func MinMergeClosureOn(pool *exec.Pool, d *DescentState, top *dfsm.Machine, p P,
 // liveLevel evaluates one level: skip the pairs d has pruned, seed the
 // survivors from their previous-level closures, and close the rest cold —
 // in one pair-graph pass when every task is cold and the pass is on.
-func (d *DescentState) liveLevel(pool *exec.Pool, top *dfsm.Machine, p P, con constraint) ([]pairTask, []pairResult) {
+func (d *DescentState) liveLevel(pool *exec.Pool, top *dfsm.Machine, p P, forbidden [][2]int) ([]pairTask, []pairResult) {
 	all := blockPairs(p)
 	tasks := all[:0]
 	cold := 0
@@ -302,9 +301,9 @@ func (d *DescentState) liveLevel(pool *exec.Pool, top *dfsm.Machine, p P, con co
 	}
 	var res []pairResult
 	if !d.passOff && cold > 0 && cold == len(tasks) {
-		res = d.table.closeLevel(pool, top, p, tasks, con, d.onClose)
+		res = d.table.closeLevel(pool, top, p, tasks, forbidden, d.onClose)
 	} else {
-		res = closePairs(pool, top, p, tasks, con, d.onClose)
+		res = closePairs(pool, top, p, tasks, forbidden, d.onClose)
 	}
 	for k, t := range tasks {
 		if t.seed.N() == 0 {

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"fmt"
 	"math/bits"
 	"math/rand"
 	"slices"
@@ -43,7 +44,7 @@ func TestSeededCloseMatchesJoinClosure(t *testing.T) {
 		}
 		want := Close(top, join)
 
-		got := closePairs(pool, top, p, []pairTask{{seed: prev}}, constraint{}, nil)[0].cand
+		got := closePairs(pool, top, p, []pairTask{{seed: prev}}, nil, nil)[0].cand
 		if !got.Equal(want) {
 			t.Fatalf("trial %d: seeded close %s, Close(Join) %s (p=%s prev=%s)",
 				trial, got, want, p, prev)
@@ -51,9 +52,10 @@ func TestSeededCloseMatchesJoinClosure(t *testing.T) {
 	}
 }
 
-// TestSeededCloseGuardedMatchesGuarded: the guarded seeded close must
-// agree with CloseGuarded of the join — same partition when it passes,
-// same verdict when a forbidden pair collapses.
+// TestSeededCloseGuardedMatchesGuarded: the seeded close under a
+// forbidden list must agree with Close of the join checked against that
+// list — same partition when it passes, same verdict when a forbidden
+// pair collapses.
 func TestSeededCloseGuardedMatchesGuarded(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	pool := exec.Default()
@@ -70,9 +72,10 @@ func TestSeededCloseGuardedMatchesGuarded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, wantOK := CloseGuarded(top, join, forbidden)
+		want := Close(top, join)
+		wantOK := separating(forbidden)(want)
 
-		r := closePairs(pool, top, p, []pairTask{{seed: prev}}, constraint{forbidden: forbidden}, nil)[0]
+		r := closePairs(pool, top, p, []pairTask{{seed: prev}}, forbidden, nil)[0]
 		got, gotOK := r.cand, r.ok
 		if gotOK != wantOK {
 			t.Fatalf("trial %d: seeded verdict %v, reference %v (p=%s prev=%s forbidden=%v)",
@@ -100,142 +103,117 @@ func minOverFull(cands []P) (P, bool) {
 }
 
 // TestMinMergeClosureMatchesFullDescent descends random machines twice —
-// once through MinMergeClosureOn (guarded or keep-filtered) with a
-// DescentState, once through the full MergeClosuresOn list with an
-// explicit min — and demands the identical winner at every level of every
-// descent.
+// once through MinMergeClosureOn with a DescentState, once through the
+// unconstrained MergeClosuresOn list filtered by the forbidden pairs with
+// an explicit min — and demands the identical winner at every level of
+// every descent. Sparse trials draw up to five pairs on small random
+// machines; dense ones draw 100–300 on 24–40-state product tops, the
+// regime of Algorithm 2's weakest-edge lists.
 func TestMinMergeClosureMatchesFullDescent(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	pool := exec.Default()
+	descend := func(label string, top *dfsm.Machine, forbidden [][2]int) (levels int) {
+		d := NewDescentState()
+		m := Singletons(top.NumStates())
+		for m.NumBlocks() > 1 {
+			got, gotOK := MinMergeClosureOn(pool, d, top, m, forbidden)
+			want, wantOK := minOverFull(refMergeClosures(MergeClosuresOn(pool, top, m, nil), forbidden))
+			if gotOK != wantOK {
+				t.Fatalf("%s at %d blocks: min ok=%v, full ok=%v", label, m.NumBlocks(), gotOK, wantOK)
+			}
+			if !gotOK {
+				break
+			}
+			if !got.Equal(want) {
+				t.Fatalf("%s at %d blocks: min %s, full %s", label, m.NumBlocks(), got, want)
+			}
+			m = got
+			levels++
+		}
+		return levels
+	}
 	for trial := 0; trial < 40; trial++ {
 		top := dfsm.RandomMachine(rng, "T", 4+rng.Intn(14), []string{"a", "b"})
-		n := top.NumStates()
-		var forbidden [][2]int
-		for i := 0; i < 1+rng.Intn(5); i++ {
-			x, y := rng.Intn(n), rng.Intn(n)
-			if x != y {
-				forbidden = append(forbidden, [2]int{x, y})
+		descend(fmt.Sprintf("sparse trial %d", trial), top, randomPairs(rng, top.NumStates(), 1+rng.Intn(5)))
+	}
+	// Dense lists are drawn among the pairs a coarse closed partition q
+	// separates, as weakest edges are among those some machine separates:
+	// q's merge-closure ancestors pass, so every descent leaves ⊤.
+	for trial := 0; trial < 6; trial++ {
+		top := productTop(t, rng, 24, 40)
+		q := descentStart(top, 4+rng.Intn(8))
+		if q.NumBlocks() < 2 {
+			trial--
+			continue
+		}
+		forbidden := make([][2]int, 0, 300)
+		for k := 100 + rng.Intn(201); len(forbidden) < k; {
+			if e := randomPairs(rng, top.NumStates(), 1)[0]; q.Separates(e[0], e[1]) {
+				forbidden = append(forbidden, e)
 			}
 		}
-		keep := func(p P) bool {
-			for _, e := range forbidden {
-				if !p.Separates(e[0], e[1]) {
-					return false
-				}
-			}
-			return true
-		}
-
-		for _, guarded := range []bool{false, true} {
-			d := NewDescentState()
-			m := Singletons(n)
-			for m.NumBlocks() > 1 {
-				var got P
-				var gotOK bool
-				if guarded {
-					got, gotOK = MinMergeClosureOn(pool, d, top, m, forbidden, nil)
-				} else {
-					got, gotOK = MinMergeClosureOn(pool, d, top, m, nil, keep)
-				}
-				want, wantOK := minOverFull(MergeClosuresOn(pool, top, m, nil, keep))
-				if gotOK != wantOK {
-					t.Fatalf("trial %d guarded=%v at %d blocks: min ok=%v, full ok=%v",
-						trial, guarded, m.NumBlocks(), gotOK, wantOK)
-				}
-				if !gotOK {
-					break
-				}
-				if !got.Equal(want) {
-					t.Fatalf("trial %d guarded=%v at %d blocks: min %s, full %s",
-						trial, guarded, m.NumBlocks(), got, want)
-				}
-				m = got
-			}
+		label := fmt.Sprintf("dense trial %d (%d states, %d pairs)", trial, top.NumStates(), len(forbidden))
+		if descend(label, top, forbidden) == 0 {
+			t.Fatalf("%s: the descent never left ⊤", label)
 		}
 	}
 }
 
 // TestPairMemoMatchesUnmemoized is the pair-graph pass's equivalence
-// property: random systems descended twice per configuration — once with
-// the pass (the default), once through DisablePairMemo — must produce
+// property: random systems descended twice per pool — once with the pass
+// (the default), once through DisablePairMemo — must produce
 // bit-identical winners at every level, on a serial pool and a
-// four-worker one, guarded and unguarded. It also pins the counter
-// contracts: the pass's cascade split accounts for every cold closure
-// and is identical at both pool sizes, and the unshared run reports
-// every cascade cold.
+// four-worker one. It also pins the counter contracts: the pass's
+// cascade split accounts for every cold closure and is identical at both
+// pool sizes, and the unshared run reports every cascade cold.
 func TestPairMemoMatchesUnmemoized(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	serial, four := exec.New(1), exec.New(4)
 	defer serial.Close()
 	defer four.Close()
-	pools := []*exec.Pool{serial, four}
 	for trial := 0; trial < 30; trial++ {
 		top := dfsm.RandomMachine(rng, "T", 6+rng.Intn(14), []string{"a", "b"})
 		n := top.NumStates()
-		var forbidden [][2]int
-		for i := 0; i < 1+rng.Intn(5); i++ {
-			x, y := rng.Intn(n), rng.Intn(n)
-			if x != y {
-				forbidden = append(forbidden, [2]int{x, y})
-			}
-		}
-		keep := func(p P) bool {
-			for _, e := range forbidden {
-				if !p.Separates(e[0], e[1]) {
-					return false
-				}
-			}
-			return true
-		}
+		forbidden := randomPairs(rng, n, 1+rng.Intn(5))
 
-		var splits [2][]DescentStats // per guarded, one per pool
-		for _, pool := range pools {
-			for gi, guarded := range []bool{false, true} {
-				dm := NewDescentState()
-				dc := NewDescentState()
-				dc.DisablePairMemo()
-				level := func(d *DescentState, m P) (P, bool) {
-					if guarded {
-						return MinMergeClosureOn(pool, d, top, m, forbidden, nil)
-					}
-					return MinMergeClosureOn(pool, d, top, m, nil, keep)
+		var splits []DescentStats // one per pool
+		for _, pool := range []*exec.Pool{serial, four} {
+			dm := NewDescentState()
+			dc := NewDescentState()
+			dc.DisablePairMemo()
+			mM, mC := Singletons(n), Singletons(n)
+			for {
+				gotM, okM := MinMergeClosureOn(pool, dm, top, mM, forbidden)
+				gotC, okC := MinMergeClosureOn(pool, dc, top, mC, forbidden)
+				if okM != okC {
+					t.Fatalf("trial %d workers=%d at %d blocks: memoized ok=%v, unmemoized ok=%v",
+						trial, pool.Workers(), mM.NumBlocks(), okM, okC)
 				}
-				mM, mC := Singletons(n), Singletons(n)
-				for {
-					gotM, okM := level(dm, mM)
-					gotC, okC := level(dc, mC)
-					if okM != okC {
-						t.Fatalf("trial %d guarded=%v workers=%d at %d blocks: memoized ok=%v, unmemoized ok=%v",
-							trial, guarded, pool.Workers(), mM.NumBlocks(), okM, okC)
-					}
-					if !okM {
-						break
-					}
-					if !gotM.Equal(gotC) {
-						t.Fatalf("trial %d guarded=%v workers=%d at %d blocks: memoized %s, unmemoized %s",
-							trial, guarded, pool.Workers(), mM.NumBlocks(), gotM, gotC)
-					}
-					mM, mC = gotM, gotC
+				if !okM {
+					break
 				}
+				if !gotM.Equal(gotC) {
+					t.Fatalf("trial %d workers=%d at %d blocks: memoized %s, unmemoized %s",
+						trial, pool.Workers(), mM.NumBlocks(), gotM, gotC)
+				}
+				mM, mC = gotM, gotC
+			}
 
-				sm, sc := dm.Stats(), dc.Stats()
-				if sm.ImpliedCascades+sm.SeededCascades+sm.ColdCascades != sm.ColdClosures {
-					t.Fatalf("trial %d guarded=%v workers=%d: memoized split %d+%d+%d != %d cold closures",
-						trial, guarded, pool.Workers(),
-						sm.ImpliedCascades, sm.SeededCascades, sm.ColdCascades, sm.ColdClosures)
-				}
-				if sc.ImpliedCascades != 0 || sc.SeededCascades != 0 || sc.ColdCascades != sc.ColdClosures {
-					t.Fatalf("trial %d guarded=%v workers=%d: unmemoized stats claim sharing: %+v",
-						trial, guarded, pool.Workers(), sc)
-				}
-				splits[gi] = append(splits[gi], sm)
+			sm, sc := dm.Stats(), dc.Stats()
+			if sm.ImpliedCascades+sm.SeededCascades+sm.ColdCascades != sm.ColdClosures {
+				t.Fatalf("trial %d workers=%d: memoized split %d+%d+%d != %d cold closures",
+					trial, pool.Workers(),
+					sm.ImpliedCascades, sm.SeededCascades, sm.ColdCascades, sm.ColdClosures)
 			}
+			if sc.ImpliedCascades != 0 || sc.SeededCascades != 0 || sc.ColdCascades != sc.ColdClosures {
+				t.Fatalf("trial %d workers=%d: unmemoized stats claim sharing: %+v",
+					trial, pool.Workers(), sc)
+			}
+			splits = append(splits, sm)
 		}
-		for gi, s := range splits {
-			if s[0] != s[1] {
-				t.Fatalf("trial %d guarded=%v: stats differ by pool size: 1 worker %+v, 4 workers %+v",
-					trial, gi == 1, s[0], s[1])
-			}
+		if splits[0] != splits[1] {
+			t.Fatalf("trial %d: stats differ by pool size: 1 worker %+v, 4 workers %+v",
+				trial, splits[0], splits[1])
 		}
 	}
 }
@@ -277,7 +255,7 @@ func TestPrunedPairNeverReclosed(t *testing.T) {
 			clear(closed)
 			mu.Unlock()
 
-			best, ok := MinMergeClosureOn(pool, d, top, m, forbidden, nil)
+			best, ok := MinMergeClosureOn(pool, d, top, m, forbidden)
 			if !ok {
 				break
 			}
@@ -317,7 +295,7 @@ func TestDescentStateReset(t *testing.T) {
 	d := NewDescentState()
 	m := Singletons(12)
 	for m.NumBlocks() > 1 {
-		best, ok := MinMergeClosureOn(pool, d, top, m, forbidden, nil)
+		best, ok := MinMergeClosureOn(pool, d, top, m, forbidden)
 		if !ok {
 			break
 		}
@@ -343,7 +321,7 @@ func TestDescentStateReset(t *testing.T) {
 	// The second descent must still produce the cold-start result.
 	m = Singletons(12)
 	for m.NumBlocks() > 1 {
-		best, ok := MinMergeClosureOn(pool, d, top, m, forbidden, nil)
+		best, ok := MinMergeClosureOn(pool, d, top, m, forbidden)
 		if !ok {
 			break
 		}
@@ -351,7 +329,7 @@ func TestDescentStateReset(t *testing.T) {
 	}
 	mCold := Singletons(12)
 	for mCold.NumBlocks() > 1 {
-		best, ok := minOverFull(MergeClosuresOn(pool, top, mCold, forbidden, nil))
+		best, ok := minOverFull(MergeClosuresOn(pool, top, mCold, forbidden))
 		if !ok {
 			break
 		}

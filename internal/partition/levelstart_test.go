@@ -60,17 +60,13 @@ func pairClosures(top *dfsm.Machine, p P) []P {
 }
 
 // refMergeClosures is the reference MergeClosuresOn over p's pair
-// closures: keep each that separates every forbidden pair and passes
-// keep, deduplicated in order.
-func refMergeClosures(closures []P, forbidden [][2]int, keep func(P) bool) []P {
+// closures: keep each that separates every forbidden pair, deduplicated
+// in order.
+func refMergeClosures(closures []P, forbidden [][2]int) []P {
 	seen := map[string]bool{}
 	var out []P
 	for _, c := range closures {
-		ok := keep == nil || keep(c)
-		for _, e := range forbidden {
-			ok = ok && c.Separates(e[0], e[1])
-		}
-		if ok && !seen[c.Key()] {
+		if separating(forbidden)(c) && !seen[c.Key()] {
 			seen[c.Key()] = true
 			out = append(out, c)
 		}
@@ -108,7 +104,7 @@ func descentStart(top *dfsm.Machine, maxBlocks int) P {
 	m := Singletons(top.NumStates())
 	for m.NumBlocks() > maxBlocks {
 		var fit, coarsest P
-		for _, c := range MergeClosuresOn(exec.Default(), top, m, nil, nil) {
+		for _, c := range MergeClosuresOn(exec.Default(), top, m, nil) {
 			if c.NumBlocks() <= maxBlocks && (fit.N() == 0 || c.NumBlocks() > fit.NumBlocks()) {
 				fit = c
 			}
@@ -176,11 +172,11 @@ func assertSameClosures(t *testing.T, label string, got, want []P) {
 }
 
 // TestMergeClosuresMatchNaiveFixpoint checks the fan-out kernel — one
-// level-start forest and one armed guard shared by every cascade — against
-// per-pair reference closures, on product tops of 20–200 states, from
-// closed level starts and from starts that are not closed, under no
-// constraint, a forbidden list, a keep predicate, a forbidden pair already
-// inside one block of the start, and a degenerate (s, s) pair.
+// level-start forest shared by every cascade — against per-pair reference
+// closures, on product tops of 20–200 states, from closed level starts
+// and from starts that are not closed, under no constraint, a short and a
+// dense forbidden list, a forbidden pair already inside one block of the
+// start, and a degenerate (s, s) pair.
 func TestMergeClosuresMatchNaiveFixpoint(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	pool := exec.New(2)
@@ -207,30 +203,27 @@ func TestMergeClosuresMatchNaiveFixpoint(t *testing.T) {
 			p := start.p
 			closures := pairClosures(top, p)
 			forbidden := randomPairs(rng, n, 1+rng.Intn(4))
-			keep := func(c P) bool { return c.NumBlocks()%3 != 0 }
 			type constraintCase struct {
 				name      string
 				forbidden [][2]int
-				keep      func(P) bool
 				none      bool // the constraint rejects every closure
 			}
 			cases := []constraintCase{
-				{"nil", nil, nil, false},
-				{"forbidden", forbidden, nil, false},
-				{"keep", nil, keep, false},
-				{"forbidden+keep", forbidden, keep, false},
-				{"degenerate", append([][2]int{{3, 3}}, forbidden...), nil, true},
+				{"nil", nil, false},
+				{"forbidden", forbidden, false},
+				{"dense", randomPairs(rng, n, 100+rng.Intn(201)), false},
+				{"degenerate", append([][2]int{{3, 3}}, forbidden...), true},
 			}
 			if pair, ok := samePair(p); ok {
-				cases = append(cases, constraintCase{"inside a block", append([][2]int{pair}, forbidden...), nil, true})
+				cases = append(cases, constraintCase{"inside a block", append([][2]int{pair}, forbidden...), true})
 			}
 			for _, c := range cases {
 				label := fmt.Sprintf("trial %d (%d states), %s (%d blocks), %s", trial, n, start.name, p.NumBlocks(), c.name)
-				want := refMergeClosures(closures, c.forbidden, c.keep)
+				want := refMergeClosures(closures, c.forbidden)
 				if c.none && len(want) != 0 {
 					t.Fatalf("%s: reference kept %d closures", label, len(want))
 				}
-				assertSameClosures(t, label, MergeClosuresOn(pool, top, p, c.forbidden, c.keep), want)
+				assertSameClosures(t, label, MergeClosuresOn(pool, top, p, c.forbidden), want)
 			}
 		}
 	}
@@ -238,10 +231,10 @@ func TestMergeClosuresMatchNaiveFixpoint(t *testing.T) {
 
 // TestFanOutStateDoesNotLeak interleaves, on a one-worker pool whose
 // single scratch serves every cascade, fan-outs over two tops with
-// different level starts and forbidden lists — guarded after unguarded
-// and back, large top after small — with single-shot Close and
-// CloseGuarded calls. Each result must match its reference: no base
-// forest, guard or tag list of one call may reach the next.
+// different level starts and forbidden lists — constrained after
+// unconstrained and back, large top after small — with single-shot Close
+// calls on starts that are not closed. Each result must match its
+// reference: no base forest or stack of one call may reach the next.
 func TestFanOutStateDoesNotLeak(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	pool := exec.New(1)
@@ -261,122 +254,82 @@ func TestFanOutStateDoesNotLeak(t *testing.T) {
 		p := descentStart(top, 30)
 		closures := pairClosures(top, p)
 		for _, forbidden := range [][][2]int{randomPairs(rng, n, 3), nil} {
-			fans = append(fans, fanOut{top, p, forbidden, refMergeClosures(closures, forbidden, nil)})
+			fans = append(fans, fanOut{top, p, forbidden, refMergeClosures(closures, forbidden)})
 		}
 	}
 	type single struct {
-		top       *dfsm.Machine
-		p         P
-		forbidden [][2]int
-		want      P
-		wantOK    bool
+		top  *dfsm.Machine
+		p    P
+		want P
 	}
 	var singles []single
 	for _, top := range []*dfsm.Machine{small, big} {
-		n := top.NumStates()
 		p := notClosed(t, rng, top, descentStart(top, 30))
-		want := naiveClose(top, p.Assignment())
-		// One guard drawn at random, one of pairs the closure separates
-		// (when it separates any), and no guard.
-		forbidden := randomPairs(rng, n, 2)
-		ok := true
-		for _, e := range forbidden {
-			ok = ok && want.Separates(e[0], e[1])
-		}
-		var apart [][2]int
-		for _, e := range randomPairs(rng, n, 20) {
-			if want.Separates(e[0], e[1]) {
-				apart = append(apart, e)
-			}
-		}
-		singles = append(singles, single{top, p, forbidden, want, ok}, single{top, p, apart, want, true}, single{top, p, nil, want, true})
+		singles = append(singles, single{top, p, naiveClose(top, p.Assignment())})
 	}
 
 	for round := 0; round < 3; round++ {
 		for i := range fans {
 			f := fans[(i+round)%len(fans)]
 			label := fmt.Sprintf("round %d, fan-out %d", round, (i+round)%len(fans))
-			assertSameClosures(t, label, MergeClosuresOn(pool, f.top, f.p, f.forbidden, nil), f.want)
+			assertSameClosures(t, label, MergeClosuresOn(pool, f.top, f.p, f.forbidden), f.want)
 
 			s := singles[(i+round)%len(singles)]
-			var got P
-			ok := true
-			if len(s.forbidden) == 0 {
-				got = Close(s.top, s.p)
-			} else {
-				got, ok = CloseGuarded(s.top, s.p, s.forbidden)
-			}
-			if ok != s.wantOK || ok && !got.Equal(s.want) {
-				t.Fatalf("%s, single %d: got %s (ok=%v), reference %s (ok=%v)",
-					label, (i+round)%len(singles), got, ok, s.want, s.wantOK)
+			if got := Close(s.top, s.p); !got.Equal(s.want) {
+				t.Fatalf("%s, single %d: got %s, reference %s", label, (i+round)%len(singles), got, s.want)
 			}
 		}
 	}
 }
 
 // checkPass evaluates tasks at level start p through the pair-graph pass
-// twice — guarded by forbidden, then filtered by a keep that demands every
-// forbidden pair stay separated — on the shared table tab. Each task's
-// verdict, and closure when it passes, must match unmemoized closePairs
-// and the naive fixpoint, and onClose must see every task exactly once
-// (none when p already merges a forbidden pair).
-// It returns the pass's results, guarded first.
-func checkPass(t *testing.T, label string, pool *exec.Pool, tab *sccTable, top *dfsm.Machine, p P, tasks []pairTask, forbidden [][2]int) [2][]pairResult {
+// under forbidden, on the shared table tab. Each task's verdict, and
+// closure when it passes, must match unmemoized closePairs and the naive
+// fixpoint, and onClose must see every task exactly once (none when p
+// already merges a forbidden pair). It returns the pass's results.
+func checkPass(t *testing.T, label string, pool *exec.Pool, tab *sccTable, top *dfsm.Machine, p P, tasks []pairTask, forbidden [][2]int) []pairResult {
 	t.Helper()
-	keep := func(c P) bool {
-		for _, e := range forbidden {
-			if !c.Separates(e[0], e[1]) {
-				return false
-			}
-		}
-		return true
+	var mu sync.Mutex // an open p falls back to the pooled fan-out
+	seen := map[int]int{}
+	got := tab.closeLevel(pool, top, p, tasks, forbidden, func(x, y int) {
+		mu.Lock()
+		seen[pairIndex(x, y)]++
+		mu.Unlock()
+	})
+	want := len(tasks)
+	if newLevelStart(top, p, forbidden).violated {
+		want = 0 // every task fails before any closure runs
 	}
-	var out [2][]pairResult
-	for k, con := range []constraint{{forbidden: forbidden}, {keep: keep}} {
-		path := [2]string{"guarded", "keep"}[k]
-		var mu sync.Mutex // an open p falls back to the pooled fan-out
-		seen := map[int]int{}
-		got := tab.closeLevel(pool, top, p, tasks, con, func(x, y int) {
-			mu.Lock()
-			seen[pairIndex(x, y)]++
-			mu.Unlock()
-		})
-		want := len(tasks)
-		if newLevelStart(top, p, con.forbidden).violated {
-			want = 0 // every task fails before any closure runs
-		}
-		if len(seen) != want {
-			t.Fatalf("%s, %s: onClose saw %d pairs, want %d", label, path, len(seen), want)
-		}
-		for i, cnt := range seen {
-			if cnt != 1 {
-				t.Fatalf("%s, %s: onClose saw pair %d %d times", label, path, i, cnt)
-			}
-		}
-		cold := closePairs(pool, top, p, tasks, con, nil)
-		for i, task := range tasks {
-			assign := p.Assignment()
-			bx, by := assign[task.x], assign[task.y]
-			for s, b := range assign {
-				if b == by {
-					assign[s] = bx
-				}
-			}
-			want := naiveClose(top, assign)
-			wantOK := keep(want)
-			g, c := got[i], cold[i]
-			if g.ok != wantOK || c.ok != wantOK {
-				t.Fatalf("%s, %s, pair (%d,%d): pass ok=%v, closePairs ok=%v, reference ok=%v",
-					label, path, task.x, task.y, g.ok, c.ok, wantOK)
-			}
-			if wantOK && (!g.cand.Equal(want) || !c.cand.Equal(want)) {
-				t.Fatalf("%s, %s, pair (%d,%d): pass %s, closePairs %s, reference %s",
-					label, path, task.x, task.y, g.cand, c.cand, want)
-			}
-		}
-		out[k] = got
+	if len(seen) != want {
+		t.Fatalf("%s: onClose saw %d pairs, want %d", label, len(seen), want)
 	}
-	return out
+	for i, cnt := range seen {
+		if cnt != 1 {
+			t.Fatalf("%s: onClose saw pair %d %d times", label, i, cnt)
+		}
+	}
+	cold := closePairs(pool, top, p, tasks, forbidden, nil)
+	for i, task := range tasks {
+		assign := p.Assignment()
+		bx, by := assign[task.x], assign[task.y]
+		for s, b := range assign {
+			if b == by {
+				assign[s] = bx
+			}
+		}
+		want := naiveClose(top, assign)
+		wantOK := separating(forbidden)(want)
+		g, c := got[i], cold[i]
+		if g.ok != wantOK || c.ok != wantOK {
+			t.Fatalf("%s, pair (%d,%d): pass ok=%v, closePairs ok=%v, reference ok=%v",
+				label, task.x, task.y, g.ok, c.ok, wantOK)
+		}
+		if wantOK && (!g.cand.Equal(want) || !c.cand.Equal(want)) {
+			t.Fatalf("%s, pair (%d,%d): pass %s, closePairs %s, reference %s",
+				label, task.x, task.y, g.cand, c.cand, want)
+		}
+	}
+	return got
 }
 
 // cascadesRun counts the results whose pair ran a cascade of its own.
@@ -392,10 +345,11 @@ func cascadesRun(res []pairResult) int {
 
 // TestPairGraphPassHardCases checks the per-level pair-graph pass against
 // unmemoized closePairs and the naive fixpoint on the cases its shortcuts
-// could get wrong, guarded and keep-filtered, on one reused table: a
-// violation the SCC's own cascade must catch, a pair graph that is one
-// SCC, a search 10⁵ nodes deep, and random product tops from closed and
-// open level starts.
+// could get wrong, on one reused table: a violation the SCC's own
+// cascade must catch, a start that already merges a forbidden pair, a
+// pair graph that is one SCC, a search 10⁵ nodes deep, and random product
+// tops from closed and open level starts under short and dense forbidden
+// lists.
 func TestPairGraphPassHardCases(t *testing.T) {
 	pool := exec.New(2)
 	defer pool.Close()
@@ -435,21 +389,35 @@ func TestPairGraphPassHardCases(t *testing.T) {
 	})
 	top := Singletons(5)
 	res := checkPass(t, "transitive", pool, &tab, trans, top, blockPairs(top), [][2]int{{2, 4}})
-	for k, r := range res {
-		for i, task := range blockPairs(top) {
-			switch {
-			case task.x == 0 && task.y == 1 && (r[i].ok || r[i].out == cascadeImplied):
-				t.Fatalf("transitive, path %d: (0,1) ok=%v outcome %d; want its own cascade to fail", k, r[i].ok, r[i].out)
-			case (task.x == 2 && task.y == 3 || task.x == 3 && task.y == 4) && !r[i].ok:
-				t.Fatalf("transitive, path %d: successor (%d,%d) failed", k, task.x, task.y)
-			}
+	for i, task := range blockPairs(top) {
+		switch {
+		case task.x == 0 && task.y == 1 && (res[i].ok || res[i].out == cascadeImplied):
+			t.Fatalf("transitive: (0,1) ok=%v outcome %d; want its own cascade to fail", res[i].ok, res[i].out)
+		case (task.x == 2 && task.y == 3 || task.x == 3 && task.y == 4) && !res[i].ok:
+			t.Fatalf("transitive: successor (%d,%d) failed", task.x, task.y)
+		}
+	}
+
+	// A forbidden pair inside the last block of a closed start: close(p)
+	// already merges it, so every task fails before any node is flagged.
+	// Its node would be node(1, 1), one past the table's only node.
+	swap := machine(3, []string{"s", "j"}, func(s, e int) int {
+		if e == 1 {
+			return 1
+		}
+		return []int{0, 2, 1}[s]
+	})
+	top = MustFromBlocks(3, [][]int{{0}, {1, 2}})
+	for _, r := range checkPass(t, "inside the last block", pool, &tab, swap, top, blockPairs(top), [][2]int{{1, 2}}) {
+		if r.ok {
+			t.Fatal("inside the last block: a task passed although the start merges a forbidden pair")
 		}
 	}
 
 	// One giant SCC: a rotation and a transposition generate the full
 	// symmetric group, which moves every unordered pair to every other.
-	// The guarded pass fails the SCC on its forbidden member without a
-	// cascade; the keep path runs exactly one.
+	// The pass fails the SCC on its forbidden member without a cascade;
+	// unconstrained, it runs exactly one.
 	const g = 24
 	giant := machine(g, []string{"rot", "swap"}, func(s, e int) int {
 		switch {
@@ -461,15 +429,17 @@ func TestPairGraphPassHardCases(t *testing.T) {
 		return s
 	})
 	top = Singletons(g)
-	res = checkPass(t, "giant SCC", pool, &tab, giant, top, blockPairs(top), [][2]int{{0, 5}})
-	if n := cascadesRun(res[0]); n != 0 {
-		t.Fatalf("giant SCC, guarded: %d cascades ran, want 0", n)
-	}
-	if n := cascadesRun(res[1]); n != 1 {
-		t.Fatalf("giant SCC, keep: %d cascades ran, want 1", n)
-	}
-	if len(tab.sccs) != 1 {
-		t.Fatalf("giant SCC: %d SCCs, want 1", len(tab.sccs))
+	for _, c := range []struct {
+		forbidden [][2]int
+		cascades  int
+	}{{[][2]int{{0, 5}}, 0}, {nil, 1}} {
+		res = checkPass(t, "giant SCC", pool, &tab, giant, top, blockPairs(top), c.forbidden)
+		if n := cascadesRun(res); n != c.cascades {
+			t.Fatalf("giant SCC, forbidden %v: %d cascades ran, want %d", c.forbidden, n, c.cascades)
+		}
+		if len(tab.sccs) != 1 {
+			t.Fatalf("giant SCC, forbidden %v: %d SCCs, want 1", c.forbidden, len(tab.sccs))
+		}
 	}
 
 	// A 10⁵-node chain: tracks x_0..x_{m-1} (states 0..m-1) and
@@ -507,8 +477,10 @@ func TestPairGraphPassHardCases(t *testing.T) {
 		top := productTop(t, rng, 20+trial*10, 40+trial*10)
 		closed := descentStart(top, 30)
 		for _, p := range []P{Singletons(top.NumStates()), closed, notClosed(t, rng, top, closed)} {
-			label := fmt.Sprintf("trial %d, %d blocks", trial, p.NumBlocks())
-			checkPass(t, label, pool, &tab, top, p, blockPairs(p), randomPairs(rng, top.NumStates(), 3))
+			for _, k := range []int{3, 100 + rng.Intn(201)} {
+				label := fmt.Sprintf("trial %d, %d blocks, %d pairs", trial, p.NumBlocks(), k)
+				checkPass(t, label, pool, &tab, top, p, blockPairs(p), randomPairs(rng, top.NumStates(), k))
+			}
 		}
 	}
 }

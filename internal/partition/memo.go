@@ -24,13 +24,13 @@ import (
 //     a forbidden pair or if any successor SCC failed: the constraint is
 //     monotone under coarsening and the successor's closure is contained
 //     in this one.
-//   - Otherwise one guarded cascade of one member (the SCC's Tarjan root)
-//     runs. Each union it is about to propagate first looks up the node
-//     of its block pair. A node of a finished SCC has a passing closure,
-//     which is absorbed wholesale, or returned outright when it also
-//     unites the member's own two blocks (the closures are then equal).
-//     The guard still catches a forbidden pair merged only transitively,
-//     and keep judges the finished closure.
+//   - Otherwise one cascade of one member (the SCC's Tarjan root) runs.
+//     Each union it is about to propagate first looks up the node of its
+//     block pair. A node of a finished SCC has a passing closure, which
+//     is absorbed wholesale, or returned outright when it also unites the
+//     member's own two blocks (the closures are then equal). The finished
+//     closure is then checked against every forbidden pair, which catches
+//     a pair merged only transitively.
 //
 // Every member shares the SCC's verdict and closure. The pass is serial
 // and its order is fixed by the task order, so the outcome of every pair,
@@ -39,8 +39,8 @@ import (
 // Per node the table holds index, low and comp as int32 plus a flag
 // byte: 13 B, where the racing per-pair memo it replaced held a 4 B
 // state word and a 40 B P. Per SCC it holds an 8 B verdict, and a P only
-// for the SCCs whose cascade finished. The buffers survive across levels
-// and Reset, which clears the closure references but keeps the capacity.
+// for the SCCs that passed. The buffers survive across levels and Reset,
+// which clears the closure references but keeps the capacity.
 type sccTable struct {
 	// The level start as a quotient machine: blockOf is p's block vector
 	// (read-only view), rep[b] the least state of block b, and
@@ -56,7 +56,7 @@ type sccTable struct {
 	index, low, comp []int32
 	flags            []uint8
 
-	// Per SCC in emission order; parts holds the finished closures, and
+	// Per SCC in emission order; parts holds the passing closures, and
 	// its entries past len are always zero.
 	sccs  []sccVerdict
 	parts []P
@@ -74,9 +74,8 @@ const (
 )
 
 // sccVerdict is one SCC's judgement: whether its closure passes the level
-// constraint, the index of its closure in parts (-1 when no cascade
-// finished), and how its root's cascade resolved (cascadeImplied when
-// none ran).
+// constraint, the index of its closure in parts (-1 unless it passed),
+// and how its root's cascade resolved (cascadeImplied when none ran).
 type sccVerdict struct {
 	part int32
 	ok   bool
@@ -145,22 +144,24 @@ func resize[T any](s []T, n int) []T {
 // evaluates them in one pass over the pair graph instead of one cascade
 // each, and returns the same results. A p that is not closed falls back
 // to closePairs. onClose observes every task once, on the caller.
-func (t *sccTable) closeLevel(pool *exec.Pool, top *dfsm.Machine, p P, tasks []pairTask, con constraint, onClose func(x, y int)) []pairResult {
-	st := newLevelStart(top, p, con.forbidden)
+func (t *sccTable) closeLevel(pool *exec.Pool, top *dfsm.Machine, p P, tasks []pairTask, forbidden [][2]int, onClose func(x, y int)) []pairResult {
+	st := newLevelStart(top, p, forbidden)
 	if st.base.Sets() != p.NumBlocks() {
-		return closePairs(pool, top, p, tasks, con, onClose)
+		return closePairs(pool, top, p, tasks, forbidden, onClose)
 	}
 	res := make([]pairResult, len(tasks))
 	if st.violated {
 		return res
 	}
+	// Not violated, so every forbidden pair spans two blocks of p: a pair
+	// inside one block would index node(i, i), which aliases node(0, i+1).
 	t.reset(top, p)
-	for _, e := range con.forbidden {
+	for _, e := range forbidden {
 		t.flags[t.nodeOf(e[0], e[1])] |= nodeForbidden
 	}
 	c := pool.Acquire()
 	defer pool.Release(c)
-	lv := &levelPass{t: t, c: c, top: top, st: st, keep: con.keep}
+	lv := &levelPass{t: t, c: c, top: top, st: st, forbidden: forbidden}
 	for _, task := range tasks {
 		if onClose != nil {
 			onClose(task.x, task.y)
@@ -208,11 +209,11 @@ func (t *sccTable) lookup(a, b int) (m P, done bool) {
 
 // levelPass is the per-level context of closeLevel's search.
 type levelPass struct {
-	t    *sccTable
-	c    *exec.Ctx
-	top  *dfsm.Machine
-	st   *levelStart
-	keep func(P) bool
+	t         *sccTable
+	c         *exec.Ctx
+	top       *dfsm.Machine
+	st        *levelStart
+	forbidden [][2]int
 }
 
 // open pushes the unvisited node u of blocks i < j onto both stacks.
@@ -290,10 +291,9 @@ func (lv *levelPass) emit(u int, i, j int32) {
 	v := sccVerdict{part: -1, out: cascadeImplied}
 	if !doomed {
 		t.cur = c
-		cand, out, ok := cascade(lv.c, lv.top, lv.st, P{}, t.rep[i], t.rep[j], t)
-		v.ok = ok && (lv.keep == nil || lv.keep(cand))
-		v.out = out
-		if cand.N() > 0 {
+		cand, out := cascade(lv.c, lv.top, lv.st, P{}, t.rep[i], t.rep[j], t)
+		v.ok, v.out = separatesAll(cand, lv.forbidden), out
+		if v.ok {
 			v.part = int32(len(t.parts))
 			t.parts = append(t.parts, cand)
 		}

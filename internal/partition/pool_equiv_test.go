@@ -43,64 +43,42 @@ func samePartitionSeq(a, b []P) bool {
 	return true
 }
 
+// separating returns the reference form of a forbidden list: a predicate
+// that keeps the partitions separating every pair.
+func separating(forbidden [][2]int) func(P) bool {
+	return func(c P) bool {
+		for _, e := range forbidden {
+			if !c.Separates(e[0], e[1]) {
+				return false
+			}
+		}
+		return true
+	}
+}
+
 // TestMergeClosuresPooledMatchesSerial is the pooled-vs-serial
 // equivalence property: for random tops, random starting partitions and
 // every pool size, MergeClosuresOn returns the serial reference's exact
-// candidate sequence.
+// candidate sequence, unconstrained and under random forbidden pairs.
 func TestMergeClosuresPooledMatchesSerial(t *testing.T) {
 	pools := []*exec.Pool{exec.New(1), exec.New(2), exec.New(4), exec.New(7)}
 	rng := rand.New(rand.NewSource(71))
-	for trial := 0; trial < 40; trial++ {
+	for trial := 0; trial < 80; trial++ {
 		top := dfsm.RandomMachine(rng, "T", 2+rng.Intn(10), []string{"a", "b", "c"})
 		n := top.NumStates()
 		p := Singletons(n)
 		for k := rng.Intn(3); k > 0; k-- { // random coarser starting point
 			p = Close(top, p.MergeBlocks(rng.Intn(p.NumBlocks()), rng.Intn(p.NumBlocks())))
 		}
-		var keep func(P) bool
-		if trial%2 == 1 {
-			limit := 1 + rng.Intn(n)
-			keep = func(c P) bool { return c.NumBlocks() >= limit }
-		}
-		want := serialMergeClosures(top, p, keep)
-		for _, pool := range pools {
-			got := MergeClosuresOn(pool, top, p, nil, keep)
-			if !samePartitionSeq(got, want) {
-				t.Fatalf("trial %d workers=%d: pooled %v != serial %v", trial, pool.Workers(), got, want)
-			}
-		}
-	}
-}
-
-// TestMergeClosuresGuardedPooledMatchesSerial extends the property to the
-// guarded (abort-early) evaluation path.
-func TestMergeClosuresGuardedPooledMatchesSerial(t *testing.T) {
-	pools := []*exec.Pool{exec.New(2), exec.New(5)}
-	rng := rand.New(rand.NewSource(73))
-	for trial := 0; trial < 40; trial++ {
-		top := dfsm.RandomMachine(rng, "T", 3+rng.Intn(9), []string{"a", "b"})
-		n := top.NumStates()
-		p := Singletons(n)
 		var forbidden [][2]int
-		for k := 0; k < rng.Intn(5); k++ {
-			a, b := rng.Intn(n), rng.Intn(n)
-			if a != b {
-				forbidden = append(forbidden, [2]int{a, b})
-			}
+		if trial%2 == 1 && n > 1 {
+			forbidden = randomPairs(rng, n, 1+rng.Intn(4))
 		}
-		keep := func(c P) bool {
-			for _, e := range forbidden {
-				if !c.Separates(e[0], e[1]) {
-					return false
-				}
-			}
-			return true
-		}
-		want := serialMergeClosures(top, p, keep)
+		want := serialMergeClosures(top, p, separating(forbidden))
 		for _, pool := range pools {
-			got := MergeClosuresOn(pool, top, p, forbidden, nil)
+			got := MergeClosuresOn(pool, top, p, forbidden)
 			if !samePartitionSeq(got, want) {
-				t.Fatalf("trial %d workers=%d: guarded pooled %v != serial %v", trial, pool.Workers(), got, want)
+				t.Fatalf("trial %d workers=%d forbidden=%v: pooled %v != serial %v", trial, pool.Workers(), forbidden, got, want)
 			}
 		}
 	}

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Regression gate for the Algorithm 2 hot path: runs the Table 1 rows, the
-# NoIncremental ablation row, the single-closure row and the guarded vs
-# filtered descent rows at a reduced benchtime and fails when any
-# row's ns/op regressed more than BENCH_MAX_REGRESSION_PCT (default 15 —
+# Regression gate for the Algorithm 2 hot path: runs the five Table 1 rows
+# (BenchmarkTable1Row1-5), the NoIncremental ablation row, the
+# single-closure row (BenchmarkClosure) and the 720-weakest-edge descent
+# row (BenchmarkWeakestEdgeDescent) at a reduced benchtime and fails when
+# any row's ns/op regressed more than BENCH_MAX_REGRESSION_PCT (default 15 —
 # looser than bench-compare's 5 because reduced benchtimes are noisier)
 # against benchmarks/baseline.txt. The default was 0.3s until the PR 9
 # pair-implication memo made the big rows 2.4–33× faster: at 0.3s the
@@ -30,7 +31,7 @@ restore() {
 }
 trap restore EXIT
 
-BENCH_PATTERN='^(BenchmarkTable1Row[1-5]|BenchmarkTable1Row1NoIncremental|BenchmarkClosure|BenchmarkAblationGuardedClosure)$' \
+BENCH_PATTERN='^(BenchmarkTable1Row[1-5]|BenchmarkTable1Row1NoIncremental|BenchmarkClosure|BenchmarkWeakestEdgeDescent)$' \
 BENCH_TIME="${BENCH_TIME:-1s}" \
   scripts/bench.sh
 

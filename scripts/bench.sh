@@ -10,7 +10,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-PATTERN="${BENCH_PATTERN:-^(BenchmarkFig1ModCounters|BenchmarkTable1Row[1-5]|BenchmarkTable1Row1NoIncremental|BenchmarkTable1Row4LevelSharing|BenchmarkCrossProductLarge|BenchmarkClosure|BenchmarkAblationGuardedClosure|BenchmarkSensorNetworkScale|BenchmarkApplyAll|BenchmarkWeakestEdges|BenchmarkServerGenerate|BenchmarkServerGenerateNoObsv|BenchmarkGenerateCacheHit|BenchmarkServerGenerateCached|BenchmarkHandleUpdateDurable)$}"
+PATTERN="${BENCH_PATTERN:-^(BenchmarkFig1ModCounters|BenchmarkTable1Row[1-5]|BenchmarkTable1Row1NoIncremental|BenchmarkTable1Row4LevelSharing|BenchmarkCrossProductLarge|BenchmarkClosure|BenchmarkWeakestEdgeDescent|BenchmarkSensorNetworkScale|BenchmarkApplyAll|BenchmarkWeakestEdges|BenchmarkServerGenerate|BenchmarkServerGenerateNoObsv|BenchmarkGenerateCacheHit|BenchmarkServerGenerateCached|BenchmarkHandleUpdateDurable)$}"
 TIME="${BENCH_TIME:-1s}"
 COUNT="${BENCH_COUNT:-1}"
 CPU="${BENCH_CPU:-}"
