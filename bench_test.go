@@ -109,13 +109,9 @@ func BenchmarkFig5SetRepresentation(b *testing.B) {
 // --- Table 1 -------------------------------------------------------------
 
 func benchTableRow(b *testing.B, suite machines.Suite) {
-	benchTableRowOpts(b, suite, core.GenerateOptions{})
-}
-
-func benchTableRowOpts(b *testing.B, suite machines.Suite, opts core.GenerateOptions) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		row, err := experiments.RunTableRowWithOptions(suite, opts)
+		row, err := experiments.RunTableRow(suite)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -134,26 +130,27 @@ func BenchmarkTable1Row3(b *testing.B) { benchTableRow(b, machines.PaperSuites()
 func BenchmarkTable1Row4(b *testing.B) { benchTableRow(b, machines.PaperSuites()[3]) }
 func BenchmarkTable1Row5(b *testing.B) { benchTableRow(b, machines.PaperSuites()[4]) }
 
-// BenchmarkTable1Row1NoIncremental is Row 1 with the incremental descent
-// engine off (cold levels: no pruning, seeding or pair-graph pass) — the
-// tracked ablation that keeps the cross-level-reuse win measurable.
-func BenchmarkTable1Row1NoIncremental(b *testing.B) {
-	benchTableRowOpts(b, machines.PaperSuites()[0], core.GenerateOptions{NoIncremental: true})
-}
-
-// BenchmarkTable1Row4LevelSharing isolates the within-level sharing on
-// the heaviest row (176-state top, one descent whose level 0 has 15,400
-// cold pairs): "shared" is the default path, whose pass over the pair
-// graph runs 7 cascades for them, "unshared" the NoPairMemo ablation
-// that runs all 15,400 on the pool with the cross-level engine still on,
-// so the pair is the pass's own win.
-func BenchmarkTable1Row4LevelSharing(b *testing.B) {
-	b.Run("shared", func(b *testing.B) {
-		benchTableRowOpts(b, machines.PaperSuites()[3], core.GenerateOptions{})
-	})
-	b.Run("unshared", func(b *testing.B) {
-		benchTableRowOpts(b, machines.PaperSuites()[3], core.GenerateOptions{NoPairMemo: true})
-	})
+// BenchmarkSensorCountersTop runs Algorithm 2 (f = 1) on the reachable
+// product of three mod-k sensor counters, N = k³ states (512 and 729),
+// whose fusion is the k-state sum counter: the large-top row, where level
+// 0's pass has N(N-1)/2 nodes and each seeded level joins few distinct
+// seeds for many pairs.
+func BenchmarkSensorCountersTop(b *testing.B) {
+	for _, k := range []int{8, 9} {
+		sys, err := core.NewSystem(machines.SensorCounters(3, k))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("N=%d", sys.N()), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				F, err := core.GenerateFusion(sys, 1, core.GenerateOptions{})
+				if err != nil || len(F) != 1 || F[0].NumBlocks() != k {
+					b.Fatalf("fusion %v, %v; want one %d-state machine", F, err, k)
+				}
+			}
+		})
+	}
 }
 
 // --- Sensor network (introduction / conclusion) ---------------------------

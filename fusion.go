@@ -48,12 +48,14 @@
 //     lives: on Table 1 Row 4's 176-state top, 1 cascade decides all
 //     15,400 level-0 pairs. The pass is serial and deterministic.
 //
-//   - Across the levels of one descent, a DescentState: pairs whose
-//     closure lost a weakest edge are pruned for the rest of the descent
-//     (the violation only deepens as the partition coarsens), and
-//     surviving candidates re-evaluate as cheap union-find joins of
-//     their remembered closure with the new level's partition instead of
-//     cold cascades.
+//   - Across the levels of one descent, a DescentState that keeps
+//     outcomes per closure, not per pair: one int32 per block pair
+//     numbers the pair's closure, or marks it failed. Failed pairs are
+//     pruned for the rest of the descent (the violation only deepens as
+//     the partition coarsens), and surviving candidates re-evaluate as
+//     union-find joins of their remembered closure with the new level's
+//     partition, one join per distinct closure, instead of cold
+//     cascades. Level 0's pass hands the descent its record directly.
 //
 // Nothing is shared across the descents of one generation: each descent
 // closes its own level 0 under its own weakest-edge constraint, so failed
@@ -65,15 +67,16 @@
 // count and, like every other counter, is deterministic, so sharing
 // effectiveness is inspectable in production.
 //
-// Every tier runs through one closure kernel (internal/partition): the
-// level-0 pass runs it on the caller, and one pool fan-out over the block
-// pairs runs it for every other level. The weakest-edge check is one
-// thing at every size: the weakest edges become a list of state pairs,
-// level 0's pass fails each pair of the list (and everything that reaches
-// it) without a cascade, and every closure that does run is checked
-// against the list once it is finished. The ablation knobs are
-// GenerateOptions.NoIncremental (no cross-level reuse) and NoPairMemo (no
-// within-level pass), each measured by a tracked benchmark row.
+// Every descent, whatever the size of its top, takes the one path above
+// through one closure kernel (internal/partition): the level-0 pass runs
+// it on the caller, and one pool fan-out over the distinct seeds runs it
+// for every other level. DescentStates are recycled across calls, so
+// their tables keep their capacity. The weakest-edge check is one thing
+// at every size: the weakest edges become a list of state pairs, level
+// 0's pass fails each pair of the list (and everything that reaches it)
+// without a cascade, and every closure that does run is checked against
+// the list once it is finished. There are no ablation knobs; the
+// equivalence suites compare the path with test-only cold references.
 //
 // All parallelism flows through one execution engine (see Engine): a
 // persistent worker pool, sized to GOMAXPROCS by default, whose workers

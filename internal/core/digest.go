@@ -48,10 +48,7 @@ func ParseDigest(s string) (Digest, bool) {
 //
 // Of the options only MaxMachines participates: it changes the outcome
 // (success vs. the too-many-machines error). Pool never affects results,
-// and the ablation knobs (NoIncremental, NoPairMemo) return bit-identical
-// fusions by construction — but cacheable requests must not carry them
-// anyway (see Options.Cacheable), since serving an ablation run from
-// cache would defeat its purpose of measuring.
+// and NoCache only says whether the cache may serve the request.
 func RequestDigest(ms []*dfsm.Machine, f int, opts GenerateOptions) Digest {
 	buf := make([]byte, 0, 24+32*len(ms))
 	buf = append(buf, DigestScheme)
@@ -66,9 +63,6 @@ func RequestDigest(ms []*dfsm.Machine, f int, opts GenerateOptions) Digest {
 }
 
 // Cacheable reports whether a Generate call with these options may be
-// served from (and populate) the content-addressed fusion cache: no
-// explicit opt-out, and none of the ablation knobs that exist to measure
-// the generation path itself.
-func (o GenerateOptions) Cacheable() bool {
-	return !o.NoCache && !o.NoIncremental && !o.NoPairMemo
-}
+// served from (and populate) the content-addressed fusion cache: every
+// call without an explicit opt-out.
+func (o GenerateOptions) Cacheable() bool { return !o.NoCache }

@@ -110,11 +110,10 @@ func TestCacheable(t *testing.T) {
 		t.Fatal("zero options must be cacheable")
 	}
 	for name, opts := range map[string]GenerateOptions{
-		"NoCache":       {NoCache: true},
-		"NoIncremental": {NoIncremental: true},
+		"NoCache": {NoCache: true},
 	} {
 		if opts.Cacheable() {
-			t.Errorf("%s: ablation/opt-out option reported cacheable", name)
+			t.Errorf("%s: opt-out option reported cacheable", name)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/exec"
 	"repro/internal/partition"
@@ -19,22 +20,6 @@ type GenerateOptions struct {
 	// that want dedicated capacity pass their engine's pool here
 	// (fusion.Engine does). The choice of pool never changes the output.
 	Pool *exec.Pool
-	// NoIncremental disables the incremental descent engine — the
-	// cross-level violation pruning and survivor-seeded joins of
-	// partition.DescentState — so every descent level re-evaluates all
-	// O(B²) block pairs from scratch; used by the ablation benchmark.
-	// Incremental and cold descents return bit-identical fusions (the
-	// equivalence suite pins this).
-	NoIncremental bool
-	// NoPairMemo disables the within-level sharing — level 0's single
-	// pass over the quotient pair graph, where pairs of one strongly
-	// connected component share one cascade — while keeping the
-	// cross-level incremental machinery, so every cold pair runs its own
-	// cascade on the pool; used by the ablation benchmark. Shared and
-	// unshared levels return bit-identical fusions (the equivalence suite
-	// pins this). Implied by NoIncremental, which drops the DescentState
-	// the pass lives in.
-	NoPairMemo bool
 	// NoCache opts this call out of the content-addressed fusion cache.
 	// GenerateFusion itself ignores it — core always computes — but the
 	// cache-aware layers above (fusion.Engine, fusiond's generate route)
@@ -43,11 +28,18 @@ type GenerateOptions struct {
 	NoCache bool
 }
 
-// incrementalMinStates is the top size below which the descent runs cold:
-// the cross-level bookkeeping of a DescentState (outcome maps, survivor
-// interning) costs more than the handful of closures it saves when a
-// level has only a few dozen pairs. Output is identical either way.
-const incrementalMinStates = 16
+// descents recycles partition.DescentStates across GenerateFusion and
+// GreedyDescent calls, so the pair-graph pass's tables and the descent's
+// records keep their capacity and a small top allocates no fresh state
+// per call. Every state is Reset before it is put back, so a pooled state
+// holds no partition of the call that used it.
+var descents = sync.Pool{New: func() any { return partition.NewDescentState() }}
+
+// releaseDescent resets d and returns it to the pool.
+func releaseDescent(d *partition.DescentState) {
+	d.Reset()
+	descents.Put(d)
+}
 
 // GenerateFusion implements Algorithm 2 of the paper: it returns the
 // smallest set of machines F (as closed partitions of ⊤'s state set) such
@@ -64,18 +56,24 @@ const incrementalMinStates = 16
 // weakest edges become one list of state pairs per descent, and a
 // candidate qualifies when its finished closure separates each of them.
 // Candidate evaluation is parallelized inside the partition merge-closure
-// fan-out, and one partition.DescentState threads pair outcomes across
-// the levels of each descent: pairs whose closure lost a weakest edge are
-// pruned for the rest of the descent, and surviving candidates are
-// re-evaluated at the next level as cheap union-find joins instead of
-// cold closures (opts.NoIncremental falls back to cold levels for the
-// ablation).
+// fan-out, and one pooled partition.DescentState threads outcomes across
+// the levels of each descent: level 0 is one pass over the pair graph of
+// ⊤, pairs whose closure lost a weakest edge are pruned for the rest of
+// the descent, and surviving candidates are re-evaluated at the next level
+// as one union-find join per distinct closure instead of cold closures.
 //
 // Complexity: O(N³·|Σ|·f) as shown in Section 5.1.
 func GenerateFusion(s *System, f int, opts GenerateOptions) ([]partition.P, error) {
 	if f < 0 {
 		return nil, fmt.Errorf("core: cannot tolerate %d faults", f)
 	}
+	d := descents.Get().(*partition.DescentState)
+	defer releaseDescent(d)
+	return generateWith(s, f, opts, d)
+}
+
+// generateWith is GenerateFusion descending with the state d.
+func generateWith(s *System, f int, opts GenerateOptions, d *partition.DescentState) ([]partition.P, error) {
 	genCounters.runs.Add(1)
 	pool := opts.Pool
 	if pool == nil {
@@ -84,13 +82,6 @@ func GenerateFusion(s *System, f int, opts GenerateOptions) ([]partition.P, erro
 	n := s.N()
 	g := BuildFaultGraph(n, s.Parts)
 	var fusions []partition.P
-	var d *partition.DescentState
-	if !opts.NoIncremental && n >= incrementalMinStates {
-		d = partition.NewDescentState()
-		if opts.NoPairMemo {
-			d.DisablePairMemo()
-		}
-	}
 
 	for g.Dmin() <= f {
 		if opts.MaxMachines > 0 && len(fusions) >= opts.MaxMachines {
@@ -98,11 +89,9 @@ func GenerateFusion(s *System, f int, opts GenerateOptions) ([]partition.P, erro
 				f, opts.MaxMachines, g.Dmin())
 		}
 		forbidden := edgePairs(g.WeakestEdges())
-		if d != nil {
-			// Recorded violations are only permanent within one descent:
-			// the weakest-edge set changes with every generated machine.
-			d.Reset()
-		}
+		// Recorded violations are only permanent within one descent: the
+		// weakest-edge set changes with every generated machine.
+		d.Reset()
 
 		// Start at ⊤, which separates every pair and therefore always
 		// covers the weakest edges. Descend through merge closures rather
@@ -122,11 +111,9 @@ func GenerateFusion(s *System, f int, opts GenerateOptions) ([]partition.P, erro
 		}
 
 		genCounters.descents.Add(1)
-		if d != nil {
-			// Stats cover the descent just finished; Reset clears them at
-			// the top of the next iteration.
-			recordDescent(d.Stats())
-		}
+		// Stats cover the descent just finished; Reset clears them at the
+		// top of the next iteration.
+		recordDescent(d.Stats())
 
 		fusions = append(fusions, m)
 		g.Add(m)
@@ -147,14 +134,12 @@ func edgePairs(edges []Edge) [][2]int {
 // GreedyDescent exposes one inner-loop descent of Algorithm 2: starting
 // from ⊤, descend the lattice keeping the given edges covered, and return
 // the final (locally minimal) machine. Used by tests and the exhaustive-
-// search ablation. Like GenerateFusion's inner loop it carries a
-// DescentState, so deeper levels reuse pair outcomes from shallower ones.
+// search ablation. Like GenerateFusion's inner loop it carries a pooled
+// DescentState, so deeper levels reuse outcomes from shallower ones.
 func GreedyDescent(s *System, required []Edge) partition.P {
 	forbidden := edgePairs(required)
-	var d *partition.DescentState
-	if s.N() >= incrementalMinStates {
-		d = partition.NewDescentState()
-	}
+	d := descents.Get().(*partition.DescentState)
+	defer releaseDescent(d)
 	m := partition.Singletons(s.N())
 	for m.NumBlocks() > 1 {
 		best, ok := partition.MinMergeClosureOn(exec.Default(), d, s.Top, m, forbidden)

@@ -15,24 +15,21 @@ import (
 var genCounters struct {
 	runs         atomic.Int64 // GenerateFusion calls
 	descents     atomic.Int64 // outer iterations (one generated machine each)
-	levels       atomic.Int64 // descent levels evaluated (incremental descents)
+	levels       atomic.Int64 // descent levels evaluated
 	coldClosures atomic.Int64 // from-scratch merge closures
 	seededJoins  atomic.Int64 // re-evaluations served as join(survivor, m′)
 	prunedSkips  atomic.Int64 // pair evaluations skipped by violation pruning
 
 	// Level-0 pair-graph pass: the split of ColdClosures by how each pair
-	// resolved (implied + seeded + cold == coldClosures on incremental
-	// descents).
+	// resolved (implied + seeded + cold == coldClosures).
 	impliedCascades atomic.Int64 // ran no cascade of its own: shared its SCC's verdict or a failed successor's
 	seededCascades  atomic.Int64 // its SCC's cascade absorbed at least one finished successor closure
 	coldCascades    atomic.Int64 // its SCC's cascade ran with no successor closure to absorb
 }
 
 // GenerationStats is a point-in-time copy of the process-wide generation
-// counters. All fields are monotonic. The DescentState reuse fields
-// (Levels and below) only accumulate on incremental descents — small
-// tops below the incremental gate run cold and contribute to Runs and
-// Descents alone.
+// counters. All fields are monotonic, and every descent, whatever the
+// size of its top, contributes to all of them.
 type GenerationStats struct {
 	Runs         int64
 	Descents     int64

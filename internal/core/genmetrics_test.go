@@ -8,8 +8,7 @@ import (
 )
 
 // TestGenerationCounters: GenerateFusion advances the process-wide
-// counters — runs and descents always, the DescentState reuse counters
-// whenever the top is large enough for the incremental engine.
+// counters — runs, descents and the DescentState reuse counters.
 func TestGenerationCounters(t *testing.T) {
 	sys, err := NewSystem(machineSet(t, "MESI", "TCP"))
 	if err != nil {
@@ -27,8 +26,8 @@ func TestGenerationCounters(t *testing.T) {
 	if got := after.Descents - before.Descents; got != int64(len(F)) {
 		t.Fatalf("Descents advanced by %d, want %d (one per generated machine)", got, len(F))
 	}
-	// MESI×TCP has a 24-state top — well past the incremental gate — so
-	// the descent stats must have accumulated real work.
+	// MESI×TCP has a 24-state top, so the descent stats must have
+	// accumulated real work.
 	if after.Levels <= before.Levels || after.ColdClosures <= before.ColdClosures {
 		t.Fatalf("incremental counters idle: %+v vs %+v", after, before)
 	}
@@ -53,48 +52,40 @@ func TestGenerationCounters(t *testing.T) {
 	}
 }
 
-// TestGenerationCountersNoPairMemo: the NoPairMemo ablation keeps the
-// incremental engine but reports every cascade cold — and stays out of
-// the fusion cache (a cached ablation run would measure nothing).
-func TestGenerationCountersNoPairMemo(t *testing.T) {
-	sys, err := NewSystem(machineSet(t, "MESI", "TCP"))
+// TestGenerationCountersSmallTop: a top far below the 16-state gate that
+// once sent small tops down an uncounted cold path (Fig. 1's 9 states)
+// now descends through a DescentState like any other, so every descent
+// counter advances, level 0 closes all 36 pairs of ⊤ per descent, and
+// the cascade split accounts for them exactly.
+func TestGenerationCountersSmallTop(t *testing.T) {
+	sys, err := NewSystem(machineSet(t, "0-Counter", "1-Counter"))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if sys.N() != 9 {
+		t.Fatalf("Fig. 1 top has %d states, want 9", sys.N())
 	}
 	before := GenerationCounters()
-	want, err := GenerateFusion(sys, 2, GenerateOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mid := GenerationCounters()
-	got, err := GenerateFusion(sys, 2, GenerateOptions{NoPairMemo: true})
+	F, err := GenerateFusion(sys, 2, GenerateOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	after := GenerationCounters()
-
-	if len(got) != len(want) {
-		t.Fatalf("NoPairMemo produced %d machines, memoized %d", len(got), len(want))
+	descents := after.Descents - before.Descents
+	if descents != int64(len(F)) || descents == 0 {
+		t.Fatalf("Descents advanced by %d for %d machines", descents, len(F))
 	}
-	for i := range got {
-		if !got[i].Equal(want[i]) {
-			t.Fatalf("machine %d differs: NoPairMemo %s, memoized %s", i, got[i], want[i])
-		}
+	if got := after.ColdClosures - before.ColdClosures; got != 36*descents {
+		t.Fatalf("ColdClosures advanced by %d over %d descents, want %d", got, descents, 36*descents)
 	}
-	if d := after.ImpliedCascades - mid.ImpliedCascades; d != 0 {
-		t.Fatalf("NoPairMemo run recorded %d implied cascades", d)
+	if after.Levels-before.Levels < descents {
+		t.Fatalf("Levels advanced by %d over %d descents", after.Levels-before.Levels, descents)
 	}
-	if d := after.SeededCascades - mid.SeededCascades; d != 0 {
-		t.Fatalf("NoPairMemo run recorded %d seeded cascades", d)
-	}
-	if cold, closures := after.ColdCascades-mid.ColdCascades, after.ColdClosures-mid.ColdClosures; cold != closures {
-		t.Fatalf("NoPairMemo run: %d cold cascades vs %d cold closures; want equal", cold, closures)
-	}
-	if mid.ImpliedCascades <= before.ImpliedCascades {
-		t.Fatalf("memoized reference run shared nothing: %+v vs %+v", mid, before)
-	}
-	if (GenerateOptions{NoPairMemo: true}).Cacheable() {
-		t.Fatal("NoPairMemo requests must not be cacheable")
+	split := (after.ImpliedCascades - before.ImpliedCascades) +
+		(after.SeededCascades - before.SeededCascades) +
+		(after.ColdCascades - before.ColdCascades)
+	if got := after.ColdClosures - before.ColdClosures; split != got {
+		t.Fatalf("cascade split advanced by %d, cold closures by %d; want equal", split, got)
 	}
 }
 

@@ -10,9 +10,9 @@ import (
 	"repro/internal/partition"
 )
 
-// Oracle parameters for TestGenerateFusionPaperOracle. Tops are drawn at
-// or above the incremental descent's 16-state gate and small enough for
-// the closed-partition lattice walk, which is exponential in the worst
+// Oracle parameters for TestGenerateFusionPaperOracle. Tops are drawn
+// with 16 to 24 states: large enough for multi-level descents and small
+// enough for the closed-partition lattice walk, which is exponential in the worst
 // case and therefore capped. A capped trial still runs the checks that
 // need no lattice; at least oracleMinWalks trials must finish the walk,
 // so the lattice checks can never pass vacuously. Likewise at least

@@ -7,67 +7,70 @@ import (
 
 // DescentState threads candidate outcomes across the levels of one greedy
 // descent of Algorithm 2, so deeper levels stop treating every merge
-// closure as a cold start. Two mechanisms, both sound by closure
-// monotonicity (the closure of a coarser start is coarser, so within one
-// descent a constraint violation is permanent):
+// closure as a cold start. It keeps them per closure, not per pair: each
+// level's distinct passing closures are numbered in a Set, and a record
+// holds one int32 per block pair of the level start, the number of the
+// pair's closure or -1 once the pair failed. Three mechanisms, all sound
+// by closure monotonicity (the closure of a coarser start is coarser, so
+// within one descent a constraint violation is permanent):
 //
-//   - Cross-level violation pruning: a state pair (x, y) whose merge
-//     closure collapsed a forbidden pair at level L is recorded and
-//     skipped at every deeper level without recomputation. Block
-//     representatives are minimal states, so every pair enumerated at
-//     level L+1 carries a state-pair key that was already evaluated at
-//     level L — after the first level the fan-out shrinks from O(B²)
-//     closures to the surviving pairs.
+//   - Level 0 (the first level after Reset) is all cold and runs as one
+//     serial pass over the pair graph of the quotient machine ⊤/p
+//     (sccTable). Pairs in one strongly connected component share one
+//     closure, and a pair whose successor failed fails in O(|Σ|), so only
+//     a few cascades run, each absorbing the finished closures of its
+//     successors. The pass's comp array becomes the record, so level 0
+//     materializes no per-pair task, result or partition.
 //
-//   - Closure seeding: a pair that survived level L with candidate c is
-//     re-evaluated at level L+1 as the join of c with the new level
-//     start m′ instead of a from-scratch closure of the two-block merge.
-//     Closed partitions are closed under join (Hartmanis–Stearns), so
-//     close(m′ ∪ {x~y}) = join(c, m′): the transition table is only
-//     consulted by a residual fixpoint check that never fires on closed
-//     inputs, turning each re-evaluation into O(N·α) union-find work.
+//   - Cross-level violation pruning: a pair whose merge closure collapsed
+//     a forbidden pair at level L keeps -1 and is skipped at every deeper
+//     level without recomputation. Block representatives are minimal
+//     states, so every pair enumerated at level L+1 is a pair that was
+//     evaluated at level L.
 //
-// A third mechanism shares *within* a level: a level whose tasks are all
-// cold (in a descent, level 0, since every deeper pair is either pruned
-// or seeded) is evaluated in one serial pass over the pair graph of the
-// quotient machine ⊤/p (sccTable). Pairs in one strongly connected
-// component share one closure, and a pair whose successor failed fails
-// in O(|Σ|), so only a few cascades run per level, each absorbing the
-// finished closures of its successors. The pass is deterministic, so the
-// implied/seeded/cold split of ColdClosures is as pinnable as the other
-// counters. Levels that mix seeded and cold tasks, and states built with
-// DisablePairMemo, run the pooled fan-out (closePairs) instead.
+//   - Closure seeding: a pair that survived level L with closure c is
+//     re-evaluated at level L+1 as the join of c with the new level start
+//     m′ instead of a from-scratch closure of the two-block merge. Closed
+//     partitions are closed under join (Hartmanis–Stearns), so
+//     close(m′ ∪ {x~y}) = join(c, m′). c already merges x~y, so the join
+//     does not depend on the pair: each level runs one join per distinct
+//     seed on the pool (closePairs) and records the result's number for
+//     every pair that shares the seed.
 //
-// Nothing carries across descents: every descent's level 0 is a
-// constrained pass like any other all-cold level, so its forbidden pairs
-// and their predecessors fail without a cascade.
+// The record is rewritten in place from level to level, because a deeper
+// level's block pairs map monotonically onto nodes of the previous one
+// that are no smaller. Every counter, including the implied/seeded/cold
+// split of ColdClosures, is deterministic.
 //
-// A DescentState serves exactly one descent: call Reset before starting
+// A DescentState serves one descent at a time: call Reset before starting
 // the next one (the weakest-edge constraint changes between outer
 // iterations of Algorithm 2, so recorded violations expire with the
-// descent). It is not safe for concurrent descents; within one level the
-// pool tasks only read it.
+// descent). Reset keeps every buffer, so a recycled state (core pools
+// them) allocates nothing for its records after the first calls, and it
+// drops every partition reference, so no partition of one descent
+// outlives it. It is not safe for concurrent descents; within one level
+// the pool tasks only read it.
 type DescentState struct {
-	// pruned holds one bit per unordered state pair of ⊤
-	// (triangular-indexed by pairIndex): set once the pair violated.
-	pruned    pairBits
-	survivors map[int]P
-	next      map[int]P
-	interned  *Set // canonical survivor storage: equal candidates share one P
+	// start is the last level start evaluated (zero after Reset); rec is
+	// indexed by its block pairs and numbers their closures in closures.
+	// next collects the level being evaluated, then trades places with
+	// closures.
+	start          P
+	rec            []int32
+	closures, next Set
+	remap          []int32
 
-	// table is the per-level pair-graph pass, its buffers kept across
-	// levels and descents. passOff (see DisablePairMemo) keeps every
-	// level on the cold fan-out for ablations and equivalence baselines.
-	table   sccTable
-	passOff bool
+	// table is the level-0 pair-graph pass; after a pass, rec is its comp
+	// array.
+	table sccTable
 
 	stats DescentStats
 
-	// onClose observes every closure evaluated (cold or seeded) with the
-	// pair's representative states; tests hook it to prove that pruned
-	// pairs are never re-closed. Called from pool workers (the pair-graph
-	// pass calls it on the caller) — a non-nil hook must be internally
-	// synchronized.
+	// onClose observes every pair evaluated (cold or seeded) with its
+	// representative states; tests hook it to prove that pruned pairs are
+	// never re-closed. It runs on the caller, except at a level-0 start
+	// that is not closed, where pool workers call it, so a non-nil hook
+	// must be internally synchronized.
 	onClose func(x, y int)
 }
 
@@ -76,10 +79,11 @@ type DescentState struct {
 type DescentStats struct {
 	// Levels is the number of descent levels evaluated.
 	Levels int
-	// ColdClosures counts from-scratch merge closures (all of level 0,
-	// plus any pair with no recorded outcome).
+	// ColdClosures counts from-scratch merge closures (every pair of
+	// level 0).
 	ColdClosures int
-	// SeededJoins counts re-evaluations served as join(survivor, m′).
+	// SeededJoins counts pair re-evaluations served as join(survivor, m′)
+	// (one per pair, although pairs that share a seed share one join).
 	SeededJoins int
 	// PrunedSkips counts pair evaluations skipped outright because the
 	// pair violated at an earlier level.
@@ -89,7 +93,8 @@ type DescentStats struct {
 	// evaluation resolved; the three always sum to ColdClosures.
 	// ImpliedCascades ran no cascade of their own (they share their SCC
 	// root's verdict, failed on a forbidden member or a failed successor,
-	// or met a successor closure equal to their own); SeededCascades
+	// met a successor closure equal to their own, or sit at a level start
+	// that already merges a forbidden pair); SeededCascades
 	// absorbed at least one finished successor closure wholesale;
 	// ColdCascades ran with no assist. Like every other counter here the
 	// split is deterministic.
@@ -99,77 +104,36 @@ type DescentStats struct {
 }
 
 // NewDescentState returns an empty state, ready for one descent.
-func NewDescentState() *DescentState {
-	return &DescentState{
-		survivors: make(map[int]P),
-		next:      make(map[int]P),
-		interned:  NewSet(64),
-	}
-}
+func NewDescentState() *DescentState { return &DescentState{} }
 
-// Reset clears all recorded outcomes for a fresh descent, retaining the
-// allocated maps, the pruned bitset and the pass's buffers. The pass's
-// closure references are dropped: nothing of one descent's partitions
-// may survive into another.
+// Reset clears all recorded outcomes for a fresh descent, retaining every
+// buffer, and drops every partition reference the state holds.
 func (d *DescentState) Reset() {
-	clear(d.pruned)
-	clear(d.survivors)
-	clear(d.next)
-	d.interned = NewSet(64)
+	d.start = P{}
+	d.rec = d.rec[:0]
+	d.closures.reset()
+	d.next.reset()
 	d.table.release()
 	d.stats = DescentStats{}
 }
 
-// DisablePairMemo turns off the per-level pair-graph pass for the life of
-// this state: every cold evaluation runs its own full cascade on the
-// pool. Output is identical either way; ablation benchmarks and
-// equivalence baselines use it to keep the unshared path measurable.
-func (d *DescentState) DisablePairMemo() { d.passOff = true }
-
 // Stats returns the reuse counters accumulated since the last Reset.
 func (d *DescentState) Stats() DescentStats { return d.stats }
 
-// pairIndex triangular-indexes the unordered pair of distinct states
-// {x, y}; the index does not depend on the number of states.
-func pairIndex(x, y int) int {
-	if x > y {
-		x, y = y, x
-	}
-	return y*(y-1)/2 + x
-}
-
-// pairBits is a dense bitset over pairIndex values that grows on demand.
-type pairBits []uint64
-
-func (b pairBits) has(i int) bool {
-	w := i >> 6
-	return w < len(b) && b[w]&(1<<(i&63)) != 0
-}
-
-func (b *pairBits) add(i int) {
-	w := i >> 6
-	if w >= len(*b) {
-		*b = append(*b, make([]uint64, w+1-len(*b))...)
-	}
-	(*b)[w] |= 1 << (i & 63)
-}
-
 // pairTask is one candidate evaluation of a fan-out: the representative
-// (minimal) states of two blocks of the level start plus, when the pair
-// survived the previous level, its closure there to seed the join from
+// (minimal) states of two blocks of the level start plus, at a seeded
+// level, the pair's closure at the previous level to join with the start
 // (zero P for a cold evaluation).
 type pairTask struct {
 	x, y int
 	seed P
 }
 
-// pairResult is one task's slot in a fan-out: the candidate closure, its
-// verdict against the level constraint, and how a cold evaluation
-// resolved.
+// pairResult is one task's slot in a fan-out: the candidate closure and
+// its verdict against the level constraint.
 type pairResult struct {
 	cand P
 	ok   bool
-	out  cascadeOutcome
 }
 
 // separatesAll reports whether c keeps the two states of every forbidden
@@ -201,8 +165,9 @@ func blockPairs(p P) []pairTask {
 	return tasks
 }
 
-// closePairs is the one pool fan-out over a level's block pairs, shared by
-// the min-descent, the full candidate list and the single-shot closures:
+// closePairs is the one pool fan-out of closures, shared by the seeded
+// descent levels (one task per distinct seed), level 0 at a start that is
+// not closed, and the full candidate list (MergeClosuresOn, LowerCover):
 // each task closes p merged along its pair (joined with its seed, if any),
 // and the finished closure passes when it separates every forbidden pair.
 // The level start's forest is built once, before the pool runs, and every
@@ -224,31 +189,22 @@ func closePairs(pool *exec.Pool, top *dfsm.Machine, p P, tasks []pairTask, forbi
 		if onClose != nil {
 			onClose(t.x, t.y)
 		}
-		cand, out := cascade(c, top, st, t.seed, t.x, t.y, nil)
-		res[k] = pairResult{cand: cand, ok: separatesAll(cand, forbidden), out: out}
+		cand, _ := cascade(c, top, st, t.seed, t.x, t.y, nil)
+		res[k] = pairResult{cand: cand, ok: separatesAll(cand, forbidden)}
 	})
 	return res
-}
-
-// minAccepted is Algorithm 2's deterministic pick over a fan-out: the
-// Less-minimal accepted candidate, first in task order on ties.
-func minAccepted(res []pairResult) (P, bool) {
-	var best P
-	found := false
-	for _, r := range res {
-		if r.ok && (!found || r.cand.Less(best)) {
-			best, found = r.cand, true
-		}
-	}
-	return best, found
 }
 
 // MinMergeClosureOn returns the Less-minimal merge closure of p that
 // separates every forbidden pair — the pickCandidate winner of Algorithm
 // 2's line-6 fan-out — without materializing the full candidate list, and
-// records per-pair outcomes in d for cross-level reuse. ok is false when
-// no candidate passes (the descent has bottomed out). d may be nil (no
-// reuse: every level is evaluated cold).
+// records the level's outcomes in d for the next level. ok is false when
+// no candidate passes (the descent has bottomed out).
+//
+// The first call after d.Reset (or NewDescentState) is level 0 and may
+// start anywhere. Every later call must start at a partition coarser than
+// or equal to the previous call's p — in a descent, the previous pick —
+// which is what makes the previous level's outcomes reusable.
 //
 // Each finished closure is checked against forbidden (nil passes every
 // closure). The winner is identical to the Less-minimum of
@@ -257,65 +213,117 @@ func MinMergeClosureOn(pool *exec.Pool, d *DescentState, top *dfsm.Machine, p P,
 	if p.NumBlocks() <= 1 {
 		return P{}, false // bottom has no merge closures
 	}
-	if d == nil {
-		return minAccepted(closePairs(pool, top, p, blockPairs(p), forbidden, nil))
-	}
-	tasks, res := d.liveLevel(pool, top, p, forbidden)
-
-	// Record outcomes serially, in task order, so d's contents are
-	// independent of worker scheduling. The survivors just recorded
-	// become the seeds of the next level.
-	for k, t := range tasks {
-		i := pairIndex(t.x, t.y)
-		if res[k].ok {
-			d.next[i] = res[k].cand
-		} else {
-			d.pruned.add(i)
-		}
+	if d.start.N() == 0 {
+		d.coldLevel(pool, top, p, forbidden)
+	} else {
+		d.seededLevel(pool, top, p, forbidden)
 	}
 	d.stats.Levels++
-	d.survivors, d.next = d.next, d.survivors
-	clear(d.next)
-	return minAccepted(res)
+	d.start = p
+	d.closures, d.next = d.next, d.closures
+	d.next.reset()
+
+	var best P
+	for _, c := range d.closures.items {
+		if best.N() == 0 || c.Less(best) {
+			best = c
+		}
+	}
+	return best, best.N() > 0
 }
 
-// liveLevel evaluates one level: skip the pairs d has pruned, seed the
-// survivors from their previous-level closures, and close the rest cold —
-// in one pair-graph pass when every task is cold and the pass is on.
-func (d *DescentState) liveLevel(pool *exec.Pool, top *dfsm.Machine, p P, forbidden [][2]int) ([]pairTask, []pairResult) {
-	all := blockPairs(p)
-	tasks := all[:0]
-	cold := 0
-	for _, t := range all {
-		i := pairIndex(t.x, t.y)
-		if d.pruned.has(i) {
-			d.stats.PrunedSkips++
-			continue
+// coldLevel evaluates level 0 at p into d.next and d.rec: in one
+// pair-graph pass when p is closed, with nothing to run when close(p)
+// already merges a forbidden pair, and otherwise (there is no quotient
+// machine to search) with one cascade per block pair on the pool.
+func (d *DescentState) coldLevel(pool *exec.Pool, top *dfsm.Machine, p P, forbidden [][2]int) {
+	st := newLevelStart(top, p, forbidden)
+	b := p.NumBlocks()
+	n := b * (b - 1) / 2
+	switch {
+	case st.violated:
+		d.rec = resize(d.rec, n)
+		for u := range d.rec {
+			d.rec[u] = -1
 		}
-		if prev, ok := d.survivors[i]; ok {
-			t.seed = prev
-		} else {
-			cold++
+		d.stats.ColdClosures += n
+		d.stats.ImpliedCascades += n
+	case st.base.Sets() == b:
+		c := pool.Acquire()
+		defer pool.Release(c)
+		d.table.pass(c, top, st, p, forbidden, &d.next, &d.stats, d.onClose)
+		d.rec = d.table.comp
+	default:
+		tasks := blockPairs(p)
+		res := closePairs(pool, top, p, tasks, forbidden, d.onClose)
+		d.rec = resize(d.rec, n)
+		for k, task := range tasks {
+			d.rec[node(int32(p.BlockOf(task.x)), int32(p.BlockOf(task.y)))] = d.keep(res[k])
 		}
-		tasks = append(tasks, t)
+		d.stats.ColdClosures += n
+		d.stats.ColdCascades += n
 	}
-	var res []pairResult
-	if !d.passOff && cold > 0 && cold == len(tasks) {
-		res = d.table.closeLevel(pool, top, p, tasks, forbidden, d.onClose)
-	} else {
-		res = closePairs(pool, top, p, tasks, forbidden, d.onClose)
+}
+
+// seededLevel evaluates a level below level 0 at p, which is coarser than
+// d.start: it reads each block pair's previous outcome from d.rec, skips
+// the pruned pairs, joins each distinct surviving seed with p once, and
+// rewrites d.rec in place for p's block pairs. Node order is kept, and a
+// pair's node at p is never past its node at d.start, so every entry is
+// read before it is overwritten.
+func (d *DescentState) seededLevel(pool *exec.Pool, top *dfsm.Machine, p P, forbidden [][2]int) {
+	old := d.start.View()
+	reps := firstStates(p, d.table.rep) // the pass's buffer, idle below level 0
+	d.table.rep = reps
+	remap := resize(d.remap, d.closures.Len())
+	for k := range remap {
+		remap[k] = -1
 	}
-	for k, t := range tasks {
-		if t.seed.N() == 0 {
-			d.stats.recordCascade(res[k].out)
-		}
-		if res[k].ok {
-			res[k].cand = d.interned.Intern(res[k].cand) // equal survivors share one allocation
+	d.remap = remap
+	var tasks []pairTask // one per distinct seed, with the first pair that carries it
+	rec, n, live := d.rec, 0, 0
+	for j := 1; j < len(reps); j++ {
+		y := reps[j]
+		oj := int32(old[y])
+		for i := 0; i < j; i++ {
+			x := reps[i]
+			k := rec[node(int32(old[x]), oj)]
+			if k >= 0 {
+				if d.onClose != nil {
+					d.onClose(x, y)
+				}
+				if remap[k] < 0 {
+					remap[k] = int32(len(tasks))
+					tasks = append(tasks, pairTask{x: x, y: y, seed: d.closures.items[k]})
+				}
+				k = remap[k]
+				live++
+			}
+			rec[n] = k
+			n++
 		}
 	}
-	d.stats.ColdClosures += cold
-	d.stats.SeededJoins += len(tasks) - cold
-	return tasks, res
+	d.stats.SeededJoins += live
+	d.stats.PrunedSkips += n - live
+
+	// remap is read; its prefix now numbers each task's result in d.next.
+	for k, r := range closePairs(pool, top, p, tasks, forbidden, nil) {
+		remap[k] = d.keep(r)
+	}
+	d.rec = rec[:n]
+	for u, k := range d.rec {
+		if k >= 0 {
+			d.rec[u] = remap[k]
+		}
+	}
+}
+
+// keep returns the number of r's closure in d.next when it passed, or -1.
+func (d *DescentState) keep(r pairResult) int32 {
+	if !r.ok {
+		return -1
+	}
+	return d.next.index(r.cand)
 }
 
 // recordCascade tallies one from-scratch evaluation's resolution into

@@ -2,14 +2,13 @@ package partition
 
 import (
 	"fmt"
-	"math/bits"
 	"math/rand"
-	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/dfsm"
 	"repro/internal/exec"
+	"repro/internal/machines"
 )
 
 // randomClosed returns a random closed partition of top: the closure of a
@@ -159,13 +158,71 @@ func TestMinMergeClosureMatchesFullDescent(t *testing.T) {
 	}
 }
 
+// coldMin is the test-only cold descent level: every block pair of p
+// closed by its own cascade on the pool (closePairs over blockPairs), and
+// the Less-minimal passing closure.
+func coldMin(pool *exec.Pool, top *dfsm.Machine, p P, forbidden [][2]int) (P, bool) {
+	if p.NumBlocks() <= 1 {
+		return P{}, false
+	}
+	var best P
+	for _, r := range closePairs(pool, top, p, blockPairs(p), forbidden, nil) {
+		if r.ok && (best.N() == 0 || r.cand.Less(best)) {
+			best = r.cand
+		}
+	}
+	return best, best.N() > 0
+}
+
+// pairIndex triangular-indexes the unordered pair of distinct states
+// {x, y}; the index does not depend on the number of states.
+func pairIndex(x, y int) int {
+	if x > y {
+		x, y = y, x
+	}
+	return y*(y-1)/2 + x
+}
+
+// recorded returns the outcome d's record holds for the states x and y
+// of distinct blocks of d's last level start: the pair's closure, and
+// whether it passed.
+func recorded(d *DescentState, x, y int) (P, bool) {
+	i, j := int32(d.start.BlockOf(x)), int32(d.start.BlockOf(y))
+	if i > j {
+		i, j = j, i
+	}
+	if k := d.rec[node(i, j)]; k >= 0 {
+		return d.closures.items[k], true
+	}
+	return P{}, false
+}
+
+// prunedPairs returns the pairIndex of every representative pair that d's
+// record marks failed.
+func prunedPairs(d *DescentState) map[int]bool {
+	out := map[int]bool{}
+	if d.start.N() == 0 {
+		return out
+	}
+	reps := firstStates(d.start, nil)
+	for j := 1; j < len(reps); j++ {
+		for i := 0; i < j; i++ {
+			if _, ok := recorded(d, reps[i], reps[j]); !ok {
+				out[pairIndex(reps[i], reps[j])] = true
+			}
+		}
+	}
+	return out
+}
+
 // TestPairMemoMatchesUnmemoized is the pair-graph pass's equivalence
-// property: random systems descended twice per pool — once with the pass
-// (the default), once through DisablePairMemo — must produce
-// bit-identical winners at every level, on a serial pool and a
-// four-worker one. It also pins the counter contracts: the pass's
-// cascade split accounts for every cold closure and is identical at both
-// pool sizes, and the unshared run reports every cascade cold.
+// property: random systems descended twice per pool — once through
+// MinMergeClosureOn, whose level 0 is the pass, once through the
+// test-only cold descent (coldMin), where every pair runs its own
+// cascade — must produce bit-identical winners at every level, on a
+// serial pool and a four-worker one. It also pins the counter contracts:
+// the pass's cascade split accounts for every cold closure and is
+// identical at both pool sizes.
 func TestPairMemoMatchesUnmemoized(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	serial, four := exec.New(1), exec.New(4)
@@ -179,12 +236,10 @@ func TestPairMemoMatchesUnmemoized(t *testing.T) {
 		var splits []DescentStats // one per pool
 		for _, pool := range []*exec.Pool{serial, four} {
 			dm := NewDescentState()
-			dc := NewDescentState()
-			dc.DisablePairMemo()
 			mM, mC := Singletons(n), Singletons(n)
 			for {
 				gotM, okM := MinMergeClosureOn(pool, dm, top, mM, forbidden)
-				gotC, okC := MinMergeClosureOn(pool, dc, top, mC, forbidden)
+				gotC, okC := coldMin(pool, top, mC, forbidden)
 				if okM != okC {
 					t.Fatalf("trial %d workers=%d at %d blocks: memoized ok=%v, unmemoized ok=%v",
 						trial, pool.Workers(), mM.NumBlocks(), okM, okC)
@@ -199,15 +254,11 @@ func TestPairMemoMatchesUnmemoized(t *testing.T) {
 				mM, mC = gotM, gotC
 			}
 
-			sm, sc := dm.Stats(), dc.Stats()
+			sm := dm.Stats()
 			if sm.ImpliedCascades+sm.SeededCascades+sm.ColdCascades != sm.ColdClosures {
 				t.Fatalf("trial %d workers=%d: memoized split %d+%d+%d != %d cold closures",
 					trial, pool.Workers(),
 					sm.ImpliedCascades, sm.SeededCascades, sm.ColdCascades, sm.ColdClosures)
-			}
-			if sc.ImpliedCascades != 0 || sc.SeededCascades != 0 || sc.ColdCascades != sc.ColdClosures {
-				t.Fatalf("trial %d workers=%d: unmemoized stats claim sharing: %+v",
-					trial, pool.Workers(), sc)
 			}
 			splits = append(splits, sm)
 		}
@@ -247,10 +298,12 @@ func TestPrunedPairNeverReclosed(t *testing.T) {
 
 		m := Singletons(n)
 		level := 0
+		everPruned := 0
 		for m.NumBlocks() > 1 {
 			// Snapshot what was pruned before this level; none of those
 			// pairs may reach the close function now or later.
-			pruned := slices.Clone(d.pruned)
+			pruned := prunedPairs(d)
+			everPruned += len(pruned)
 			mu.Lock()
 			clear(closed)
 			mu.Unlock()
@@ -261,7 +314,7 @@ func TestPrunedPairNeverReclosed(t *testing.T) {
 			}
 			mu.Lock()
 			for k, cnt := range closed {
-				if pruned.has(k) {
+				if pruned[k] {
 					t.Fatalf("trial %d level %d: pruned pair %d re-closed %d times", trial, level, k, cnt)
 				}
 			}
@@ -269,24 +322,15 @@ func TestPrunedPairNeverReclosed(t *testing.T) {
 			m = best
 			level++
 		}
-		if n := setBits(d.pruned); level > 1 && d.Stats().PrunedSkips == 0 && n > 0 {
+		if level > 1 && d.Stats().PrunedSkips == 0 && everPruned > 0 {
 			t.Fatalf("trial %d: %d pairs pruned over %d levels but no skip recorded",
-				trial, n, level)
+				trial, everPruned, level)
 		}
 	}
 }
 
-// setBits counts the pairs a bitset holds.
-func setBits(b pairBits) int {
-	n := 0
-	for _, w := range b {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
 // TestDescentStateReset: a reset state records nothing from the previous
-// descent.
+// descent and holds no partition of it.
 func TestDescentStateReset(t *testing.T) {
 	top := dfsm.RandomMachine(rand.New(rand.NewSource(5)), "T", 12, []string{"a", "b"})
 	pool := exec.Default()
@@ -301,21 +345,29 @@ func TestDescentStateReset(t *testing.T) {
 		}
 		m = best
 	}
-	if len(d.table.parts) == 0 || setBits(d.pruned) == 0 {
-		t.Fatal("descent never engaged the pair-graph pass or pruned a pair; the reset check below would be vacuous")
+	if s := d.Stats(); s.ImpliedCascades == 0 || s.PrunedSkips == 0 && len(prunedPairs(d)) == 0 {
+		t.Fatalf("descent never engaged the pair-graph pass or pruned a pair (%+v); the reset check below would be vacuous", s)
+	}
+	if cap(d.closures.items) == 0 && cap(d.next.items) == 0 {
+		t.Fatal("descent interned no closure; the reset check below would be vacuous")
 	}
 	d.Reset()
-	if setBits(d.pruned) != 0 || len(d.survivors) != 0 || d.Stats() != (DescentStats{}) {
-		t.Fatalf("Reset left descent outcomes behind: %d pruned, %d survivors, stats %+v",
-			setBits(d.pruned), len(d.survivors), d.Stats())
+	if d.start.N() != 0 || len(d.rec) != 0 || d.closures.Len() != 0 || d.next.Len() != 0 || d.Stats() != (DescentStats{}) {
+		t.Fatalf("Reset left descent outcomes behind: start %v, %d recorded pairs, %d+%d closures, stats %+v",
+			d.start, len(d.rec), d.closures.Len(), d.next.Len(), d.Stats())
 	}
-	// The pass's closures must be demonstrably gone, also past the
-	// table's length: a stale reference would keep one descent's
-	// partitions alive into the next.
-	for i, m := range d.table.parts[:cap(d.table.parts)] {
-		if m.N() != 0 {
-			t.Fatalf("Reset left closure %d of the pair-graph pass referenced: %s", i, m)
+	// The closures must be demonstrably gone, also past the sets' lengths,
+	// and the pass must hold no view of a level start: a stale reference
+	// would keep one descent's partitions alive into the next.
+	for _, s := range []*Set{&d.closures, &d.next} {
+		for i, m := range s.items[:cap(s.items)] {
+			if m.N() != 0 {
+				t.Fatalf("Reset left closure %d referenced: %s", i, m)
+			}
 		}
+	}
+	if d.table.blockOf != nil || d.table.closures != nil {
+		t.Fatal("Reset left the pair-graph pass holding a level start or a closure set")
 	}
 
 	// The second descent must still produce the cold-start result.
@@ -337,5 +389,75 @@ func TestDescentStateReset(t *testing.T) {
 	}
 	if !m.Equal(mCold) {
 		t.Fatalf("post-Reset descent reached %s, cold descent %s", m, mCold)
+	}
+}
+
+// TestSeededJoinsMatchClosePairs: on the 64-state top of three mod-4
+// sensor counters, where many pairs of a level share one seed, the
+// per-seed joins of every seeded level must give each live pair the
+// verdict and closure that closePairs gives it as its own task (its
+// representative states, seeded with its closure at the previous level).
+// The forbidden pairs are the weakest fault-graph edges: state pairs that
+// differ in one counter only.
+func TestSeededJoinsMatchClosePairs(t *testing.T) {
+	pr, err := dfsm.ReachableCrossProduct(machines.SensorCounters(3, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	top, n := pr.Top, pr.Top.NumStates()
+	var forbidden [][2]int
+	for x := 0; x < n; x++ {
+		for y := x + 1; y < n; y++ {
+			differ := 0
+			for c := range pr.Components {
+				if pr.Proj[x][c] != pr.Proj[y][c] {
+					differ++
+				}
+			}
+			if differ == 1 {
+				forbidden = append(forbidden, [2]int{x, y})
+			}
+		}
+	}
+	pool := exec.New(2)
+	defer pool.Close()
+	d := NewDescentState()
+	m := Singletons(n)
+	shared := 0
+	for level := 0; m.NumBlocks() > 1; level++ {
+		// Each live pair of m as its own task, seeded from d's record of
+		// the previous level.
+		var tasks []pairTask
+		seeds := NewSet(16)
+		if level > 0 {
+			reps := firstStates(m, nil)
+			for i := range reps {
+				for j := i + 1; j < len(reps); j++ {
+					if seed, ok := recorded(d, reps[i], reps[j]); ok {
+						tasks = append(tasks, pairTask{x: reps[i], y: reps[j], seed: seed})
+						seeds.Add(seed)
+					}
+				}
+			}
+		}
+		best, ok := MinMergeClosureOn(pool, d, top, m, forbidden)
+		for k, r := range closePairs(pool, top, m, tasks, forbidden, nil) {
+			task := tasks[k]
+			got, gotOK := recorded(d, task.x, task.y)
+			if gotOK != r.ok || gotOK && !got.Equal(r.cand) {
+				t.Fatalf("level %d, pair (%d,%d): per-seed join %v %s, closePairs %v %s",
+					level, task.x, task.y, gotOK, got, r.ok, r.cand)
+			}
+		}
+		if len(tasks) >= 4*seeds.Len() && seeds.Len() > 0 {
+			shared++
+		}
+		if !ok {
+			break
+		}
+		m = best
+	}
+	if shared == 0 {
+		t.Fatal("no level had pairs sharing a seed; the per-seed joins went unchecked")
 	}
 }

@@ -282,21 +282,27 @@ func TestFanOutStateDoesNotLeak(t *testing.T) {
 	}
 }
 
-// checkPass evaluates tasks at level start p through the pair-graph pass
-// under forbidden, on the shared table tab. Each task's verdict, and
-// closure when it passes, must match unmemoized closePairs and the naive
-// fixpoint, and onClose must see every task exactly once (none when p
-// already merges a forbidden pair). It returns the pass's results.
-func checkPass(t *testing.T, label string, pool *exec.Pool, tab *sccTable, top *dfsm.Machine, p P, tasks []pairTask, forbidden [][2]int) []pairResult {
+// checkPass evaluates level 0 at start p under forbidden through d, reset
+// first so one table and one pair of sets serve every case. The record's
+// verdict for each task, and closure when it passes, must match
+// unmemoized closePairs and the naive fixpoint (every block pair of p is
+// checked when tasks is nil); onClose must see every block pair exactly
+// once (none when p already merges a forbidden pair); and when every pair
+// was checked the returned winner must be their least passing closure.
+func checkPass(t *testing.T, label string, pool *exec.Pool, d *DescentState, top *dfsm.Machine, p P, tasks []pairTask, forbidden [][2]int) {
 	t.Helper()
 	var mu sync.Mutex // an open p falls back to the pooled fan-out
 	seen := map[int]int{}
-	got := tab.closeLevel(pool, top, p, tasks, forbidden, func(x, y int) {
+	d.Reset()
+	d.onClose = func(x, y int) {
 		mu.Lock()
 		seen[pairIndex(x, y)]++
 		mu.Unlock()
-	})
-	want := len(tasks)
+	}
+	best, bestOK := MinMergeClosureOn(pool, d, top, p, forbidden)
+	d.onClose = nil
+	b := p.NumBlocks()
+	want := b * (b - 1) / 2
 	if newLevelStart(top, p, forbidden).violated {
 		want = 0 // every task fails before any closure runs
 	}
@@ -308,6 +314,11 @@ func checkPass(t *testing.T, label string, pool *exec.Pool, tab *sccTable, top *
 			t.Fatalf("%s: onClose saw pair %d %d times", label, i, cnt)
 		}
 	}
+	all := tasks == nil
+	if all {
+		tasks = blockPairs(p)
+	}
+	var least P
 	cold := closePairs(pool, top, p, tasks, forbidden, nil)
 	for i, task := range tasks {
 		assign := p.Assignment()
@@ -319,28 +330,30 @@ func checkPass(t *testing.T, label string, pool *exec.Pool, tab *sccTable, top *
 		}
 		want := naiveClose(top, assign)
 		wantOK := separating(forbidden)(want)
-		g, c := got[i], cold[i]
-		if g.ok != wantOK || c.ok != wantOK {
+		g, gOK := recorded(d, task.x, task.y)
+		c := cold[i]
+		if gOK != wantOK || c.ok != wantOK {
 			t.Fatalf("%s, pair (%d,%d): pass ok=%v, closePairs ok=%v, reference ok=%v",
-				label, task.x, task.y, g.ok, c.ok, wantOK)
+				label, task.x, task.y, gOK, c.ok, wantOK)
 		}
-		if wantOK && (!g.cand.Equal(want) || !c.cand.Equal(want)) {
+		if wantOK && (!g.Equal(want) || !c.cand.Equal(want)) {
 			t.Fatalf("%s, pair (%d,%d): pass %s, closePairs %s, reference %s",
-				label, task.x, task.y, g.cand, c.cand, want)
+				label, task.x, task.y, g, c.cand, want)
+		}
+		if wantOK && (least.N() == 0 || want.Less(least)) {
+			least = want
 		}
 	}
-	return got
+	if all && (bestOK != (least.N() > 0) || bestOK && !best.Equal(least)) {
+		t.Fatalf("%s: winner %v %s, least passing closure %s", label, bestOK, best, least)
+	}
 }
 
-// cascadesRun counts the results whose pair ran a cascade of its own.
-func cascadesRun(res []pairResult) int {
-	n := 0
-	for _, r := range res {
-		if r.out != cascadeImplied {
-			n++
-		}
-	}
-	return n
+// cascadesRun counts the pairs of d's descent that ran a cascade of their
+// own.
+func cascadesRun(d *DescentState) int {
+	s := d.Stats()
+	return s.SeededCascades + s.ColdCascades
 }
 
 // TestPairGraphPassHardCases checks the per-level pair-graph pass against
@@ -353,7 +366,7 @@ func cascadesRun(res []pairResult) int {
 func TestPairGraphPassHardCases(t *testing.T) {
 	pool := exec.New(2)
 	defer pool.Close()
-	var tab sccTable
+	d := NewDescentState()
 	machine := func(n int, events []string, delta func(s, e int) int) *dfsm.Machine {
 		names := make([]string, n)
 		rows := make([][]int, n)
@@ -388,13 +401,13 @@ func TestPairGraphPassHardCases(t *testing.T) {
 		return s
 	})
 	top := Singletons(5)
-	res := checkPass(t, "transitive", pool, &tab, trans, top, blockPairs(top), [][2]int{{2, 4}})
-	for i, task := range blockPairs(top) {
-		switch {
-		case task.x == 0 && task.y == 1 && (res[i].ok || res[i].out == cascadeImplied):
-			t.Fatalf("transitive: (0,1) ok=%v outcome %d; want its own cascade to fail", res[i].ok, res[i].out)
-		case (task.x == 2 && task.y == 3 || task.x == 3 && task.y == 4) && !res[i].ok:
-			t.Fatalf("transitive: successor (%d,%d) failed", task.x, task.y)
+	checkPass(t, "transitive", pool, d, trans, top, nil, [][2]int{{2, 4}})
+	if _, ok := recorded(d, 0, 1); ok || d.table.flags[node(0, 1)] != 0 {
+		t.Fatalf("transitive: (0,1) ok=%v flags %d; want its own cascade to fail", ok, d.table.flags[node(0, 1)])
+	}
+	for _, e := range [][2]int{{2, 3}, {3, 4}} {
+		if _, ok := recorded(d, e[0], e[1]); !ok {
+			t.Fatalf("transitive: successor %v failed", e)
 		}
 	}
 
@@ -408,10 +421,9 @@ func TestPairGraphPassHardCases(t *testing.T) {
 		return []int{0, 2, 1}[s]
 	})
 	top = MustFromBlocks(3, [][]int{{0}, {1, 2}})
-	for _, r := range checkPass(t, "inside the last block", pool, &tab, swap, top, blockPairs(top), [][2]int{{1, 2}}) {
-		if r.ok {
-			t.Fatal("inside the last block: a task passed although the start merges a forbidden pair")
-		}
+	checkPass(t, "inside the last block", pool, d, swap, top, nil, [][2]int{{1, 2}})
+	if _, ok := recorded(d, 0, 1); ok {
+		t.Fatal("inside the last block: a task passed although the start merges a forbidden pair")
 	}
 
 	// One giant SCC: a rotation and a transposition generate the full
@@ -433,41 +445,58 @@ func TestPairGraphPassHardCases(t *testing.T) {
 		forbidden [][2]int
 		cascades  int
 	}{{[][2]int{{0, 5}}, 0}, {nil, 1}} {
-		res = checkPass(t, "giant SCC", pool, &tab, giant, top, blockPairs(top), c.forbidden)
-		if n := cascadesRun(res); n != c.cascades {
+		checkPass(t, "giant SCC", pool, d, giant, top, nil, c.forbidden)
+		if n := cascadesRun(d); n != c.cascades {
 			t.Fatalf("giant SCC, forbidden %v: %d cascades ran, want %d", c.forbidden, n, c.cascades)
 		}
-		if len(tab.sccs) != 1 {
-			t.Fatalf("giant SCC, forbidden %v: %d SCCs, want 1", c.forbidden, len(tab.sccs))
+		if len(d.table.sccs) != 1 {
+			t.Fatalf("giant SCC, forbidden %v: %d SCCs, want 1", c.forbidden, len(d.table.sccs))
 		}
 	}
 
-	// A 10⁵-node chain: tracks x_0..x_{m-1} (states 0..m-1) and
-	// y_0..y_{m-1} (states m..2m-1). dx steps x down (x_0 stays); wrap
-	// sends x_0 to x_{m-1} and steps y down (y_0 stays). From (x_{m-1},
-	// y_{m-1}) the search walks every mixed pair row by row, each its own
-	// SCC down to row 0, before it meets a visited node. The constant
-	// event j makes the y track reachable.
+	// A 10⁵-node chain: tracks x_0..x_{m-1} and y_0..y_{m-1}. dx steps x
+	// down (x_0 stays); wrap sends x_0 to x_{m-1} and steps y down (y_0
+	// stays). From (x_{m-1}, y_{m-1}) the search walks every mixed pair
+	// row by row, each its own SCC down to row 0, before it meets a
+	// visited node. That pair is states 0 and 1, so the pass's first task
+	// searches from it; x_k (k < m-1) is state k+2 and y_k is state
+	// m+k+1. The constant event j makes the y track reachable.
 	const m = 317
-	chain := machine(2*m, []string{"dx", "wrap", "j"}, func(s, e int) int {
+	state := func(k int) int { // k in the x_0..x_{m-1}, y_0..y_{m-1} numbering
 		switch {
-		case e == 2:
-			return 2*m - 1
-		case s < m && e == 0:
-			return max(s-1, 0)
-		case s == 0:
-			return m - 1
-		case s < m || e == 0:
-			return s
+		case k == m-1:
+			return 0
+		case k == 2*m-1:
+			return 1
+		case k < m:
+			return k + 2
 		}
-		return max(s-1, m)
+		return k + 1
+	}
+	track := make([]int, 2*m) // state -> k
+	for k := range track {
+		track[state(k)] = k
+	}
+	chain := machine(2*m, []string{"dx", "wrap", "j"}, func(s, e int) int {
+		switch k := track[s]; {
+		case e == 2:
+			return state(2*m - 1)
+		case k < m && e == 0:
+			return state(max(k-1, 0))
+		case k == 0:
+			return state(m - 1)
+		case k < m || e == 0:
+			return s
+		default:
+			return state(max(k-1, m))
+		}
 	})
 	top = Singletons(2 * m)
-	tasks := []pairTask{{x: m - 1, y: 2*m - 1}}
-	for _, forbidden := range [][][2]int{{{0, m}}, nil} {
-		checkPass(t, fmt.Sprintf("chain, forbidden %v", forbidden), pool, &tab, chain, top, tasks, forbidden)
-		if d := cap(tab.frames); d < m*m {
-			t.Fatalf("chain: the search held at most %d frames, want %d", d, m*m)
+	tasks := []pairTask{{x: 0, y: 1}}
+	for _, forbidden := range [][][2]int{{{state(0), state(m)}}, nil} {
+		checkPass(t, fmt.Sprintf("chain, forbidden %v", forbidden), pool, d, chain, top, tasks, forbidden)
+		if depth := cap(d.table.frames); depth < m*m {
+			t.Fatalf("chain: the search held at most %d frames, want %d", depth, m*m)
 		}
 	}
 
@@ -479,7 +508,7 @@ func TestPairGraphPassHardCases(t *testing.T) {
 		for _, p := range []P{Singletons(top.NumStates()), closed, notClosed(t, rng, top, closed)} {
 			for _, k := range []int{3, 100 + rng.Intn(201)} {
 				label := fmt.Sprintf("trial %d, %d blocks, %d pairs", trial, p.NumBlocks(), k)
-				checkPass(t, label, pool, &tab, top, p, blockPairs(p), randomPairs(rng, top.NumStates(), k))
+				checkPass(t, label, pool, d, top, p, nil, randomPairs(rng, top.NumStates(), k))
 			}
 		}
 	}

@@ -32,15 +32,17 @@ import (
 //     closure is then checked against every forbidden pair, which catches
 //     a pair merged only transitively.
 //
-// Every member shares the SCC's verdict and closure. The pass is serial
-// and its order is fixed by the task order, so the outcome of every pair,
-// including the implied/seeded/cold split, is deterministic.
+// Every member shares the SCC's verdict and closure, so the pass interns
+// one closure per passing SCC and counts the implied/seeded/cold split per
+// SCC. When the search is done, comp is rewritten in place into the
+// level's outcome record: per node, the number of its closure in the
+// level's set, or -1 once it failed. The pass is serial and its order is
+// fixed by the task order, so the record and the split are deterministic.
 //
 // Per node the table holds index, low and comp as int32 plus a flag
-// byte: 13 B, where the racing per-pair memo it replaced held a 4 B
-// state word and a 40 B P. Per SCC it holds an 8 B verdict, and a P only
-// for the SCCs that passed. The buffers survive across levels and Reset,
-// which clears the closure references but keeps the capacity.
+// byte: 13 B, and no partition. Per SCC it holds one int32. The buffers
+// survive across levels, descents and (through the descent-state pool)
+// calls; release drops the only partition references it holds.
 type sccTable struct {
 	// The level start as a quotient machine: blockOf is p's block vector
 	// (read-only view), rep[b] the least state of block b, and
@@ -51,15 +53,15 @@ type sccTable struct {
 	next    []int32
 
 	// Per node, triangular-indexed: Tarjan's visit index (-1 while
-	// unvisited) and low link, the SCC id (-1 while on the stack), and
-	// the node flags.
+	// unvisited) and low link, the SCC id (-1 while on the stack; after
+	// the pass, the record), and the node flags.
 	index, low, comp []int32
 	flags            []uint8
 
-	// Per SCC in emission order; parts holds the passing closures, and
-	// its entries past len are always zero.
-	sccs  []sccVerdict
-	parts []P
+	// Per SCC in emission order: the number of its closure in closures,
+	// the level's set of passing closures, or -1 when it failed.
+	sccs     []int32
+	closures *Set
 
 	frames  []sccFrame
 	stack   []int32
@@ -73,18 +75,9 @@ const (
 	nodeDoomed    uint8 = 1 << 1
 )
 
-// sccVerdict is one SCC's judgement: whether its closure passes the level
-// constraint, the index of its closure in parts (-1 unless it passed),
-// and how its root's cascade resolved (cascadeImplied when none ran).
-type sccVerdict struct {
-	part int32
-	ok   bool
-	out  cascadeOutcome
-}
-
-// sccFrame is one open node of the Tarjan search: its blocks i < j and
+// sccFrame is one open node u of the Tarjan search: its blocks i < j and
 // the next event whose successor it explores.
-type sccFrame struct{ i, j, e int32 }
+type sccFrame struct{ u, i, j, e int32 }
 
 // node triangular-indexes the block pair {i, j}, i < j.
 func node(i, j int32) int { return int(j)*(int(j)-1)/2 + int(i) }
@@ -94,15 +87,7 @@ func (t *sccTable) reset(top *dfsm.Machine, p P) {
 	b := p.NumBlocks()
 	t.events = top.NumEvents()
 	t.blockOf = p.View()
-	t.rep = resize(t.rep, b)
-	for i := range t.rep {
-		t.rep[i] = -1
-	}
-	for s, blk := range t.blockOf {
-		if t.rep[blk] < 0 {
-			t.rep[blk] = s
-		}
-	}
+	t.rep = firstStates(p, t.rep)
 	t.next = resize(t.next, b*t.events)
 	for blk, s := range t.rep {
 		for e := 0; e < t.events; e++ {
@@ -119,16 +104,30 @@ func (t *sccTable) reset(top *dfsm.Machine, p P) {
 	}
 	clear(t.flags)
 	t.sccs = t.sccs[:0]
-	t.release()
 	t.counter = 0
 }
 
-// release drops every closure reference the table holds, keeping the
+// release drops every partition reference the table holds, keeping the
 // capacity. DescentState.Reset calls it so no partition of one descent
 // outlives it.
 func (t *sccTable) release() {
-	clear(t.parts)
-	t.parts = t.parts[:0]
+	t.blockOf = nil
+	t.closures = nil
+}
+
+// firstStates returns, in buf, the least state of each block of p (its
+// representative), in block order.
+func firstStates(p P, buf []int) []int {
+	buf = resize(buf, p.NumBlocks())
+	for i := range buf {
+		buf[i] = -1
+	}
+	for s, blk := range p.View() {
+		if buf[blk] < 0 {
+			buf[blk] = s
+		}
+	}
+	return buf
 }
 
 // resize returns s with length n, reusing its backing array when it is
@@ -140,49 +139,36 @@ func resize[T any](s []T, n int) []T {
 	return make([]T, n)
 }
 
-// closeLevel is closePairs for a level whose tasks are all cold: it
-// evaluates them in one pass over the pair graph instead of one cascade
-// each, and returns the same results. A p that is not closed falls back
-// to closePairs. onClose observes every task once, on the caller.
-func (t *sccTable) closeLevel(pool *exec.Pool, top *dfsm.Machine, p P, tasks []pairTask, forbidden [][2]int, onClose func(x, y int)) []pairResult {
-	st := newLevelStart(top, p, forbidden)
-	if st.base.Sets() != p.NumBlocks() {
-		return closePairs(pool, top, p, tasks, forbidden, onClose)
-	}
-	res := make([]pairResult, len(tasks))
-	if st.violated {
-		return res
-	}
+// pass evaluates the all-cold level at the closed start p that st was
+// built from, which must not be violated. It walks the block pairs in
+// task order (i-major, i < j), calls onClose for each on the caller, and
+// searches from each one not yet visited. Passing SCC closures are
+// interned into set, the level's cold closures and their split are
+// counted into stats, and comp is left as the level's record.
+func (t *sccTable) pass(c *exec.Ctx, top *dfsm.Machine, st *levelStart, p P, forbidden [][2]int, set *Set, stats *DescentStats, onClose func(x, y int)) {
+	t.reset(top, p)
+	t.closures = set
 	// Not violated, so every forbidden pair spans two blocks of p: a pair
 	// inside one block would index node(i, i), which aliases node(0, i+1).
-	t.reset(top, p)
 	for _, e := range forbidden {
 		t.flags[t.nodeOf(e[0], e[1])] |= nodeForbidden
 	}
-	c := pool.Acquire()
-	defer pool.Release(c)
-	lv := &levelPass{t: t, c: c, top: top, st: st, forbidden: forbidden}
-	for _, task := range tasks {
-		if onClose != nil {
-			onClose(task.x, task.y)
-		}
-		if u := t.nodeOf(task.x, task.y); t.index[u] < 0 {
-			lv.search(u, task.x, task.y)
+	lv := &levelPass{t: t, c: c, top: top, st: st, forbidden: forbidden, stats: stats}
+	b := int32(len(t.rep))
+	for i := int32(0); i < b; i++ {
+		for j := i + 1; j < b; j++ {
+			if onClose != nil {
+				onClose(t.rep[i], t.rep[j])
+			}
+			if u := node(i, j); t.index[u] < 0 {
+				lv.search(u, i, j)
+			}
 		}
 	}
-	for k, task := range tasks {
-		u := t.nodeOf(task.x, task.y)
-		v := t.sccs[t.comp[u]]
-		r := pairResult{ok: v.ok, out: cascadeImplied}
-		if v.part >= 0 {
-			r.cand = t.parts[v.part]
-		}
-		if t.index[u] == t.low[u] {
-			r.out = v.out // the SCC's root ran its cascade
-		}
-		res[k] = r
+	for u, k := range t.comp {
+		t.comp[u] = t.sccs[k]
 	}
-	return res
+	stats.ColdClosures += len(t.comp)
 }
 
 // nodeOf returns the node of the states a and b, which lie in distinct
@@ -204,16 +190,17 @@ func (t *sccTable) lookup(a, b int) (m P, done bool) {
 	if c == t.cur {
 		return P{}, false
 	}
-	return t.parts[t.sccs[c].part], true
+	return t.closures.items[t.sccs[c]], true
 }
 
-// levelPass is the per-level context of closeLevel's search.
+// levelPass is the per-level context of the pass's search.
 type levelPass struct {
 	t         *sccTable
 	c         *exec.Ctx
 	top       *dfsm.Machine
 	st        *levelStart
 	forbidden [][2]int
+	stats     *DescentStats
 }
 
 // open pushes the unvisited node u of blocks i < j onto both stacks.
@@ -221,21 +208,17 @@ func (t *sccTable) open(u int, i, j int32) {
 	t.index[u], t.low[u], t.comp[u] = t.counter, t.counter, -1
 	t.counter++
 	t.stack = append(t.stack, int32(u))
-	t.frames = append(t.frames, sccFrame{i: i, j: j})
+	t.frames = append(t.frames, sccFrame{u: int32(u), i: i, j: j})
 }
 
-// search runs Tarjan's algorithm from the unvisited node root of states
-// x and y, judging each SCC as it is emitted.
-func (lv *levelPass) search(root, x, y int) {
+// search runs Tarjan's algorithm from the unvisited node root of blocks
+// i < j, judging each SCC as it is emitted.
+func (lv *levelPass) search(root int, i, j int32) {
 	t := lv.t
-	i, j := int32(t.blockOf[x]), int32(t.blockOf[y])
-	if i > j {
-		i, j = j, i
-	}
 	t.open(root, i, j)
 	for len(t.frames) > 0 {
 		f := &t.frames[len(t.frames)-1]
-		u := node(f.i, f.j)
+		u := int(f.u)
 		if int(f.e) < t.events {
 			e := int(f.e)
 			f.e++
@@ -251,7 +234,7 @@ func (lv *levelPass) search(root, x, y int) {
 				t.open(v, a, b)
 			case t.comp[v] < 0:
 				t.low[u] = min(t.low[u], t.index[v])
-			case !t.sccs[t.comp[v]].ok:
+			case t.sccs[t.comp[v]] < 0:
 				t.flags[u] |= nodeDoomed
 			}
 			continue
@@ -263,10 +246,10 @@ func (lv *levelPass) search(root, x, y int) {
 		}
 		if len(t.frames) > 0 {
 			pf := t.frames[len(t.frames)-1]
-			pu := node(pf.i, pf.j)
+			pu := int(pf.u)
 			if t.comp[u] < 0 {
 				t.low[pu] = min(t.low[pu], t.low[u])
-			} else if !t.sccs[t.comp[u]].ok {
+			} else if t.sccs[t.comp[u]] < 0 {
 				t.flags[pu] |= nodeDoomed
 			}
 		}
@@ -274,29 +257,35 @@ func (lv *levelPass) search(root, x, y int) {
 }
 
 // emit pops the SCC rooted at node u (blocks i < j) off the stack and
-// judges it.
+// judges it: a passing closure is interned into the level's set, and the
+// SCC's members are counted into the split, all implied but a root whose
+// cascade ran.
 func (lv *levelPass) emit(u int, i, j int32) {
 	t := lv.t
 	c := int32(len(t.sccs))
 	doomed := false
+	size := 0
 	for {
 		w := t.stack[len(t.stack)-1]
 		t.stack = t.stack[:len(t.stack)-1]
 		t.comp[w] = c
+		size++
 		doomed = doomed || t.flags[w] != 0
 		if int(w) == u {
 			break
 		}
 	}
-	v := sccVerdict{part: -1, out: cascadeImplied}
+	k := int32(-1)
+	out := cascadeImplied
 	if !doomed {
 		t.cur = c
-		cand, out := cascade(lv.c, lv.top, lv.st, P{}, t.rep[i], t.rep[j], t)
-		v.ok, v.out = separatesAll(cand, lv.forbidden), out
-		if v.ok {
-			v.part = int32(len(t.parts))
-			t.parts = append(t.parts, cand)
+		var cand P
+		cand, out = cascade(lv.c, lv.top, lv.st, P{}, t.rep[i], t.rep[j], t)
+		if separatesAll(cand, lv.forbidden) {
+			k = t.closures.index(cand)
 		}
 	}
-	t.sccs = append(t.sccs, v)
+	t.sccs = append(t.sccs, k)
+	lv.stats.ImpliedCascades += size - 1
+	lv.stats.recordCascade(out)
 }

@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Compares benchmarks/latest.txt against benchmarks/baseline.txt and fails
 # when any benchmark's ns/op regressed by more than BENCH_MAX_REGRESSION_PCT
-# percent (default 5). Skips cleanly when no baseline has been promoted yet.
+# percent (default 5). A row run several times (go test -count N) is
+# compared by its minimum ns/op on each side, the estimator least moved by
+# other load on the machine. Skips cleanly when no baseline has been
+# promoted yet.
 #
 # The comparison is name-keyed on the "BenchmarkX-N  iters  ns/op" lines, so
 # it needs no external tooling (benchstat) — suitable for hermetic CI.
@@ -39,13 +42,18 @@ awk -v thr="$THRESHOLD" -v gate="$GATE" '
   # Names are compared verbatim, GOMAXPROCS suffix included: a -cpu sweep
   # (CI smoke runs 1,4) produces distinct rows per cpu count, and a row
   # only gates against a baseline row measured at the same parallelism.
+  # A name seen more than once (-count N) keeps its minimum.
   /^Benchmark/ {
     name = $1
     for (i = 2; i < NF; i++) {
       if ($(i + 1) == "ns/op") { ns = $i + 0; break }
     }
-    if (FNR == NR) { base[name] = ns }
-    else           { latest[name] = ns; order[++n] = name }
+    if (FNR == NR) {
+      if (!(name in base) || ns < base[name]) base[name] = ns
+    } else {
+      if (!(name in latest)) order[++n] = name
+      if (!(name in latest) || ns < latest[name]) latest[name] = ns
+    }
   }
   END {
     fail = 0

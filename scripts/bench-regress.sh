@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
 # Regression gate for the Algorithm 2 hot path: runs the five Table 1 rows
-# (BenchmarkTable1Row1-5), the NoIncremental ablation row, the
-# single-closure row (BenchmarkClosure) and the 720-weakest-edge descent
-# row (BenchmarkWeakestEdgeDescent) at a reduced benchtime and fails when
-# any row's ns/op regressed more than BENCH_MAX_REGRESSION_PCT (default 15 —
-# looser than bench-compare's 5 because reduced benchtimes are noisier)
-# against benchmarks/baseline.txt. The default was 0.3s until the PR 9
-# pair-implication memo made the big rows 2.4–33× faster: at 0.3s the
-# fast rows get too few iterations to settle (Row 4 spreads ±45%), so 1s
-# is the new floor for a meaningful gate. Reuses bench.sh for the run and
+# (BenchmarkTable1Row1-5), the single-closure row (BenchmarkClosure) and
+# the 720-weakest-edge descent row (BenchmarkWeakestEdgeDescent)
+# BENCH_COUNT times (default 5) at BENCH_TIME each (default 1s) and fails
+# when any row's minimum ns/op regressed more than
+# BENCH_MAX_REGRESSION_PCT (default 15) against the minimum of the same
+# row in benchmarks/baseline.txt. The minimum of several runs is the
+# least load-sensitive estimator of a CPU-bound row: one run per row
+# against a 15% bound failed two of three times on unchanged code on a
+# shared VM. At 0.3s the fast rows get too few iterations to settle, so
+# 1s is the floor for a meaningful gate. Reuses bench.sh for the run and
 # bench-compare.sh for the comparison; like bench-compare, it only gates
 # when the baseline was measured on this machine's CPU.
 #
@@ -31,8 +32,9 @@ restore() {
 }
 trap restore EXIT
 
-BENCH_PATTERN='^(BenchmarkTable1Row[1-5]|BenchmarkTable1Row1NoIncremental|BenchmarkClosure|BenchmarkWeakestEdgeDescent)$' \
+BENCH_PATTERN='^(BenchmarkTable1Row[1-5]|BenchmarkClosure|BenchmarkWeakestEdgeDescent)$' \
 BENCH_TIME="${BENCH_TIME:-1s}" \
+BENCH_COUNT="${BENCH_COUNT:-5}" \
   scripts/bench.sh
 
 BENCH_MAX_REGRESSION_PCT="${BENCH_MAX_REGRESSION_PCT:-15}" scripts/bench-compare.sh
