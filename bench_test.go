@@ -563,11 +563,11 @@ func BenchmarkServerGenerateCached(b *testing.B) {
 	}
 }
 
-// BenchmarkWeakestEdges measures the incremental weakest-edge index on
-// the 176-state top. "query" is the per-outer-iteration call Algorithm 2
-// issues (O(|weakest|) from the bucket index, formerly an O(N²) rescan);
-// "addRemove" cycles one machine through Add / WeakestEdges / Remove to
-// include the index-maintenance cost.
+// BenchmarkWeakestEdges measures the fault graph on the 176-state top.
+// "query" is the WeakestEdges call Algorithm 2 issues once per outer
+// iteration (one O(N²) scan of the weights); "addRemove" cycles one
+// machine through Add / WeakestEdges / Remove, the per-iteration cost
+// Algorithm 2 pays.
 func BenchmarkWeakestEdges(b *testing.B) {
 	sys := mustSystem(b, "MESI", "TCP", "A", "B")
 	b.Run("query", func(b *testing.B) {

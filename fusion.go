@@ -21,9 +21,9 @@
 // # Performance
 //
 // The Algorithm 2 hot path is allocation-light end to end: the fault graph
-// keeps a per-weight edge-bucket index so both Dmin and WeakestEdges are
-// answered from the weakest bucket (O(1) and O(|weakest|) per outer
-// iteration) instead of O(N²) rescans; partitions carry a precomputed
+// is one flat weight array whose Add walk also counts dmin and the edges at
+// it, so Dmin is O(1) and WeakestEdges is one scan into an exactly sized
+// result, with no index to maintain per edge; partitions carry a precomputed
 // 64-bit hash so candidate dedup never materializes string keys; and the
 // reachable-cross-product BFS dedups tuples under a mixed-radix uint64
 // encoding instead of formatted strings. On the paper's Table 1 suites

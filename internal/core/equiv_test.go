@@ -84,9 +84,10 @@ func TestGuardedMergeClosuresEquivalence(t *testing.T) {
 	}
 }
 
-// TestFaultGraphIncrementalEquivalence checks that the histogram-backed
-// incremental Add/Remove bookkeeping (cached dmin, sized WeakestEdges)
-// agrees with a from-scratch BuildFaultGraph after every mutation.
+// TestFaultGraphIncrementalEquivalence checks that the incremental
+// Add/Remove bookkeeping (the dmin and weakest-edge count each walk keeps,
+// and WeakestEdges sized from it) agrees with a from-scratch
+// BuildFaultGraph after every mutation.
 func TestFaultGraphIncrementalEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {

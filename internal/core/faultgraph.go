@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -15,24 +16,15 @@ import (
 //
 // The graph supports incremental machine addition (Add), which is what
 // makes Algorithm 2's outer loop cheap: adding one machine raises each edge
-// weight by at most one (the observation behind Theorem 3). The weight
-// histogram of earlier revisions has grown into a full bucket queue — the
-// order array keeps every edge grouped by weight, with start[v] marking
-// where the weight-v group begins and pos giving each edge's slot — so a
-// weight change is two O(1) swaps, Dmin() stays O(1), and WeakestEdges()
-// enumerates the weakest group directly instead of rescanning all O(N²)
-// edges once per outer iteration of Algorithm 2. No allocation happens
-// after construction (the boundary array grows once per new max weight).
+// weight by at most one (the observation behind Theorem 3). Add and Remove
+// walk every edge, and the same walk recounts dmin and the number of edges
+// at dmin; Dmin() is then O(1), and WeakestEdges() is one row-major scan
+// into an exactly sized result.
 type FaultGraph struct {
-	n int
-	w []int // w[index(i,j)] for i<j
-	// Bucket-queue index: order holds all edge ids grouped by ascending
-	// weight; group v occupies order[start[v]:start[v+1]] (start's last
-	// entry is the sentinel len(order)); pos[k] is edge k's slot in order.
-	order []int32
-	start []int32
-	pos   []int32
-	dmin  int // cached min edge weight; meaningless when the graph has no edges
+	n    int
+	w    []int32 // w[index(i,j)] for i<j; never exceeds the machines added
+	dmin int     // least edge weight; meaningless when the graph has no edges
+	nmin int     // number of edges of weight dmin
 }
 
 // NewFaultGraph returns the empty fault graph (all weights zero) over n
@@ -41,27 +33,8 @@ func NewFaultGraph(n int) *FaultGraph {
 	if n < 1 {
 		panic(fmt.Sprintf("core: fault graph over %d states", n))
 	}
-	if n > 65536 {
-		// The bucket queue stores flat edge ids as int32; n=65536 is the
-		// last size whose n(n-1)/2 edges fit. Far beyond any reachable
-		// product size in practice.
-		panic(fmt.Sprintf("core: fault graph over %d states exceeds the 65536-state edge-index bound", n))
-	}
 	edges := n * (n - 1) / 2
-	order := make([]int32, edges)
-	pos := make([]int32, edges)
-	for k := range order {
-		order[k] = int32(k)
-		pos[k] = int32(k)
-	}
-	return &FaultGraph{
-		n:     n,
-		w:     make([]int, edges),
-		order: order,
-		start: []int32{0, int32(edges)},
-		pos:   pos,
-		dmin:  0,
-	}
+	return &FaultGraph{n: n, w: make([]int32, edges), nmin: edges}
 }
 
 // BuildFaultGraph constructs G over n states for the machine set given as
@@ -86,58 +59,12 @@ func (g *FaultGraph) index(i, j int) int {
 // N returns the number of nodes (states of ⊤).
 func (g *FaultGraph) N() int { return g.n }
 
-// moveUp shifts edge k from weight group v to v+1: swap it to the end of
-// its group and move the boundary left over it. O(1), no allocation.
-func (g *FaultGraph) moveUp(k, v int) {
-	for v+2 >= len(g.start) {
-		g.start = append(g.start, int32(len(g.order))) // new empty top group
-	}
-	last := g.start[v+1] - 1
-	j := g.pos[k]
-	other := g.order[last]
-	g.order[j], g.order[last] = other, int32(k)
-	g.pos[other], g.pos[k] = j, last
-	g.start[v+1] = last
-}
-
-// moveDown shifts edge k from weight group v to v-1: swap it to the front
-// of its group and move the boundary right over it.
-func (g *FaultGraph) moveDown(k, v int) {
-	first := g.start[v]
-	j := g.pos[k]
-	other := g.order[first]
-	g.order[j], g.order[first] = other, int32(k)
-	g.pos[other], g.pos[k] = j, first
-	g.start[v] = first + 1
-}
-
 // Add increments the weight of every edge the machine covers (separates).
 func (g *FaultGraph) Add(p partition.P) {
 	if p.N() != g.n {
 		panic(fmt.Sprintf("core: adding partition over %d elements to fault graph over %d states", p.N(), g.n))
 	}
-	if p.NumBlocks() <= 1 {
-		return // ⊥ separates nothing: no edge weight changes
-	}
-	blockOf := p.View()
-	k := 0
-	for i := 0; i < g.n; i++ {
-		bi := blockOf[i]
-		row := blockOf[i+1:]
-		for _, bj := range row {
-			if bi != bj {
-				old := g.w[k]
-				g.w[k] = old + 1
-				g.moveUp(k, old)
-			}
-			k++
-		}
-	}
-	// Weights only grew, so dmin can only move up; advance it to the first
-	// non-empty group.
-	for g.dmin+1 < len(g.start) && g.start[g.dmin] == g.start[g.dmin+1] {
-		g.dmin++
-	}
+	g.shift(p, 1)
 }
 
 // Remove decrements the weight of every edge the machine covers; the
@@ -147,29 +74,38 @@ func (g *FaultGraph) Remove(p partition.P) {
 	if p.N() != g.n {
 		panic(fmt.Sprintf("core: removing partition over %d elements from fault graph over %d states", p.N(), g.n))
 	}
+	g.shift(p, -1)
+}
+
+// shift adds delta to the weight of every edge p separates and, in the same
+// walk, recounts dmin and the edges at it.
+func (g *FaultGraph) shift(p partition.P, delta int32) {
 	if p.NumBlocks() <= 1 {
-		return
+		return // ⊥ separates nothing: no edge weight changes
 	}
 	blockOf := p.View()
+	dmin, nmin := int32(math.MaxInt32), 0
 	k := 0
 	for i := 0; i < g.n; i++ {
 		bi := blockOf[i]
-		row := blockOf[i+1:]
-		for _, bj := range row {
+		for _, bj := range blockOf[i+1:] {
+			w := g.w[k]
 			if bi != bj {
-				old := g.w[k]
-				if old == 0 {
+				w += delta
+				if w < 0 {
 					panic("core: FaultGraph.Remove of a machine that was never added (negative edge weight)")
 				}
-				g.w[k] = old - 1
-				g.moveDown(k, old)
-				if old-1 < g.dmin {
-					g.dmin = old - 1
-				}
+				g.w[k] = w
+			}
+			if w < dmin {
+				dmin, nmin = w, 1
+			} else if w == dmin {
+				nmin++
 			}
 			k++
 		}
 	}
+	g.dmin, g.nmin = int(dmin), nmin
 }
 
 // Weight returns the distance d(ti,tj) of Definition 4. Weight(i,i) is 0.
@@ -177,16 +113,16 @@ func (g *FaultGraph) Weight(i, j int) int {
 	if i == j {
 		return 0
 	}
-	return g.w[g.index(i, j)]
+	return int(g.w[g.index(i, j)])
 }
 
-// Dmin returns the least edge weight (dmin of Section 3) in O(1) from the
-// cached bucket minimum. A single-state graph has no edges; by
+// Dmin returns the least edge weight (dmin of Section 3) in O(1), as cached
+// by the last Add or Remove. A single-state graph has no edges; by
 // convention its dmin is returned as a very large number, since a one-state
 // system cannot lose information.
 func (g *FaultGraph) Dmin() int {
 	if len(g.w) == 0 {
-		return int(^uint(0) >> 1) // max int
+		return math.MaxInt
 	}
 	return g.dmin
 }
@@ -196,31 +132,22 @@ type Edge struct{ I, J int }
 
 // WeakestEdges returns all edges of weight exactly Dmin(), the "weakest
 // edges" Algorithm 2 must cover with the next fusion machine, in
-// lexicographic (i,j) order. The weakest group is enumerated directly —
-// O(|weakest| log |weakest| + N) for the order-restoring sort and the row
-// walk — instead of rescanning all O(N²) edges per outer iteration.
+// lexicographic (i,j) order: one row-major scan of the weights into a
+// result sized by the count Add and Remove keep.
 func (g *FaultGraph) WeakestEdges() []Edge {
-	if len(g.w) == 0 {
+	if g.nmin == 0 {
 		return nil
 	}
-	b := g.order[g.start[g.dmin]:g.start[g.dmin+1]]
-	// Sort the group in place (intra-group order is free) to restore
-	// lexicographic edge order, then fix up the positions.
-	slices.Sort(b)
-	base := g.start[g.dmin]
-	for i, k := range b {
-		g.pos[k] = base + int32(i)
-	}
-	out := make([]Edge, len(b))
-	i, rowEnd := 0, g.n-1 // row i spans flat ids [rowStart(i), rowStart(i)+n-1-i)
-	rowStart := 0
-	for x, k := range b {
-		for int(k) >= rowEnd {
-			rowStart = rowEnd
-			i++
-			rowEnd += g.n - 1 - i
+	out := make([]Edge, 0, g.nmin)
+	d := int32(g.dmin)
+	row := g.w
+	for i := 0; i < g.n-1; i++ {
+		for x, w := range row[:g.n-1-i] {
+			if w == d {
+				out = append(out, Edge{i, i + 1 + x})
+			}
 		}
-		out[x] = Edge{i, i + 1 + int(k) - rowStart}
+		row = row[g.n-1-i:]
 	}
 	return out
 }
@@ -233,7 +160,7 @@ func (g *FaultGraph) EdgesAtMost(x int) []Edge {
 	k := 0
 	for i := 0; i < g.n; i++ {
 		for j := i + 1; j < g.n; j++ {
-			if g.w[k] <= x {
+			if int(g.w[k]) <= x {
 				out = append(out, Edge{i, j})
 			}
 			k++
@@ -256,14 +183,9 @@ func Covers(p partition.P, edges []Edge) bool {
 
 // Clone returns a deep copy of the graph.
 func (g *FaultGraph) Clone() *FaultGraph {
-	return &FaultGraph{
-		n:     g.n,
-		w:     append([]int(nil), g.w...),
-		order: append([]int32(nil), g.order...),
-		start: append([]int32(nil), g.start...),
-		pos:   append([]int32(nil), g.pos...),
-		dmin:  g.dmin,
-	}
+	c := *g
+	c.w = slices.Clone(g.w)
+	return &c
 }
 
 // String renders the weight matrix; for small graphs only (Fig. 4 style).

@@ -1,12 +1,16 @@
 package core_test
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/core"
+	"repro/internal/dfsm"
+	"repro/internal/machines"
 	"repro/internal/partition"
 )
 
@@ -115,6 +119,74 @@ func TestFaultGraphSingleState(t *testing.T) {
 	if len(g.WeakestEdges()) != 0 {
 		t.Error("single-state graph has weakest edges")
 	}
+
+	// ⊥ separates nothing, so a graph that has had only ⊥ added keeps
+	// dmin 0 with every edge weakest.
+	const n = 5
+	bot := core.BuildFaultGraph(n, []partition.P{partition.Single(n), partition.Single(n)})
+	if bot.Dmin() != 0 {
+		t.Errorf("dmin after adding only ⊥ = %d, want 0", bot.Dmin())
+	}
+	if got, want := bot.WeakestEdges(), bot.EdgesAtMost(1<<30); !slices.Equal(got, want) {
+		t.Errorf("weakest edges after adding only ⊥ = %v, want every edge %v", got, want)
+	}
+}
+
+// mustPanic fails the test unless f panics with a message containing want.
+func mustPanic(t *testing.T, name, want string, f func()) {
+	t.Helper()
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Errorf("%s did not panic", name)
+		} else if msg := fmt.Sprint(r); !strings.Contains(msg, want) {
+			t.Errorf("%s panicked with %q, want it to mention %q", name, msg, want)
+		}
+	}()
+	f()
+}
+
+// TestFaultGraphPanics covers the checks that reject misuse: a partition
+// over the wrong number of states, and removing a machine that was never
+// added (which would drive an edge weight negative).
+func TestFaultGraphPanics(t *testing.T) {
+	const n = 4
+	p := partition.MustFromBlocks(n, [][]int{{0, 1}, {2, 3}})
+	wrong := partition.Singletons(n + 1)
+	g := core.BuildFaultGraph(n, []partition.P{p})
+	mustPanic(t, "Add over the wrong n", "adding partition over 5 elements", func() { g.Add(wrong) })
+	mustPanic(t, "Remove over the wrong n", "removing partition over 5 elements", func() { g.Remove(wrong) })
+	mustPanic(t, "Remove of a never-added machine", "never added", func() {
+		g.Remove(partition.MustFromBlocks(n, [][]int{{0, 2}, {1, 3}}))
+	})
+	mustPanic(t, "NewFaultGraph(0)", "over 0 states", func() { core.NewFaultGraph(0) })
+}
+
+// TestWeakestEdgesOneAllocation pins WeakestEdges to a single, exactly
+// sized allocation on the 176-state top of MESI, TCP, A and B.
+func TestWeakestEdgesOneAllocation(t *testing.T) {
+	ms := make([]*dfsm.Machine, 0, 4)
+	for _, name := range []string{"MESI", "TCP", "A", "B"} {
+		m, err := machines.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms = append(ms, m)
+	}
+	sys, err := core.NewSystem(ms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sys.N() != 176 {
+		t.Fatalf("top has %d states, want 176", sys.N())
+	}
+	g := core.BuildFaultGraph(sys.N(), sys.Parts)
+	if w := g.WeakestEdges(); len(w) != cap(w) {
+		t.Errorf("WeakestEdges returned %d edges in a slice of capacity %d", len(w), cap(w))
+	}
+	if allocs := testing.AllocsPerRun(20, func() { g.WeakestEdges() }); allocs != 1 {
+		t.Errorf("WeakestEdges allocates %v times, want 1", allocs)
+	}
 }
 
 func TestFaultGraphString(t *testing.T) {
@@ -204,8 +276,9 @@ func TestDminMonotoneUnderAdd(t *testing.T) {
 }
 
 // weakestEdgesRescan is the reference implementation of WeakestEdges: a
-// full O(N²) scan of the weight matrix. The incremental bucket index must
-// reproduce its output exactly (same edges, same lexicographic order).
+// full O(N²) scan through Weight and Dmin with no precomputed count.
+// WeakestEdges, sized by the count Add and Remove keep, must reproduce its
+// output exactly (same edges, same lexicographic order).
 func weakestEdgesRescan(g *core.FaultGraph) []core.Edge {
 	n := g.N()
 	d := g.Dmin()

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -121,6 +122,15 @@ func TestReplicatedFailover(t *testing.T) {
 	}
 	if w := do(t, leader, "GET", "/readyz", "", "", &ready); w.Code != http.StatusOK || !ready.Ready || ready.Role != RoleLeader {
 		t.Fatalf("leader /readyz: %d %+v", w.Code, ready)
+	}
+
+	// The replica's /healthz reports the leader's per-cluster counters.
+	var leaderHealth, followerHealth HealthResponse
+	do(t, leader, "GET", "/healthz", "", "", &leaderHealth)
+	do(t, follower, "GET", "/healthz", "", "", &followerHealth)
+	lm, fm := leaderHealth.Tenants["default"].ClusterMetrics, followerHealth.Tenants["default"].ClusterMetrics
+	if len(lm) == 0 || !maps.Equal(lm, fm) {
+		t.Fatalf("follower /healthz cluster metrics %+v, leader %+v", fm, lm)
 	}
 
 	preKillBody := leaderGet.Body.String()

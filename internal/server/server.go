@@ -820,21 +820,7 @@ func (s *Server) Health() HealthResponse {
 			if !ok {
 				continue
 			}
-			th := TenantHealth{Clusters: reg.Len()}
-			if metrics := reg.Metrics(); len(metrics) > 0 {
-				th.ClusterMetrics = make(map[string]ClusterMetrics, len(metrics))
-				for id, m := range metrics {
-					th.ClusterMetrics[id] = ClusterMetrics{
-						EventsApplied:    m.EventsApplied,
-						FaultsInjected:   m.FaultsInjected,
-						Recoveries:       m.Recoveries,
-						FailedRecoveries: m.FailedRecoveries,
-						ServersRestored:  m.ServersRestored,
-						LiarsCaught:      m.LiarsCaught,
-					}
-				}
-			}
-			h.Tenants[name] = th
+			h.Tenants[name] = TenantHealth{Clusters: reg.Len(), ClusterMetrics: clusterMetrics(reg)}
 		}
 		return h
 	}
@@ -853,22 +839,25 @@ func (s *Server) Health() HealthResponse {
 				th.FusionCacheHitRate = &rate
 			}
 		}
-		if metrics := t.clusters.Metrics(); len(metrics) > 0 {
-			th.ClusterMetrics = make(map[string]ClusterMetrics, len(metrics))
-			for id, m := range metrics {
-				th.ClusterMetrics[id] = ClusterMetrics{
-					EventsApplied:    m.EventsApplied,
-					FaultsInjected:   m.FaultsInjected,
-					Recoveries:       m.Recoveries,
-					FailedRecoveries: m.FailedRecoveries,
-					ServersRestored:  m.ServersRestored,
-					LiarsCaught:      m.LiarsCaught,
-				}
-			}
-		}
+		th.ClusterMetrics = clusterMetrics(t.clusters)
 		h.Tenants[t.name] = th
 	}
 	return h
+}
+
+// clusterMetrics is the /healthz form of reg's per-cluster counters, nil
+// when reg holds no cluster. The conversion compiles only while
+// ClusterMetrics mirrors sim.MetricsSnapshot field for field.
+func clusterMetrics(reg *sim.Registry) map[string]ClusterMetrics {
+	metrics := reg.Metrics()
+	if len(metrics) == 0 {
+		return nil
+	}
+	out := make(map[string]ClusterMetrics, len(metrics))
+	for id, m := range metrics {
+		out[id] = ClusterMetrics(m)
+	}
+	return out
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
