@@ -44,6 +44,10 @@ import (
 	"repro/internal/server"
 )
 
+// onListen, when non-nil, receives the server once it listens, so an
+// in-process test can reach its tenants' engines.
+var onListen func(*server.Server)
+
 // runPromote is the -promote one-shot client: it asks the daemon at addr
 // (a follower) to promote itself and prints the resulting role/epoch.
 // Split from serving so failover needs no second binary — the operator
@@ -208,6 +212,9 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 	hs := &http.Server{Handler: srv.Handler(), ReadHeaderTimeout: 5 * time.Second}
+	if onListen != nil {
+		onListen(srv)
+	}
 	fmt.Fprintf(out, "fusiond: listening on %s\n", ln.Addr())
 
 	serveErr := make(chan error, 1)

@@ -18,6 +18,7 @@ import (
 
 	fusion "repro"
 	"repro/internal/exec"
+	"repro/internal/server"
 )
 
 // syncBuffer lets the test read fusiond's output while run() writes it.
@@ -123,11 +124,12 @@ func TestServeAndGracefulShutdown(t *testing.T) {
 	}
 }
 
-// TestSIGTERMFloodAcceptance is the PR's acceptance criterion end to end:
-// with -max-inflight=2 -queue-depth=2, 8 concurrent POST /v1/generate
-// produce at least one 429, every accepted request succeeds with results
-// bit-identical to fusion.Generate, and the daemon exits cleanly on a
-// real SIGTERM with its engines drained and no goroutines leaked.
+// TestSIGTERMFloodAcceptance is admission control end to end: with
+// -max-inflight=2 -queue-depth=2 and both slots held, 8 concurrent POST
+// /v1/generate queue 2 and shed 6 with 429, every accepted request
+// succeeds with results bit-identical to fusion.Generate, and the daemon
+// exits cleanly on a real SIGTERM with its engines drained and no
+// goroutines leaked.
 func TestSIGTERMFloodAcceptance(t *testing.T) {
 	// Warm the process-wide shared pool to its full worker complement and
 	// compute the library reference first: those lazily spawned workers
@@ -160,70 +162,72 @@ func TestSIGTERMFloodAcceptance(t *testing.T) {
 	defer stop()
 	before := runtime.NumGoroutine()
 	var out syncBuffer
+	srvc := make(chan *server.Server, 1)
+	onListen = func(s *server.Server) { srvc <- s }
+	defer func() { onListen = nil }()
 	// The fusion cache is off here on purpose: this test measures the raw
-	// admission path (blockers pinning slots, floods shedding 429), and the
-	// cache's singleflight would coalesce the identical requests instead of
+	// admission path (held slots, floods shedding 429), and the cache's
+	// singleflight would coalesce the identical requests instead of
 	// queueing them.
 	base, errc := startDaemon(t, ctx, &out, "-max-inflight", "2", "-queue-depth", "2", "-workers", "2", "-fusion-cache", "0")
 	genBody := `{"zoo":["MESI","TCP"],"f":2}`
 
-	// Occupy both in-flight slots with generations heavy enough (seconds
-	// even with the pair-graph pass sharing cascades) that the flood
-	// below deterministically overlaps them, and wait until /healthz
-	// confirms both are admitted and running.
-	blockBody := `{"zoo":["MESI","TCP","A","B","SumMod3"],"f":2}`
-	blockers := make(chan int, 2)
-	for i := 0; i < 2; i++ {
-		go func() {
-			code, _ := post(t, base+"/v1/generate", blockBody)
-			blockers <- code
-		}()
+	// Occupy both in-flight slots by acquiring the tenant engine directly,
+	// as internal/server's flood tests do, so the flood below queues two
+	// requests and sheds the rest however fast a generation runs. /healthz
+	// must report both slots taken.
+	eng, err := (<-srvc).TenantEngine("default")
+	if err != nil {
+		t.Fatal(err)
 	}
-	waitDeadline := time.Now().Add(15 * time.Second)
-	for {
-		resp, err := http.Get(base + "/healthz")
-		if err != nil {
+	for i := 0; i < 2; i++ {
+		if err := eng.Acquire(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		var h struct {
-			Tenants map[string]struct {
-				InFlight int `json:"inFlight"`
-			} `json:"tenants"`
-		}
-		err = json.NewDecoder(resp.Body).Decode(&h)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if h.Tenants["default"].InFlight == 2 {
-			break
-		}
-		if time.Now().After(waitDeadline) {
-			t.Fatalf("blockers never occupied both slots: %+v", h)
-		}
-		time.Sleep(2 * time.Millisecond)
+	}
+	resp, err := http.Get(base + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var h struct {
+		Tenants map[string]struct {
+			InFlight int `json:"inFlight"`
+		} `json:"tenants"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&h)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Tenants["default"].InFlight != 2 {
+		t.Fatalf("held slots not reported in flight: %+v", h)
 	}
 
-	const flood = 8
+	// Flood: the queue takes two requests and the other six are shed at
+	// once. Release the held slots only when all six are back and both
+	// queued requests wait, so they are admitted and run to completion.
+	const flood, queued = 8, 2
 	codes := make([]int, flood)
 	bodies := make([]string, flood)
-	var wg sync.WaitGroup
-	start := make(chan struct{})
+	done := make(chan struct{}, flood)
 	for i := 0; i < flood; i++ {
-		i := i
-		wg.Add(1)
 		go func() {
-			defer wg.Done()
-			<-start
+			defer func() { done <- struct{}{} }()
 			codes[i], bodies[i] = post(t, base+"/v1/generate", genBody)
 		}()
 	}
-	close(start)
-	wg.Wait()
-	for i := 0; i < 2; i++ {
-		if code := <-blockers; code != http.StatusOK {
-			t.Fatalf("blocker request failed with %d", code)
+	for i := 0; i < flood-queued; i++ {
+		<-done
+	}
+	for deadline := time.Now().Add(10 * time.Second); eng.Queued() != queued; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d requests queued, want %d", eng.Queued(), queued)
 		}
+	}
+	eng.Release()
+	eng.Release()
+	for i := 0; i < queued; i++ {
+		<-done
 	}
 
 	ok, shed := 0, 0
@@ -239,8 +243,8 @@ func TestSIGTERMFloodAcceptance(t *testing.T) {
 			t.Fatalf("request %d: unexpected status %d: %s", i, c, bodies[i])
 		}
 	}
-	if ok+shed != flood || shed < 1 || ok < 1 {
-		t.Fatalf("flood outcome: %d ok + %d shed of %d; want everything accounted, both outcomes present", ok, shed, flood)
+	if ok != queued || shed != flood-queued {
+		t.Fatalf("flood outcome: %d ok + %d shed of %d; want %d ok, the rest shed", ok, shed, flood, queued)
 	}
 	t.Logf("flood: %d accepted, %d shed with 429", ok, shed)
 

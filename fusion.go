@@ -40,10 +40,12 @@
 //     quotient machine ⊤/p: a candidate pair {a,b} steps to
 //     {δ(a,e), δ(b,e)} under every event, closures nest along these
 //     edges, and all pairs of one strongly connected component (SCC)
-//     share one closure. An iterative Tarjan search judges each SCC as
-//     it is emitted: it fails in O(|Σ|) per pair when a member is a
-//     forbidden pair or a successor failed, and otherwise runs one
-//     cascade that absorbs its successors' finished closures. This is
+//     share one closure. An iterative Tarjan search fails fast: as soon
+//     as it meets a forbidden pair, a failed node, or an SCC whose own
+//     cascade failed, every pair on its stack reaches that failure, so
+//     all of them fail at once and the search stops there. Every SCC it
+//     does emit runs one cascade that absorbs its successors' finished
+//     closures. This is
 //     the all-cold level 0 of every descent, where the big-row work
 //     lives: on Table 1 Row 4's 176-state top, 1 cascade decides all
 //     15,400 level-0 pairs. The pass is serial and deterministic.
@@ -58,8 +60,8 @@
 //     cascades. Level 0's pass hands the descent its record directly.
 //
 // Nothing is shared across the descents of one generation: each descent
-// closes its own level 0 under its own weakest-edge constraint, so failed
-// successors decide most pairs without a cascade.
+// closes its own level 0 under its own weakest-edge constraint, and the
+// fail-fast search decides most of its pairs without a cascade.
 //
 // Both tiers report through process-wide counters (GenerationCounters,
 // fusegen -descent-stats, fusiond /metrics and /healthz); the within-

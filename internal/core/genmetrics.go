@@ -22,7 +22,7 @@ var genCounters struct {
 
 	// Level-0 pair-graph pass: the split of ColdClosures by how each pair
 	// resolved (implied + seeded + cold == coldClosures).
-	impliedCascades atomic.Int64 // ran no cascade of its own: shared its SCC's verdict or a failed successor's
+	impliedCascades atomic.Int64 // ran no cascade of its own: shared its SCC's verdict, or reaches a failing pair (the fail-fast search)
 	seededCascades  atomic.Int64 // its SCC's cascade absorbed at least one finished successor closure
 	coldCascades    atomic.Int64 // its SCC's cascade ran with no successor closure to absorb
 }

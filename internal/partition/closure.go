@@ -141,9 +141,9 @@ const (
 	// transition-table cascade.
 	cascadeSeeded
 	// cascadeImplied: the pair was resolved without a cascade of its own —
-	// it shares the verdict of its SCC's root, its SCC failed on a
-	// forbidden member or a failed successor, or its cascade met a
-	// successor closure equal to its own and returned it.
+	// it shares the verdict of its SCC's root, the pass's search failed it
+	// when it aborted (it reaches a forbidden pair or a failed node), or
+	// its cascade met a successor closure equal to its own and returned it.
 	cascadeImplied
 )
 
@@ -171,12 +171,12 @@ const (
 // (p must be the level start it was reset with). Each union the cascade
 // is about to propagate first looks up the node of its block pair: a
 // node of the same SCC propagates as usual; any other node belongs to a
-// finished SCC that passed (the pass runs no cascade for an SCC with a
-// failed successor), and its closure, when it also unites x and y, IS
-// this pair's closure and is returned as-is; otherwise it is absorbed
-// wholesale. The result is bit-identical to the table-free cascade in
-// every case — the table only changes which unions pay for
-// transition-table walks.
+// finished SCC that passed (the pass aborts its search, without a
+// cascade, as soon as it reaches a failed node), and its closure, when it
+// also unites x and y, IS this pair's closure and is returned as-is;
+// otherwise it is absorbed wholesale. The result is bit-identical to the
+// table-free cascade in every case — the table only changes which unions
+// pay for transition-table walks.
 //
 // Complexity: O(N) for the copy plus O(N·|Σ|·α(N)) unions in the worst
 // case.
@@ -289,13 +289,4 @@ func Quotient(top *dfsm.Machine, p P, name string) (*dfsm.Machine, error) {
 		}
 	}
 	return dfsm.NewMachine(name, names, top.Events(), delta, p.BlockOf(top.Initial()))
-}
-
-// MustQuotient is Quotient that panics on error.
-func MustQuotient(top *dfsm.Machine, p P, name string) *dfsm.Machine {
-	m, err := Quotient(top, p, name)
-	if err != nil {
-		panic(err)
-	}
-	return m
 }

@@ -17,9 +17,9 @@ import (
 //   - Level 0 (the first level after Reset) is all cold and runs as one
 //     serial pass over the pair graph of the quotient machine ⊤/p
 //     (sccTable). Pairs in one strongly connected component share one
-//     closure, and a pair whose successor failed fails in O(|Σ|), so only
-//     a few cascades run, each absorbing the finished closures of its
-//     successors. The pass's comp array becomes the record, so level 0
+//     closure, and the search stops at the first failing pair and fails
+//     its whole stack with it, so only a few cascades run, each absorbing
+//     the finished closures of its successors. The pass's comp array becomes the record, so level 0
 //     materializes no per-pair task, result or partition.
 //
 //   - Cross-level violation pruning: a pair whose merge closure collapsed
@@ -92,11 +92,11 @@ type DescentStats struct {
 	// The pair-graph pass splits ColdClosures by how each from-scratch
 	// evaluation resolved; the three always sum to ColdClosures.
 	// ImpliedCascades ran no cascade of their own (they share their SCC
-	// root's verdict, failed on a forbidden member or a failed successor,
-	// met a successor closure equal to their own, or sit at a level start
-	// that already merges a forbidden pair); SeededCascades
-	// absorbed at least one finished successor closure wholesale;
-	// ColdCascades ran with no assist. Like every other counter here the
+	// root's verdict, were failed by an aborted search, met a successor
+	// closure equal to their own, or sit at a level start that already
+	// merges a forbidden pair); SeededCascades absorbed at least one
+	// finished successor closure wholesale; ColdCascades ran with no
+	// assist. Like every other counter here the
 	// split is deterministic.
 	ImpliedCascades int
 	SeededCascades  int
@@ -140,7 +140,7 @@ type pairResult struct {
 // pair in distinct blocks — the one level constraint of a descent.
 // Coarsening never splits a block, so a partition that fails fails for
 // every coarser one: the descent's pruning and the pair-graph pass's
-// failed successors rest on that.
+// fail-fast search rest on that.
 func separatesAll(c P, forbidden [][2]int) bool {
 	blockOf := c.View()
 	for _, e := range forbidden {

@@ -288,7 +288,9 @@ func TestFanOutStateDoesNotLeak(t *testing.T) {
 // unmemoized closePairs and the naive fixpoint (every block pair of p is
 // checked when tasks is nil); onClose must see every block pair exactly
 // once (none when p already merges a forbidden pair); and when every pair
-// was checked the returned winner must be their least passing closure.
+// was checked the returned winner must be their least passing closure,
+// and a pass at a closed start must have emitted exactly the SCCs that
+// emittedSCCs counts.
 func checkPass(t *testing.T, label string, pool *exec.Pool, d *DescentState, top *dfsm.Machine, p P, tasks []pairTask, forbidden [][2]int) {
 	t.Helper()
 	var mu sync.Mutex // an open p falls back to the pooled fan-out
@@ -319,6 +321,7 @@ func checkPass(t *testing.T, label string, pool *exec.Pool, d *DescentState, top
 		tasks = blockPairs(p)
 	}
 	var least P
+	fails := make([]bool, want)
 	cold := closePairs(pool, top, p, tasks, forbidden, nil)
 	for i, task := range tasks {
 		assign := p.Assignment()
@@ -343,10 +346,84 @@ func checkPass(t *testing.T, label string, pool *exec.Pool, d *DescentState, top
 		if wantOK && (least.N() == 0 || want.Less(least)) {
 			least = want
 		}
+		if all && len(fails) > 0 {
+			fails[node(int32(p.BlockOf(task.x)), int32(p.BlockOf(task.y)))] = !wantOK
+		}
 	}
 	if all && (bestOK != (least.N() > 0) || bestOK && !best.Equal(least)) {
 		t.Fatalf("%s: winner %v %s, least passing closure %s", label, bestOK, best, least)
 	}
+	if all && len(fails) > 0 && IsClosed(top, p) {
+		if got, ref := len(d.table.sccs)-1, emittedSCCs(top, p, forbidden, fails); got != ref {
+			t.Fatalf("%s: the pass emitted %d SCCs, reference %d", label, got, ref)
+		}
+	}
+}
+
+// emittedSCCs counts, by brute force over the pair graph of the closed
+// start p, the SCCs the pass must judge with a cascade: those with no
+// forbidden member whose successors outside the SCC all pass. fails holds
+// each node's reference verdict. Every other SCC fails fast, without
+// being emitted.
+func emittedSCCs(top *dfsm.Machine, p P, forbidden [][2]int, fails []bool) int {
+	b := int32(p.NumBlocks())
+	reps := firstStates(p, nil)
+	succ := make([][]int, len(fails))
+	for j := int32(1); j < b; j++ {
+		for i := int32(0); i < j; i++ {
+			for e := 0; e < top.NumEvents(); e++ {
+				x, y := int32(p.BlockOf(top.NextByIndex(reps[i], e))), int32(p.BlockOf(top.NextByIndex(reps[j], e)))
+				if x != y {
+					succ[node(i, j)] = append(succ[node(i, j)], node(min(x, y), max(x, y)))
+				}
+			}
+		}
+	}
+	reach := make([][]bool, len(fails)) // reach[u][v]: v is reachable from u
+	for u := range reach {
+		reach[u] = make([]bool, len(fails))
+		reach[u][u] = true
+		for queue := []int{u}; len(queue) > 0; queue = queue[1:] {
+			for _, v := range succ[queue[0]] {
+				if !reach[u][v] {
+					reach[u][v] = true
+					queue = append(queue, v)
+				}
+			}
+		}
+	}
+	forbiddenNode := make([]bool, len(fails))
+	for _, e := range forbidden {
+		if x, y := int32(p.BlockOf(e[0])), int32(p.BlockOf(e[1])); x != y {
+			forbiddenNode[node(min(x, y), max(x, y))] = true
+		}
+	}
+	count := 0
+	for u := range fails {
+		same := func(v int) bool { return reach[u][v] && reach[v][u] }
+		emitted := true
+		for v := range fails {
+			if !same(v) {
+				continue
+			}
+			if v < u {
+				emitted = false // counted at the SCC's least node
+				break
+			}
+			if forbiddenNode[v] {
+				emitted = false
+			}
+			for _, w := range succ[v] {
+				if !same(w) && fails[w] {
+					emitted = false
+				}
+			}
+		}
+		if emitted {
+			count++
+		}
+	}
+	return count
 }
 
 // cascadesRun counts the pairs of d's descent that ran a cascade of their
@@ -357,12 +434,13 @@ func cascadesRun(d *DescentState) int {
 }
 
 // TestPairGraphPassHardCases checks the per-level pair-graph pass against
-// unmemoized closePairs and the naive fixpoint on the cases its shortcuts
-// could get wrong, on one reused table: a violation the SCC's own
-// cascade must catch, a start that already merges a forbidden pair, a
-// pair graph that is one SCC, a search 10⁵ nodes deep, and random product
-// tops from closed and open level starts under short and dense forbidden
-// lists.
+// unmemoized closePairs and the naive fixpoint on the cases its fail-fast
+// search could get wrong, on one reused table: a violation the SCC's own
+// cascade must catch, with and without a DFS parent that must then fail
+// without a cascade, a passing SCC finished inside a search that later
+// aborts, a start that already merges a forbidden pair, a pair graph that
+// is one SCC, a search 10⁵ nodes deep, and random product tops from
+// closed and open level starts under short and dense forbidden lists.
 func TestPairGraphPassHardCases(t *testing.T) {
 	pool := exec.New(2)
 	defer pool.Close()
@@ -402,13 +480,61 @@ func TestPairGraphPassHardCases(t *testing.T) {
 	})
 	top := Singletons(5)
 	checkPass(t, "transitive", pool, d, trans, top, nil, [][2]int{{2, 4}})
-	if _, ok := recorded(d, 0, 1); ok || d.table.flags[node(0, 1)] != 0 {
-		t.Fatalf("transitive: (0,1) ok=%v flags %d; want its own cascade to fail", ok, d.table.flags[node(0, 1)])
+	if _, ok := recorded(d, 0, 1); ok || d.table.forbidden[node(0, 1)] {
+		t.Fatalf("transitive: (0,1) ok=%v forbidden=%v; want its own cascade to fail", ok, d.table.forbidden[node(0, 1)])
 	}
 	for _, e := range [][2]int{{2, 3}, {3, 4}} {
 		if _, ok := recorded(d, e[0], e[1]); !ok {
 			t.Fatalf("transitive: successor %v failed", e)
 		}
+	}
+
+	// The same violation one DFS level down: (0,1) steps to (2,3) under z
+	// only, and (2,3) to (4,5) under x and to (5,6) under y, which loop.
+	// The forbidden pair (4,6) is merged only by (2,3)'s own cascade. The
+	// search from (0,1) emits (2,3)'s SCC while (0,1) is still on the
+	// frame stack, so the failed cascade must abort and fail (0,1) without
+	// a cascade of its own: emittedSCCs leaves (0,1) out.
+	parent := machine(7, []string{"x", "y", "z", "j"}, func(s, e int) int {
+		switch {
+		case e == 3:
+			return 1
+		case s < 2:
+			return []int{0, 0, s + 2}[e]
+		case s < 4:
+			return []int{s + 2, s + 3, 2}[e]
+		}
+		return s
+	})
+	checkPass(t, "transitive under a parent", pool, d, parent, Singletons(7), nil, [][2]int{{4, 6}})
+	for _, c := range []struct {
+		pair [2]int
+		ok   bool
+	}{{[2]int{0, 1}, false}, {[2]int{2, 3}, false}, {[2]int{4, 5}, true}, {[2]int{5, 6}, true}} {
+		if _, ok := recorded(d, c.pair[0], c.pair[1]); ok != c.ok {
+			t.Fatalf("transitive under a parent: %v ok=%v, want %v", c.pair, ok, c.ok)
+		}
+	}
+
+	// A passing SCC finished inside a search that later aborts: (0,1)
+	// steps to the looping (2,3) under x, then to the forbidden (4,5) under
+	// y. The search emits (2,3) as a passing SCC before it opens (4,5), and
+	// the abort must fail (0,1) while (2,3) keeps its closure.
+	kept := machine(6, []string{"x", "y", "j"}, func(s, e int) int {
+		switch {
+		case e == 2:
+			return 1
+		case s < 2:
+			return s + 2 + 2*e
+		}
+		return s
+	})
+	checkPass(t, "passing SCC under an abort", pool, d, kept, Singletons(6), nil, [][2]int{{4, 5}})
+	if _, ok := recorded(d, 0, 1); ok {
+		t.Fatal("passing SCC under an abort: (0,1) passed")
+	}
+	if c, ok := recorded(d, 2, 3); !ok || !c.Equal(MustFromBlocks(6, [][]int{{0}, {1}, {2, 3}, {4}, {5}})) {
+		t.Fatalf("passing SCC under an abort: (2,3) ok=%v closure %s", ok, c)
 	}
 
 	// A forbidden pair inside the last block of a closed start: close(p)
@@ -428,8 +554,9 @@ func TestPairGraphPassHardCases(t *testing.T) {
 
 	// One giant SCC: a rotation and a transposition generate the full
 	// symmetric group, which moves every unordered pair to every other.
-	// The pass fails the SCC on its forbidden member without a cascade;
-	// unconstrained, it runs exactly one.
+	// Constrained, the search aborts at the forbidden member: it emits no
+	// SCC, records every node failed and runs no cascade. Unconstrained,
+	// it emits exactly one SCC and runs one cascade.
 	const g = 24
 	giant := machine(g, []string{"rot", "swap"}, func(s, e int) int {
 		switch {
@@ -443,14 +570,23 @@ func TestPairGraphPassHardCases(t *testing.T) {
 	top = Singletons(g)
 	for _, c := range []struct {
 		forbidden [][2]int
-		cascades  int
+		sccs      int // emitted, and so cascades run
 	}{{[][2]int{{0, 5}}, 0}, {nil, 1}} {
 		checkPass(t, "giant SCC", pool, d, giant, top, nil, c.forbidden)
-		if n := cascadesRun(d); n != c.cascades {
-			t.Fatalf("giant SCC, forbidden %v: %d cascades ran, want %d", c.forbidden, n, c.cascades)
+		if n := cascadesRun(d); n != c.sccs {
+			t.Fatalf("giant SCC, forbidden %v: %d cascades ran, want %d", c.forbidden, n, c.sccs)
 		}
-		if len(d.table.sccs) != 1 {
-			t.Fatalf("giant SCC, forbidden %v: %d SCCs, want 1", c.forbidden, len(d.table.sccs))
+		if n := len(d.table.sccs) - 1; n != c.sccs {
+			t.Fatalf("giant SCC, forbidden %v: %d SCCs emitted, want %d", c.forbidden, n, c.sccs)
+		}
+		failed := 0
+		for _, k := range d.rec {
+			if k < 0 {
+				failed++
+			}
+		}
+		if want := len(d.rec) * (1 - c.sccs); failed != want {
+			t.Fatalf("giant SCC, forbidden %v: %d of %d nodes recorded failed, want %d", c.forbidden, failed, len(d.rec), want)
 		}
 	}
 

@@ -18,17 +18,19 @@ import (
 // and all pairs of one strongly connected component (SCC) have equal
 // closures. An iterative Tarjan search (an explicit frame stack, since a
 // chain of pairs can be B²/2 deep) emits the SCCs in reverse topological
-// order, and each is judged as soon as it is emitted:
+// order, and it fails fast:
 //
-//   - It fails in O(|Σ|·|C|), without a cascade, if one of its members is
-//     a forbidden pair or if any successor SCC failed: the constraint is
-//     monotone under coarsening and the successor's closure is contained
-//     in this one.
-//   - Otherwise one cascade of one member (the SCC's Tarjan root) runs.
-//     Each union it is about to propagate first looks up the node of its
-//     block pair. A node of a finished SCC has a passing closure, which
-//     is absorbed wholesale, or returned outright when it also unites the
-//     member's own two blocks (the closures are then equal). The finished
+//   - It aborts when it opens a forbidden pair, explores an edge into a
+//     failed node, or emits an SCC whose cascade fails. Every node on the
+//     stack reaches the DFS path and so the failing node, and the
+//     constraint is monotone under coarsening: the abort fails them all
+//     without a cascade, and the task-order loop goes on.
+//   - An emitted SCC thus has no forbidden member and only passing
+//     successors, and one cascade of its Tarjan root judges it. Each
+//     union it is about to propagate first looks up the node of its block
+//     pair. A node of a finished SCC has a passing closure, which is
+//     absorbed wholesale, or returned outright when it also unites the
+//     root's own two blocks (the closures are then equal). The finished
 //     closure is then checked against every forbidden pair, which catches
 //     a pair merged only transitively.
 //
@@ -39,10 +41,10 @@ import (
 // level's set, or -1 once it failed. The pass is serial and its order is
 // fixed by the task order, so the record and the split are deterministic.
 //
-// Per node the table holds index, low and comp as int32 plus a flag
-// byte: 13 B, and no partition. Per SCC it holds one int32. The buffers
-// survive across levels, descents and (through the descent-state pool)
-// calls; release drops the only partition references it holds.
+// Per node the table holds index, low and comp as int32 plus a forbidden
+// byte: 13 B, and no partition. Per emitted SCC it holds one int32. The
+// buffers survive across levels, descents and (through the descent-state
+// pool) calls; release drops the only partition references it holds.
 type sccTable struct {
 	// The level start as a quotient machine: blockOf is p's block vector
 	// (read-only view), rep[b] the least state of block b, and
@@ -54,12 +56,12 @@ type sccTable struct {
 
 	// Per node, triangular-indexed: Tarjan's visit index (-1 while
 	// unvisited) and low link, the SCC id (-1 while on the stack; after
-	// the pass, the record), and the node flags.
+	// the pass, the record), and whether it is a forbidden pair.
 	index, low, comp []int32
-	flags            []uint8
+	forbidden        []bool
 
-	// Per SCC in emission order: the number of its closure in closures,
-	// the level's set of passing closures, or -1 when it failed.
+	// Entry aborted (-1), then per emitted SCC: the number of its closure
+	// in closures, the level's set of passing closures, or -1 if it failed.
 	sccs     []int32
 	closures *Set
 
@@ -69,11 +71,8 @@ type sccTable struct {
 	cur     int32 // the SCC whose cascade is running
 }
 
-// Node flags: the node is a forbidden pair, or a successor SCC failed.
-const (
-	nodeForbidden uint8 = 1 << 0
-	nodeDoomed    uint8 = 1 << 1
-)
+// aborted is the entry of sccs shared by the nodes an abort failed.
+const aborted = 0
 
 // sccFrame is one open node u of the Tarjan search: its blocks i < j and
 // the next event whose successor it explores.
@@ -98,12 +97,12 @@ func (t *sccTable) reset(top *dfsm.Machine, p P) {
 	t.index = resize(t.index, n)
 	t.low = resize(t.low, n)
 	t.comp = resize(t.comp, n)
-	t.flags = resize(t.flags, n)
+	t.forbidden = resize(t.forbidden, n)
 	for i := range t.index {
 		t.index[i] = -1
 	}
-	clear(t.flags)
-	t.sccs = t.sccs[:0]
+	clear(t.forbidden)
+	t.sccs = append(t.sccs[:0], -1) // aborted
 	t.counter = 0
 }
 
@@ -151,7 +150,7 @@ func (t *sccTable) pass(c *exec.Ctx, top *dfsm.Machine, st *levelStart, p P, for
 	// Not violated, so every forbidden pair spans two blocks of p: a pair
 	// inside one block would index node(i, i), which aliases node(0, i+1).
 	for _, e := range forbidden {
-		t.flags[t.nodeOf(e[0], e[1])] |= nodeForbidden
+		t.forbidden[t.nodeOf(e[0], e[1])] = true
 	}
 	lv := &levelPass{t: t, c: c, top: top, st: st, forbidden: forbidden, stats: stats}
 	b := int32(len(t.rep))
@@ -203,19 +202,25 @@ type levelPass struct {
 	stats     *DescentStats
 }
 
-// open pushes the unvisited node u of blocks i < j onto both stacks.
-func (t *sccTable) open(u int, i, j int32) {
+// open pushes the unvisited node u of blocks i < j onto both stacks and
+// aborts if it is a forbidden pair.
+func (lv *levelPass) open(u int, i, j int32) {
+	t := lv.t
 	t.index[u], t.low[u], t.comp[u] = t.counter, t.counter, -1
 	t.counter++
 	t.stack = append(t.stack, int32(u))
+	if t.forbidden[u] {
+		lv.abort()
+		return
+	}
 	t.frames = append(t.frames, sccFrame{u: int32(u), i: i, j: j})
 }
 
 // search runs Tarjan's algorithm from the unvisited node root of blocks
-// i < j, judging each SCC as it is emitted.
+// i < j, judging each SCC as it is emitted, until it is done or aborts.
 func (lv *levelPass) search(root int, i, j int32) {
 	t := lv.t
-	t.open(root, i, j)
+	lv.open(root, i, j)
 	for len(t.frames) > 0 {
 		f := &t.frames[len(t.frames)-1]
 		u := int(f.u)
@@ -231,11 +236,11 @@ func (lv *levelPass) search(root int, i, j int32) {
 			}
 			switch v := node(a, b); {
 			case t.index[v] < 0:
-				t.open(v, a, b)
+				lv.open(v, a, b)
 			case t.comp[v] < 0:
 				t.low[u] = min(t.low[u], t.index[v])
 			case t.sccs[t.comp[v]] < 0:
-				t.flags[u] |= nodeDoomed
+				lv.abort()
 			}
 			continue
 		}
@@ -243,49 +248,51 @@ func (lv *levelPass) search(root int, i, j int32) {
 		t.frames = t.frames[:len(t.frames)-1]
 		if t.low[u] == t.index[u] {
 			lv.emit(u, fi, fj)
-		}
-		if len(t.frames) > 0 {
-			pf := t.frames[len(t.frames)-1]
-			pu := int(pf.u)
-			if t.comp[u] < 0 {
-				t.low[pu] = min(t.low[pu], t.low[u])
-			} else if t.sccs[t.comp[u]] < 0 {
-				t.flags[pu] |= nodeDoomed
-			}
+		} else {
+			pu := int(t.frames[len(t.frames)-1].u)
+			t.low[pu] = min(t.low[pu], t.low[u])
 		}
 	}
 }
 
 // emit pops the SCC rooted at node u (blocks i < j) off the stack and
-// judges it: a passing closure is interned into the level's set, and the
-// SCC's members are counted into the split, all implied but a root whose
-// cascade ran.
+// judges it with its root's cascade: a passing closure is interned into
+// the level's set, and a failing one aborts the search. The SCC's members
+// are counted into the split, all implied but the root.
 func (lv *levelPass) emit(u int, i, j int32) {
 	t := lv.t
 	c := int32(len(t.sccs))
-	doomed := false
 	size := 0
 	for {
 		w := t.stack[len(t.stack)-1]
 		t.stack = t.stack[:len(t.stack)-1]
 		t.comp[w] = c
 		size++
-		doomed = doomed || t.flags[w] != 0
 		if int(w) == u {
 			break
 		}
 	}
+	t.cur = c
+	cand, out := cascade(lv.c, lv.top, lv.st, P{}, t.rep[i], t.rep[j], t)
 	k := int32(-1)
-	out := cascadeImplied
-	if !doomed {
-		t.cur = c
-		var cand P
-		cand, out = cascade(lv.c, lv.top, lv.st, P{}, t.rep[i], t.rep[j], t)
-		if separatesAll(cand, lv.forbidden) {
-			k = t.closures.index(cand)
-		}
+	if separatesAll(cand, lv.forbidden) {
+		k = t.closures.index(cand)
 	}
 	t.sccs = append(t.sccs, k)
 	lv.stats.ImpliedCascades += size - 1
 	lv.stats.recordCascade(out)
+	if k < 0 {
+		lv.abort()
+	}
+}
+
+// abort fails every node on the stack, which shares entry aborted and
+// counts as implied, and clears both stacks, ending the search.
+func (lv *levelPass) abort() {
+	t := lv.t
+	for _, w := range t.stack {
+		t.comp[w] = aborted
+	}
+	lv.stats.ImpliedCascades += len(t.stack)
+	t.stack, t.frames = t.stack[:0], t.frames[:0]
 }

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"runtime"
 	"strings"
@@ -11,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	fusion "repro"
 	"repro/internal/exec"
 )
 
@@ -25,16 +25,16 @@ func warmSharedPool() {
 	exec.Default().Run(4*runtime.GOMAXPROCS(0), func(*exec.Ctx, int) {})
 }
 
-// floodTenant resolves the test tenant's engine the way a request would,
-// so the test can saturate admission deterministically from outside HTTP.
-func floodTenant(t *testing.T, s *Server) *tenant {
+// floodEngine returns the test tenant's engine, creating the tenant the
+// way a request would, so the test can saturate admission
+// deterministically from outside HTTP.
+func floodEngine(t *testing.T, s *Server) *fusion.Engine {
 	t.Helper()
-	r := httptest.NewRequest("POST", "/v1/generate", nil)
-	tn, err := s.tenant(r, true)
+	eng, err := s.TenantEngine("default")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tn
+	return eng
 }
 
 func waitUntil(t *testing.T, cond func() bool) {
@@ -57,12 +57,12 @@ func TestFloodShedsExactlyOne(t *testing.T) {
 	warmSharedPool()
 	before := runtime.NumGoroutine()
 	s := mustNew(t, Options{MaxInFlight: 2, QueueDepth: 2, QueueTimeout: 30 * time.Second})
-	tn := floodTenant(t, s)
+	eng := floodEngine(t, s)
 
 	// Saturate the in-flight slots (2) directly, so the HTTP requests
 	// below deterministically land in the queue and beyond.
 	for i := 0; i < 2; i++ {
-		if err := tn.engine.Acquire(context.Background()); err != nil {
+		if err := eng.Acquire(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -78,7 +78,7 @@ func TestFloodShedsExactlyOne(t *testing.T) {
 			w := do(t, s, "POST", "/v1/generate", "", floodBody, nil)
 			queued <- hit{w.Code, w.Body.String()}
 		}()
-		waitUntil(t, func() bool { return tn.engine.Queued() == i+1 })
+		waitUntil(t, func() bool { return eng.Queued() == i+1 })
 	}
 
 	// The (max-inflight + queue-depth + 1)-th concurrent call: exactly
@@ -94,8 +94,8 @@ func TestFloodShedsExactlyOne(t *testing.T) {
 	// Release the held slots: the queued requests are admitted in FIFO
 	// order and must succeed — bit-identically to an unloaded call, which
 	// TestGenerateEndpoint separately pins to fusion.Generate.
-	tn.engine.Release()
-	tn.engine.Release()
+	eng.Release()
+	eng.Release()
 	var succeeded []string
 	for i := 0; i < 2; i++ {
 		h := <-queued
@@ -115,7 +115,7 @@ func TestFloodShedsExactlyOne(t *testing.T) {
 	}
 
 	// Quiescent again: stats at zero, engine drains, goroutines reaped.
-	waitUntil(t, func() bool { return tn.engine.InFlight() == 0 && tn.engine.Queued() == 0 })
+	waitUntil(t, func() bool { return eng.InFlight() == 0 && eng.Queued() == 0 })
 	s.Close()
 	waitUntil(t, func() bool { return runtime.NumGoroutine() <= before })
 }
@@ -129,9 +129,9 @@ func TestFloodConcurrent(t *testing.T) {
 	warmSharedPool()
 	before := runtime.NumGoroutine()
 	s := mustNew(t, Options{MaxInFlight: 2, QueueDepth: 2, QueueTimeout: 30 * time.Second})
-	tn := floodTenant(t, s)
+	eng := floodEngine(t, s)
 	for i := 0; i < 2; i++ {
-		if err := tn.engine.Acquire(context.Background()); err != nil {
+		if err := eng.Acquire(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -167,8 +167,8 @@ func TestFloodConcurrent(t *testing.T) {
 		defer mu.Unlock()
 		return len(code2) == flood-2
 	})
-	tn.engine.Release()
-	tn.engine.Release()
+	eng.Release()
+	eng.Release()
 	wg.Wait()
 
 	ok, shed := 0, 0
@@ -200,8 +200,8 @@ func TestFloodConcurrent(t *testing.T) {
 
 	s.Close()
 	waitUntil(t, func() bool { return runtime.NumGoroutine() <= before })
-	if tn.engine.InFlight() != 0 || tn.engine.Queued() != 0 {
-		t.Fatalf("engine not drained: inflight=%d queued=%d", tn.engine.InFlight(), tn.engine.Queued())
+	if eng.InFlight() != 0 || eng.Queued() != 0 {
+		t.Fatalf("engine not drained: inflight=%d queued=%d", eng.InFlight(), eng.Queued())
 	}
 }
 
@@ -210,8 +210,8 @@ func TestFloodConcurrent(t *testing.T) {
 func TestFloodQueueTimeout(t *testing.T) {
 	s := mustNew(t, Options{MaxInFlight: 1, QueueDepth: 4, QueueTimeout: 25 * time.Millisecond})
 	defer s.Close()
-	tn := floodTenant(t, s)
-	if err := tn.engine.Acquire(context.Background()); err != nil {
+	eng := floodEngine(t, s)
+	if err := eng.Acquire(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	w := do(t, s, "POST", "/v1/generate", "", floodBody, nil)
@@ -221,7 +221,7 @@ func TestFloodQueueTimeout(t *testing.T) {
 	if !strings.Contains(w.Body.String(), "timed out") {
 		t.Fatalf("timeout 429 body: %s", w.Body.String())
 	}
-	tn.engine.Release()
+	eng.Release()
 }
 
 // TestGenerateUnderLoadMatchesLibrary re-checks bit-identity with real

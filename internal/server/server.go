@@ -512,6 +512,23 @@ func (s *Server) tenant(r *http.Request, create bool) (*tenant, error) {
 	if name == "" {
 		name = "default"
 	}
+	return s.tenantNamed(name, create)
+}
+
+// TenantEngine returns the engine of the named tenant, creating the
+// tenant as its first workload request would. A caller holding its
+// admission slots (Acquire/Release) saturates the tenant without
+// depending on how long any request takes.
+func (s *Server) TenantEngine(name string) (*fusion.Engine, error) {
+	t, err := s.tenantNamed(name, true)
+	if err != nil {
+		return nil, err
+	}
+	return t.engine, nil
+}
+
+// tenantNamed is tenant for a resolved name.
+func (s *Server) tenantNamed(name string, create bool) (*tenant, error) {
 	if err := validTenantName(name); err != nil {
 		return nil, err
 	}
