@@ -59,9 +59,16 @@
 //     partition, one join per distinct closure, instead of cold
 //     cascades. Level 0's pass hands the descent its record directly.
 //
-// Nothing is shared across the descents of one generation: each descent
-// closes its own level 0 under its own weakest-edge constraint, and the
-// fail-fast search decides most of its pairs without a cascade.
+// Across the descents of one generation, only level 0's verdicts at ⊤
+// are shared, and only what passed. Each generated machine separates
+// every weakest edge, so it raises each of them by one and lowers no
+// edge: the next descent's weakest edges contain this one's, and a ⊤
+// pair that failed (its closure does not depend on the edges) fails
+// again. The first descent runs the pass; the DescentState keeps its
+// passing ⊤ pairs with their distinct closures, and every later descent's
+// level 0 rechecks each carried closure once against its own weakest
+// edges instead of running a pass. The carry is a handful of closures,
+// often none, never one entry per ⊤ pair.
 //
 // Both tiers report through process-wide counters (GenerationCounters,
 // fusegen -descent-stats, fusiond /metrics and /healthz); the within-
@@ -70,14 +77,14 @@
 // effectiveness is inspectable in production.
 //
 // Every descent, whatever the size of its top, takes the one path above
-// through one closure kernel (internal/partition): the level-0 pass runs
-// it on the caller, and one pool fan-out over the distinct seeds runs it
-// for every other level. DescentStates are recycled across calls, so
-// their tables keep their capacity. The weakest-edge check is one thing
-// at every size: the weakest edges become a list of state pairs, level
-// 0's pass fails each pair of the list (and everything that reaches it)
-// without a cascade, and every closure that does run is checked against
-// the list once it is finished. There are no ablation knobs; the
+// through one closure kernel (internal/partition): the first descent's
+// level-0 pass runs it on the caller, and one pool fan-out over the
+// distinct seeds runs it for every level below 0. DescentStates are
+// recycled across calls, so their tables keep their capacity. The
+// weakest-edge check is one thing at every size: the weakest edges
+// become a list of state pairs, level 0's pass fails each pair of the
+// list (and everything that reaches it) without a cascade, and every
+// closure that does run is checked against the list once it is finished. There are no ablation knobs; the
 // equivalence suites compare the path with test-only cold references.
 //
 // All parallelism flows through one execution engine (see Engine): a

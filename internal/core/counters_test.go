@@ -19,17 +19,21 @@ type descentWork struct {
 // Table 1 suite. The fusions are pinned elsewhere; this catches a kernel
 // or descent change that keeps the output but evaluates more (or
 // different) pairs — a lost pruning, a seeded join turned cold, an SCC
-// of the pair graph that runs more cascades than it needs. Every
-// descent closes its own level 0, so a suite with k generated machines
-// pays k level-0 fan-outs and the deprecated TopCacheHits stays zero.
+// of the pair graph that runs more cascades than it needs. Only the
+// first descent runs the level-0 pair-graph pass: the weakest edges of
+// one descent are among those of the next, so each later descent decides
+// its level 0 from the first descent's passing ⊤ pairs. A suite with k
+// generated machines still counts k level 0s in Levels and ColdClosures,
+// but runs one level-0 fan-out; the carried pairs count as implied, and
+// the deprecated TopCacheHits stays zero.
 func TestTable1DescentWork(t *testing.T) {
 	want := map[string]descentWork{
 		"tab1.1": {Levels: 4, ColdClosures: 20592, SeededJoins: 0, PrunedSkips: 2256, TopCacheHits: 0,
-			ImpliedCascades: 20463, SeededCascades: 126, ColdCascades: 3},
+			ImpliedCascades: 20506, SeededCascades: 84, ColdCascades: 2},
 		"tab1.2": {Levels: 5, ColdClosures: 6048, SeededJoins: 16, PrunedSkips: 600, TopCacheHits: 0,
 			ImpliedCascades: 6024, SeededCascades: 21, ColdCascades: 3},
 		"tab1.3": {Levels: 18, ColdClosures: 32220, SeededJoins: 133, PrunedSkips: 21667, TopCacheHits: 0,
-			ImpliedCascades: 31330, SeededCascades: 810, ColdCascades: 80},
+			ImpliedCascades: 31617, SeededCascades: 540, ColdCascades: 63},
 		"tab1.4": {Levels: 2, ColdClosures: 15400, SeededJoins: 0, PrunedSkips: 8646, TopCacheHits: 0,
 			ImpliedCascades: 15399, SeededCascades: 0, ColdCascades: 1},
 		"tab1.5": {Levels: 4, ColdClosures: 5852, SeededJoins: 11, PrunedSkips: 3619, TopCacheHits: 0,

@@ -253,6 +253,12 @@ func TestCoversMatchesDefinition(t *testing.T) {
 
 // TestDminMonotoneUnderAdd is the property behind Theorems 3–5: adding a
 // machine never lowers any edge weight and raises each by at most one.
+// In the covering case, where the added machine separates every weakest
+// edge, dmin rises by exactly one and every old weakest edge is still
+// weakest: the weakest-edge lists of Algorithm 2's successive descents
+// nest, which is what lets a descent carry the previous one's ⊤ verdicts.
+// The covering case runs on random graphs and on each Table 1 suite with
+// the machines GenerateFusion returns for it.
 func TestDminMonotoneUnderAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 50; trial++ {
@@ -271,6 +277,64 @@ func TestDminMonotoneUnderAdd(t *testing.T) {
 		d1 := g.Dmin()
 		if d1 < d0 || d1 > d0+1 {
 			t.Fatalf("dmin went %d -> %d after adding one machine", d0, d1)
+		}
+
+		// The covering case: move the second state of every weakest edge
+		// the draw merges into a block of its own.
+		for j := range assign {
+			assign[j] = rng.Intn(3)
+		}
+		for _, e := range g.WeakestEdges() {
+			if assign[e.I] == assign[e.J] {
+				assign[e.J] = n + e.J
+			}
+		}
+		assertCoveringAddNests(t, fmt.Sprintf("random trial %d", trial), g, partition.FromAssignment(assign))
+	}
+
+	for _, s := range machines.PaperSuites() {
+		ms, err := machines.SuiteMachines(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := core.NewSystem(ms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		F, err := core.GenerateFusion(sys, s.F, core.GenerateOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := core.BuildFaultGraph(sys.N(), sys.Parts)
+		for i, m := range F {
+			assertCoveringAddNests(t, fmt.Sprintf("%s machine %d", s.Name, i), g, m)
+		}
+	}
+}
+
+// assertCoveringAddNests adds m, which must separate every weakest edge
+// of g, to g and fails unless dmin rose by exactly one and every old
+// weakest edge is still weakest.
+func assertCoveringAddNests(t *testing.T, label string, g *core.FaultGraph, m partition.P) {
+	t.Helper()
+	old, d0 := g.WeakestEdges(), g.Dmin()
+	if !core.Covers(m, old) {
+		t.Fatalf("%s: the added machine leaves a weakest edge merged", label)
+	}
+	g.Add(m)
+	if g.Dmin() != d0+1 {
+		t.Fatalf("%s: dmin went %d -> %d after a covering add, want %d", label, d0, g.Dmin(), d0+1)
+	}
+	weakest := g.WeakestEdges()
+	for _, e := range old {
+		if _, found := slices.BinarySearchFunc(weakest, e, func(a, b core.Edge) int {
+			if a.I != b.I {
+				return a.I - b.I
+			}
+			return a.J - b.J
+		}); !found {
+			t.Fatalf("%s: weakest edge %v of weight %d is no longer weakest (weight %d, dmin %d)",
+				label, e, d0, g.Weight(e.I, e.J), g.Dmin())
 		}
 	}
 }

@@ -61,6 +61,12 @@ func releaseDescent(d *partition.DescentState) {
 // ⊤, pairs whose closure lost a weakest edge are pruned for the rest of
 // the descent, and surviving candidates are re-evaluated at the next level
 // as one union-find join per distinct closure instead of cold closures.
+// Only the first descent runs that pass. Each generated machine separates
+// every weakest edge, so it raises them all by one and lowers no edge:
+// the weakest edges of one descent are among those of the next, and a ⊤
+// pair that failed stays failed. The state carries the passing ⊤ pairs
+// and their closures into the next descent, whose level 0 only rechecks
+// each carried closure against the new weakest edges.
 //
 // Complexity: O(N³·|Σ|·f) as shown in Section 5.1.
 func GenerateFusion(s *System, f int, opts GenerateOptions) ([]partition.P, error) {
@@ -90,8 +96,15 @@ func generateWith(s *System, f int, opts GenerateOptions, d *partition.DescentSt
 		}
 		forbidden := edgePairs(g.WeakestEdges())
 		// Recorded violations are only permanent within one descent: the
-		// weakest-edge set changes with every generated machine.
-		d.Reset()
+		// weakest-edge set changes with every generated machine. It only
+		// grows, though (the last machine raised every weakest edge and
+		// lowered none), so a later descent carries level 0's verdicts at
+		// ⊤ from the previous one.
+		if len(fusions) == 0 {
+			d.Reset()
+		} else {
+			d.NextDescent(forbidden)
+		}
 
 		// Start at ⊤, which separates every pair and therefore always
 		// covers the weakest edges. Descend through merge closures rather

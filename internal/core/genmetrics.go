@@ -16,13 +16,13 @@ var genCounters struct {
 	runs         atomic.Int64 // GenerateFusion calls
 	descents     atomic.Int64 // outer iterations (one generated machine each)
 	levels       atomic.Int64 // descent levels evaluated
-	coldClosures atomic.Int64 // from-scratch merge closures
+	coldClosures atomic.Int64 // level-0 pairs: from-scratch merge closures, or decided by the ⊤ carry
 	seededJoins  atomic.Int64 // re-evaluations served as join(survivor, m′)
 	prunedSkips  atomic.Int64 // pair evaluations skipped by violation pruning
 
-	// Level-0 pair-graph pass: the split of ColdClosures by how each pair
-	// resolved (implied + seeded + cold == coldClosures).
-	impliedCascades atomic.Int64 // ran no cascade of its own: shared its SCC's verdict, or reaches a failing pair (the fail-fast search)
+	// Level 0: the split of ColdClosures by how each pair resolved
+	// (implied + seeded + cold == coldClosures).
+	impliedCascades atomic.Int64 // ran no cascade of its own: shared its SCC's verdict, reaches a failing pair (the fail-fast search), or is a ⊤ pair of a later descent, decided by the carried level-0 verdicts
 	seededCascades  atomic.Int64 // its SCC's cascade absorbed at least one finished successor closure
 	coldCascades    atomic.Int64 // its SCC's cascade ran with no successor closure to absorb
 }
@@ -38,8 +38,9 @@ type GenerationStats struct {
 	SeededJoins  int64
 	PrunedSkips  int64
 
-	// Deprecated: the cross-descent ⊤-closure cache is gone; every
-	// descent evaluates its own level 0, so TopCacheHits is always zero.
+	// Deprecated: the cross-descent ⊤-closure cache is gone; the level-0
+	// verdicts a later descent carries count as implied cascades, so
+	// TopCacheHits is always zero.
 	TopCacheHits int64
 
 	// Pair-graph pass split of ColdClosures (see DescentStats): how each

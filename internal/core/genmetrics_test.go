@@ -31,8 +31,9 @@ func TestGenerationCounters(t *testing.T) {
 	if after.Levels <= before.Levels || after.ColdClosures <= before.ColdClosures {
 		t.Fatalf("incremental counters idle: %+v vs %+v", after, before)
 	}
-	// Every descent closes its own level 0: nothing is served across
-	// descents, so the deprecated TopCacheHits never advances.
+	// No ⊤-closure cache serves a descent (the carried level-0 verdicts
+	// count as implied cascades), so the deprecated TopCacheHits never
+	// advances.
 	if after.TopCacheHits != before.TopCacheHits {
 		t.Fatalf("TopCacheHits advanced by %d across %d descents; the ⊤-closure cache is gone",
 			after.TopCacheHits-before.TopCacheHits, len(F))

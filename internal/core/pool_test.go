@@ -71,10 +71,18 @@ func held(d *partition.DescentState) int {
 	return heldPartitions(reflect.ValueOf(d), map[uintptr]bool{})
 }
 
+// heldByCarry counts the partitions d's ⊤ carry holds.
+func heldByCarry(d *partition.DescentState) int {
+	return heldPartitions(reflect.ValueOf(d).Elem().FieldByName("carry"), map[uintptr]bool{})
+}
+
 // TestPooledDescentStates: GenerateFusion's recycled DescentStates, used
-// in turn on a 400-state random top and on Fig. 1's 9-state top, and by
-// four concurrent calls, return the same fusions as fresh states, and a
-// state holds no partition once it is back in the pool.
+// in turn on a 400-state random top, on Fig. 1's 9-state top and on a
+// random 9-state top, and by four concurrent calls, return the same
+// fusions as fresh states, and a state holds no partition once it is back
+// in the pool, its ⊤ carry included. The two 9-state generations run two
+// descents each, so a carry that outlived its call would fit the other
+// top's level 0.
 func TestPooledDescentStates(t *testing.T) {
 	rng := rand.New(rand.NewSource(400))
 	var big *System
@@ -101,7 +109,32 @@ func TestPooledDescentStates(t *testing.T) {
 		f    int
 		want []partition.P
 	}
-	runs := []*run{{name: "400-state top", sys: big, f: 1}, {name: "Fig. 1", sys: fig1, f: 2}}
+	// A 9-state twin of Fig. 1 whose second descent leaves a carry.
+	var twin *System
+	for twin == nil {
+		sys, err := NewSystem([]*dfsm.Machine{
+			dfsm.RandomMachine(rng, "M0", 3, []string{"a"}),
+			dfsm.RandomMachine(rng, "M1", 3, []string{"b"}),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sys.N() != fig1.N() || sys.Dmin() != 1 {
+			continue
+		}
+		d := partition.NewDescentState()
+		if _, err := generateWith(sys, 2, GenerateOptions{}, d); err != nil {
+			t.Fatal(err)
+		}
+		if heldByCarry(d) > 0 {
+			twin = sys
+		}
+	}
+	runs := []*run{
+		{name: "400-state top", sys: big, f: 1},
+		{name: "Fig. 1", sys: fig1, f: 2},
+		{name: "9-state twin", sys: twin, f: 2},
+	}
 	for _, r := range runs {
 		if r.want, err = generateWith(r.sys, r.f, GenerateOptions{}, partition.NewDescentState()); err != nil {
 			t.Fatal(err)
@@ -131,9 +164,9 @@ func TestPooledDescentStates(t *testing.T) {
 			}
 		}
 	}
-	// Four at once, each on both tops.
+	// Four at once, each on every top.
 	var wg sync.WaitGroup
-	errs := make(chan error, 8)
+	errs := make(chan error, 4*len(runs))
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func() {
@@ -151,14 +184,16 @@ func TestPooledDescentStates(t *testing.T) {
 		t.Error(err)
 	}
 
-	// A state that demonstrably holds partitions holds none once released,
-	// and neither does any state the pool hands out now.
+	// A state that demonstrably holds partitions, some in its ⊤ carry,
+	// holds none once released, and neither does any state the pool hands
+	// out now.
 	d := descents.Get().(*partition.DescentState)
-	if _, err := generateWith(big, 1, GenerateOptions{}, d); err != nil {
+	if _, err := generateWith(twin, 2, GenerateOptions{}, d); err != nil {
 		t.Fatal(err)
 	}
-	if held(d) == 0 {
-		t.Fatal("a state fresh from a descent holds no partition; the check below would be vacuous")
+	if held(d) == 0 || heldByCarry(d) == 0 {
+		t.Fatalf("a state fresh from a generation holds %d partitions, %d in its carry; the check below would be vacuous",
+			held(d), heldByCarry(d))
 	}
 	releaseDescent(d)
 	if n := held(d); n != 0 {

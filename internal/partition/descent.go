@@ -14,13 +14,15 @@ import (
 // by closure monotonicity (the closure of a coarser start is coarser, so
 // within one descent a constraint violation is permanent):
 //
-//   - Level 0 (the first level after Reset) is all cold and runs as one
-//     serial pass over the pair graph of the quotient machine ⊤/p
-//     (sccTable). Pairs in one strongly connected component share one
-//     closure, and the search stops at the first failing pair and fails
-//     its whole stack with it, so only a few cascades run, each absorbing
-//     the finished closures of its successors. The pass's comp array becomes the record, so level 0
-//     materializes no per-pair task, result or partition.
+//   - Level 0 (the first level after Reset or NextDescent) is all cold
+//     and, unless the ⊤ carry below decides it, runs as one serial pass
+//     over the pair graph of the quotient machine ⊤/p (sccTable). Pairs
+//     in one strongly connected component share one closure, and the
+//     search stops at the first failing pair and fails its whole stack
+//     with it, so only a few cascades run, each absorbing the finished
+//     closures of its successors. The pass's comp array becomes the
+//     record, so level 0 materializes no per-pair task, result or
+//     partition.
 //
 //   - Cross-level violation pruning: a pair whose merge closure collapsed
 //     a forbidden pair at level L keeps -1 and is skipped at every deeper
@@ -42,14 +44,29 @@ import (
 // that are no smaller. Every counter, including the implied/seeded/cold
 // split of ColdClosures, is deterministic.
 //
+// Across the descents of one generation the state carries level-0
+// verdicts at ⊤. Each descent of Algorithm 2 adds a machine that
+// separates every weakest edge, which raises those edges by one and
+// lowers none, so the next descent's forbidden list contains this one's:
+// F₁ ⊆ F₂ ⊆ …. A ⊤ pair's closure does not depend on F, so a pair that
+// failed under Fₖ fails under every later list. After a pass at ⊤ the
+// state keeps only what passed: each distinct passing closure, the ⊤
+// pairs that carry it, and the top and forbidden list they were judged
+// under. NextDescent starts the next descent with that carry, and its
+// level 0 at ⊤ of the same top runs no pass and no cascade: every pair
+// is failed, each carried closure is rechecked once against the new list,
+// and the survivors' pairs get their number back. The carry holds one
+// entry per passing closure and per pair that carries one, never one per
+// ⊤ pair; a level 0 anywhere else drops it and runs the pass.
+//
 // A DescentState serves one descent at a time: call Reset before starting
-// the next one (the weakest-edge constraint changes between outer
-// iterations of Algorithm 2, so recorded violations expire with the
-// descent). Reset keeps every buffer, so a recycled state (core pools
-// them) allocates nothing for its records after the first calls, and it
-// drops every partition reference, so no partition of one descent
-// outlives it. It is not safe for concurrent descents; within one level
-// the pool tasks only read it.
+// an unrelated descent, or NextDescent before the next descent of the
+// same generation (recorded violations expire with the descent; only the
+// ⊤ carry outlives it). Reset keeps every buffer, so a recycled state
+// (core pools them) allocates nothing for its records after the first
+// calls, and it drops every partition reference, the carry included, so
+// no partition of one call outlives it. It is not safe for concurrent
+// descents; within one level the pool tasks only read it.
 type DescentState struct {
 	// start is the last level start evaluated (zero after Reset); rec is
 	// indexed by its block pairs and numbers their closures in closures.
@@ -63,6 +80,10 @@ type DescentState struct {
 	// table is the level-0 pair-graph pass; after a pass, rec is its comp
 	// array.
 	table sccTable
+
+	// carry is level 0's outcome at ⊤, kept across the descents of one
+	// generation (see NextDescent).
+	carry topCarry
 
 	stats DescentStats
 
@@ -79,8 +100,8 @@ type DescentState struct {
 type DescentStats struct {
 	// Levels is the number of descent levels evaluated.
 	Levels int
-	// ColdClosures counts from-scratch merge closures (every pair of
-	// level 0).
+	// ColdClosures counts the pairs of level 0, each a from-scratch merge
+	// closure unless the level was decided by the ⊤ carry.
 	ColdClosures int
 	// SeededJoins counts pair re-evaluations served as join(survivor, m′)
 	// (one per pair, although pairs that share a seed share one join).
@@ -93,8 +114,9 @@ type DescentStats struct {
 	// evaluation resolved; the three always sum to ColdClosures.
 	// ImpliedCascades ran no cascade of their own (they share their SCC
 	// root's verdict, were failed by an aborted search, met a successor
-	// closure equal to their own, or sit at a level start that already
-	// merges a forbidden pair); SeededCascades absorbed at least one
+	// closure equal to their own, sit at a level start that already
+	// merges a forbidden pair, or are ⊤ pairs of a later descent, whose
+	// verdict the carry decided); SeededCascades absorbed at least one
 	// finished successor closure wholesale; ColdCascades ran with no
 	// assist. Like every other counter here the
 	// split is deterministic.
@@ -107,14 +129,71 @@ type DescentStats struct {
 func NewDescentState() *DescentState { return &DescentState{} }
 
 // Reset clears all recorded outcomes for a fresh descent, retaining every
-// buffer, and drops every partition reference the state holds.
+// buffer, and drops every partition reference the state holds, the ⊤
+// carry included.
 func (d *DescentState) Reset() {
+	d.clearDescent()
+	d.carry.release()
+}
+
+// NextDescent clears the recorded outcomes like Reset but keeps the ⊤
+// carry, for the next descent of the same generation under forbidden.
+// Algorithm 2's weakest edges only grow from one descent to the next, so
+// forbidden must contain the list the carry was judged under; both come
+// from the fault graph's WeakestEdges in lexicographic order, and a list
+// that is not a superset panics. forbidden must be the list the descent
+// then passes to MinMergeClosureOn, and the carry keeps it by reference
+// until the next level 0 or Reset, so it must not change meanwhile.
+func (d *DescentState) NextDescent(forbidden [][2]int) {
+	d.clearDescent()
+	if d.carry.top != nil && !containsSorted(forbidden, d.carry.forbidden) {
+		panic("partition: NextDescent forbidden list does not contain the previous descent's")
+	}
+}
+
+// clearDescent drops the current descent's record, closures and stats.
+func (d *DescentState) clearDescent() {
 	d.start = P{}
 	d.rec = d.rec[:0]
 	d.closures.reset()
 	d.next.reset()
 	d.table.release()
 	d.stats = DescentStats{}
+}
+
+// topCarry is the passing part of a level-0 pass at ⊤: the distinct
+// passing closures, and per passing ⊤ pair its node and the number of
+// its closure. top and forbidden are what the verdicts were judged
+// under; top is nil when there is nothing to carry.
+type topCarry struct {
+	top       *dfsm.Machine
+	forbidden [][2]int
+	closures  []P
+	nodes, of []int32
+}
+
+// release drops the carry, keeping its closure and pair buffers.
+func (c *topCarry) release() {
+	c.top, c.forbidden = nil, nil
+	clear(c.closures)
+	c.closures = c.closures[:0]
+	c.nodes, c.of = c.nodes[:0], c.of[:0]
+}
+
+// containsSorted reports whether every pair of sub occurs in list, both
+// in lexicographic order: one merge walk.
+func containsSorted(list, sub [][2]int) bool {
+	i := 0
+	for _, e := range sub {
+		for i < len(list) && (list[i][0] < e[0] || list[i][0] == e[0] && list[i][1] < e[1]) {
+			i++
+		}
+		if i == len(list) || list[i] != e {
+			return false
+		}
+		i++
+	}
+	return true
 }
 
 // Stats returns the reuse counters accumulated since the last Reset.
@@ -201,8 +280,8 @@ func closePairs(pool *exec.Pool, top *dfsm.Machine, p P, tasks []pairTask, forbi
 // records the level's outcomes in d for the next level. ok is false when
 // no candidate passes (the descent has bottomed out).
 //
-// The first call after d.Reset (or NewDescentState) is level 0 and may
-// start anywhere. Every later call must start at a partition coarser than
+// The first call after d.Reset, d.NextDescent or NewDescentState is level
+// 0 and may start anywhere. Every later call must start at a partition coarser than
 // or equal to the previous call's p — in a descent, the previous pick —
 // which is what makes the previous level's outcomes reusable.
 //
@@ -232,14 +311,22 @@ func MinMergeClosureOn(pool *exec.Pool, d *DescentState, top *dfsm.Machine, p P,
 	return best, best.N() > 0
 }
 
-// coldLevel evaluates level 0 at p into d.next and d.rec: in one
-// pair-graph pass when p is closed, with nothing to run when close(p)
-// already merges a forbidden pair, and otherwise (there is no quotient
-// machine to search) with one cascade per block pair on the pool.
+// coldLevel evaluates level 0 at p into d.next and d.rec: from the ⊤
+// carry when p is ⊤ of the carried top, in one pair-graph pass when p is
+// closed, with nothing to run when close(p) already merges a forbidden
+// pair, and otherwise (there is no quotient machine to search) with one
+// cascade per block pair on the pool. A pass at ⊤ leaves its passing part
+// in the carry.
 func (d *DescentState) coldLevel(pool *exec.Pool, top *dfsm.Machine, p P, forbidden [][2]int) {
-	st := newLevelStart(top, p, forbidden)
 	b := p.NumBlocks()
 	n := b * (b - 1) / 2
+	atTop := b == p.N()
+	if atTop && d.carry.top == top {
+		d.carriedLevel(n, forbidden)
+		return
+	}
+	d.carry.release()
+	st := newLevelStart(top, p, forbidden)
 	switch {
 	case st.violated:
 		d.rec = resize(d.rec, n)
@@ -253,6 +340,9 @@ func (d *DescentState) coldLevel(pool *exec.Pool, top *dfsm.Machine, p P, forbid
 		defer pool.Release(c)
 		d.table.pass(c, top, st, p, forbidden, &d.next, &d.stats, d.onClose)
 		d.rec = d.table.comp
+		if atTop {
+			d.keepCarry(top, forbidden)
+		}
 	default:
 		tasks := blockPairs(p)
 		res := closePairs(pool, top, p, tasks, forbidden, d.onClose)
@@ -263,6 +353,62 @@ func (d *DescentState) coldLevel(pool *exec.Pool, top *dfsm.Machine, p P, forbid
 		d.stats.ColdClosures += n
 		d.stats.ColdCascades += n
 	}
+}
+
+// keepCarry records the passing part of the level-0 pass at ⊤ just run:
+// the level's closures and, per passing pair, its node and closure.
+func (d *DescentState) keepCarry(top *dfsm.Machine, forbidden [][2]int) {
+	c := &d.carry
+	c.top, c.forbidden = top, forbidden
+	c.closures = append(c.closures, d.next.items...)
+	if len(c.closures) == 0 {
+		return // nothing passed: the usual case, and no scan
+	}
+	for u, k := range d.rec {
+		if k >= 0 {
+			c.nodes = append(c.nodes, int32(u))
+			c.of = append(c.of, k)
+		}
+	}
+}
+
+// carriedLevel evaluates level 0 at ⊤ of the carried top from the carry,
+// without a pass or a cascade: every ⊤ pair fails but those carrying a
+// closure that still separates every forbidden pair. Closures that fail
+// are dropped from the carry with their pairs, and the survivors keep
+// their d.next numbers, so the carry stays aligned with the level. All n
+// pairs count as cold closures that were implied.
+func (d *DescentState) carriedLevel(n int, forbidden [][2]int) {
+	c := &d.carry
+	remap := resize(d.remap, len(c.closures))
+	d.remap = remap
+	kept := c.closures[:0]
+	for k, cl := range c.closures {
+		remap[k] = -1
+		if separatesAll(cl, forbidden) {
+			remap[k] = d.next.index(cl)
+			kept = append(kept, cl)
+		}
+	}
+	clear(c.closures[len(kept):])
+	c.closures = kept
+
+	d.rec = resize(d.rec, n)
+	for u := range d.rec {
+		d.rec[u] = -1
+	}
+	w := 0
+	for i, u := range c.nodes {
+		if k := remap[c.of[i]]; k >= 0 {
+			d.rec[u] = k
+			c.nodes[w], c.of[w] = u, k
+			w++
+		}
+	}
+	c.nodes, c.of = c.nodes[:w], c.of[:w]
+	c.forbidden = forbidden
+	d.stats.ColdClosures += n
+	d.stats.ImpliedCascades += n
 }
 
 // seededLevel evaluates a level below level 0 at p, which is coarser than

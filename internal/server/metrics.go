@@ -223,7 +223,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{"fusiond_generate_cold_closures_total", "From-scratch merge closures evaluated.", gen.ColdClosures},
 		{"fusiond_generate_seeded_joins_total", "Pair re-evaluations served by joining the pair's surviving closure with the next level start; pairs that share a closure share one join.", gen.SeededJoins},
 		{"fusiond_generate_pruned_skips_total", "Pair evaluations skipped by cross-level violation pruning.", gen.PrunedSkips},
-		{"fusiond_generate_implied_cascades_total", "Cold pair closures resolved without a cascade of their own: shared their pair-graph SCC's verdict, or were failed by the fail-fast search because they reach a failing pair.", gen.ImpliedCascades},
+		{"fusiond_generate_implied_cascades_total", "Cold pair closures resolved without a cascade of their own: shared their pair-graph SCC's verdict, were failed by the fail-fast search because they reach a failing pair, or are top pairs of a later descent, decided by the previous descent's carried level-0 verdicts (weakest edges only grow, so a failed top pair stays failed).", gen.ImpliedCascades},
 		{"fusiond_generate_seeded_cascades_total", "Pair-graph SCC cascades that absorbed at least one finished successor closure.", gen.SeededCascades},
 		{"fusiond_generate_cold_cascades_total", "Pair-graph SCC cascades that ran with no successor closure to absorb.", gen.ColdCascades},
 	} {
