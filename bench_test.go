@@ -501,10 +501,10 @@ func BenchmarkServerGenerateNoObsv(b *testing.B) {
 }
 
 // BenchmarkGenerateCacheHit measures a content-addressed cache hit on the
-// Table 1 Row 1 generation: digest the request, look it up, copy the
-// partition slice header. This is the per-request cost fusiond pays once
-// a fusion is warm — compare against BenchmarkTable1Row1 (the cold run it
-// replaces) for the caching win.
+// Table 1 Row 1 generation the way fusiond serves it: core.RequestDigest
+// over the machine tables, then an fcache.Cache.Do hit. This is the
+// per-request cost fusiond pays once a fusion is warm — compare against
+// BenchmarkTable1Row1 (the cold run it replaces) for the caching win.
 func BenchmarkGenerateCacheHit(b *testing.B) {
 	suite := machines.PaperSuites()[0]
 	ms, err := machines.SuiteMachines(suite)
@@ -515,20 +515,24 @@ func BenchmarkGenerateCacheHit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng := fusion.NewEngine(fusion.EngineOptions{Dedicated: true, Cache: fcache.New(fcache.Options{})})
-	defer eng.Close()
-	if _, err := eng.Generate(sys, suite.F); err != nil { // warm the entry
+	cache := fcache.New(fcache.Options{})
+	compute := func() (fcache.Entry, error) {
+		parts, err := fusion.Generate(sys, suite.F)
+		return fcache.Entry{N: sys.N(), Parts: parts}, err
+	}
+	key := core.RequestDigest(ms, suite.F, core.GenerateOptions{})
+	if _, _, err := cache.Do(key, compute); err != nil { // warm the entry
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		parts, err := eng.Generate(sys, suite.F)
+		ent, out, err := cache.Do(core.RequestDigest(ms, suite.F, core.GenerateOptions{}), compute)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(parts) == 0 {
-			b.Fatal("empty fusion")
+		if out != fcache.Hit || len(ent.Parts) == 0 {
+			b.Fatalf("outcome %v with %d partitions, want a non-empty hit", out, len(ent.Parts))
 		}
 	}
 }

@@ -6,24 +6,15 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/fcache"
 	"repro/internal/sim"
 )
 
 // EngineOptions configures an Engine.
 type EngineOptions struct {
-	// Workers is the size of the engine's persistent worker pool. 0 means
-	// "follow runtime.GOMAXPROCS".
+	// Workers is the size of a private persistent worker pool for the
+	// engine. 0 means the shared process-wide pool, which follows
+	// runtime.GOMAXPROCS.
 	Workers int
-
-	// Dedicated forces a distinct engine — its own admission state,
-	// in-flight statistics and Close lifecycle — even when Workers is 0
-	// and no admission limit is set. Without it, NewEngine with a zero
-	// options value returns the process-wide default engine — historical
-	// aliasing that callers wanting isolation must opt out of. A
-	// dedicated engine still runs on the shared process-wide pool unless
-	// Workers > 0 asks for a private one. See NewEngine.
-	Dedicated bool
 
 	// MaxInFlight bounds the number of concurrently admitted requests
 	// (Acquire callers). 0 disables admission control: Acquire always
@@ -40,17 +31,6 @@ type EngineOptions struct {
 	// with ErrQueueTimeout. 0 means queued callers wait until their
 	// context is cancelled. Meaningless without MaxInFlight > 0.
 	QueueTimeout time.Duration
-
-	// Cache attaches a content-addressed fusion cache (internal/fcache):
-	// Generate calls whose options are cacheable (no NoCache, no ablation
-	// knobs) are keyed by core.RequestDigest and served from it, with
-	// concurrent identical requests coalescing onto one Algorithm 2 run.
-	// nil (the default, including for DefaultEngine) means every call
-	// computes — benchmarks and library users keep measuring the real
-	// generation path unless they opt in. The cache may be shared between
-	// engines; fusiond shares one across all tenants, since fusion output
-	// is a pure function of the input machines.
-	Cache *fcache.Cache
 }
 
 // Engine is the execution engine behind fusion generation and cluster
@@ -64,23 +44,24 @@ type EngineOptions struct {
 //
 // Engines only redistribute work — they never change results: Generate
 // returns the same machines and a Cluster the same simulation outcome for
-// a given seed regardless of worker count.
+// a given seed regardless of worker count. An engine keeps no fusion
+// cache: every Generate runs Algorithm 2. fusiond consults its
+// content-addressed cache (internal/fcache) before it reaches an engine.
 //
 // In front of the pool sits an admission layer (MaxInFlight, QueueDepth,
 // QueueTimeout): services bracket each request with Acquire/Release so a
 // flood of calls degrades into bounded queueing and fast ErrQueueFull
 // rejections instead of piling unbounded goroutines onto the shared pool.
-// Close drains admitted work and tears the dedicated pool down; fusiond
+// Close drains admitted work and tears a private pool down; fusiond
 // (internal/server) uses exactly this surface for graceful shutdown.
 //
 // The package-level Generate, GenerateWithOptions and NewCluster are thin
-// wrappers over DefaultEngine; construct a dedicated Engine when a
-// service wants capacity isolated from the shared pool.
+// wrappers over DefaultEngine; construct an Engine with NewEngine when a
+// service wants its own admission limits or a private pool.
 type Engine struct {
 	pool     *exec.Pool
 	ownsPool bool // false for the shared default pool, which Close must not stop
 	admit    *admission
-	cache    *fcache.Cache
 }
 
 var defaultEngine = &Engine{pool: exec.Default(), admit: newAdmission(0, 0, 0)}
@@ -94,22 +75,15 @@ func DefaultEngine() *Engine { return defaultEngine }
 // not one per request): workers spawn lazily on first parallel use and
 // live until Close.
 //
-// Aliasing rule: with a zero options value NewEngine returns the shared
-// default engine rather than allocating fresh state — callers that want
-// isolation despite default settings must set Dedicated. Setting any
-// field (including a queue option whose limit is absent) forces a
-// distinct engine, so admission state can never be shared accidentally.
-// Distinct engines run on the shared default pool unless Workers > 0
-// asks for a private one, so per-tenant engines still draw from one
-// bounded goroutine set by default.
+// Every call returns a distinct engine with its own admission state,
+// in-flight statistics and Close lifecycle; DefaultEngine is the one way
+// to reach the shared engine. The engine runs on the shared default pool
+// unless Workers > 0 asks for a private one, so per-tenant engines still
+// draw from one bounded goroutine set by default.
 func NewEngine(opts EngineOptions) *Engine {
-	if opts == (EngineOptions{}) {
-		return defaultEngine
-	}
 	e := &Engine{
 		pool:  exec.Default(),
 		admit: newAdmission(opts.MaxInFlight, opts.QueueDepth, opts.QueueTimeout),
-		cache: opts.Cache,
 	}
 	if opts.Workers > 0 {
 		e.pool = exec.New(opts.Workers)
@@ -141,7 +115,7 @@ func (e *Engine) Queued() int { return e.admit.Queued() }
 
 // Close drains the engine: queued Acquires fail with ErrEngineClosed, new
 // Acquires are refused, Close blocks until every admitted request has
-// Released, and then the engine's dedicated worker pool (if it owns one)
+// Released, and then the engine's private worker pool (if it owns one)
 // is torn down. Close is idempotent, and work submitted to a closed
 // engine still completes — serially, on the caller.
 //
@@ -164,37 +138,10 @@ func (e *Engine) Generate(sys *System, f int) ([]Partition, error) {
 }
 
 // GenerateWithOptions is Generate with explicit options. The engine
-// supplies the worker pool, overriding any opts.Pool. With a cache
-// attached (EngineOptions.Cache) and cacheable options, the call is
-// served by content address — an exact repeat of (machines, f, options)
-// returns the cached partitions without running Algorithm 2, and
-// concurrent identical calls share one run.
+// supplies the worker pool, overriding any opts.Pool.
 func (e *Engine) GenerateWithOptions(sys *System, f int, opts GenerateOptions) ([]Partition, error) {
 	opts.Pool = e.pool
-	if e.cache == nil || !opts.Cacheable() || f < 0 {
-		return core.GenerateFusion(sys, f, opts)
-	}
-	key := core.RequestDigest(sys.Machines, f, opts)
-	ent, _, err := e.cache.Do(key, func() (fcache.Entry, error) {
-		parts, err := core.GenerateFusion(sys, f, opts)
-		if err != nil {
-			return fcache.Entry{}, err
-		}
-		return fcache.Entry{Key: key, N: sys.N(), Parts: parts}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if ent.N != sys.N() {
-		// Hash-collision paranoia: a cached entry must describe this
-		// system's ⊤ exactly; anything else computes cold rather than
-		// serve a foreign fusion.
-		return core.GenerateFusion(sys, f, opts)
-	}
-	// The cached Parts slice is shared with every other caller; hand out
-	// a private header so callers may append/reorder freely (the P values
-	// themselves are immutable).
-	return append([]Partition(nil), ent.Parts...), nil
+	return core.GenerateFusion(sys, f, opts)
 }
 
 // NewCluster builds a simulated deployment tolerating f crash faults,
@@ -218,9 +165,7 @@ func (e *Engine) LoadRegistry(capacity int, st sim.Store, compactEvery int) (*si
 // IsLocallyMinimalFusion verifies that F is a locally minimal (f,·)-
 // fusion of sys — no single machine can be replaced by a lower-cover
 // element without losing f-fault tolerance — with the cover fan-outs on
-// this engine's pool rather than the shared default (the cover fan-out
-// previously always ran on the default pool, bypassing dedicated engine
-// capacity).
+// this engine's pool.
 func (e *Engine) IsLocallyMinimalFusion(sys *System, F []Partition, f int) (bool, error) {
 	return core.IsLocallyMinimalFusionOn(e.pool, sys, F, f)
 }

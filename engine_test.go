@@ -68,41 +68,38 @@ func TestEngineClusterReproducible(t *testing.T) {
 	}
 }
 
-// TestDefaultEngineShared pins the aliasing rule down explicitly: a fully
-// zero options value returns the process-wide engine (a convenience for
-// "just run it" callers), while Dedicated or any admission limit yields a
-// distinct engine — the escape hatch for callers that want isolation with
-// default sizing.
-func TestDefaultEngineShared(t *testing.T) {
-	if fusion.NewEngine(fusion.EngineOptions{}) != fusion.DefaultEngine() {
-		t.Fatal("NewEngine{} should return the default engine")
+// TestNewEngineDistinct: NewEngine always returns a fresh engine, even
+// for a zero options value — DefaultEngine is the one way to reach the
+// shared engine — and closing a fresh engine leaves the default working.
+func TestNewEngineDistinct(t *testing.T) {
+	e := fusion.NewEngine(fusion.EngineOptions{})
+	if e == fusion.DefaultEngine() {
+		t.Fatal("NewEngine{} aliases the default engine")
 	}
-	if fusion.DefaultEngine().Workers() < 1 {
-		t.Fatal("default engine has no workers")
+	if e.Workers() < 1 {
+		t.Fatal("engine with Workers=0 should follow the shared pool's GOMAXPROCS sizing")
 	}
-	ded := fusion.NewEngine(fusion.EngineOptions{Dedicated: true})
-	if ded == fusion.DefaultEngine() {
-		t.Fatal("Dedicated engine aliases the default engine")
+	if err := e.Acquire(context.Background()); err != nil {
+		t.Fatal(err)
 	}
-	if ded.Workers() < 1 {
-		t.Fatal("dedicated engine with Workers=0 should follow the shared pool's GOMAXPROCS sizing")
+	e.Release()
+	e.Close()
+	if err := e.Acquire(context.Background()); !errors.Is(err, fusion.ErrEngineClosed) {
+		t.Fatalf("Acquire on a closed engine: %v, want ErrEngineClosed", err)
 	}
-	ded.Close()
-	// Admission limits also force a distinct engine: per-tenant admission
-	// state must never be shared through the aliasing shortcut.
-	adm := fusion.NewEngine(fusion.EngineOptions{MaxInFlight: 1})
-	if adm == fusion.DefaultEngine() {
-		t.Fatal("engine with admission limits aliases the default engine")
+
+	def := fusion.DefaultEngine()
+	if err := def.Acquire(context.Background()); err != nil {
+		t.Fatalf("default engine refuses work after another engine closed: %v", err)
 	}
-	adm.Close()
-	// Even a queue option whose MaxInFlight is absent (and therefore
-	// inert) yields a distinct engine rather than silently handing back
-	// shared state with the option dropped.
-	q := fusion.NewEngine(fusion.EngineOptions{QueueDepth: 8})
-	if q == fusion.DefaultEngine() {
-		t.Fatal("engine with queue options aliases the default engine")
+	def.Release()
+	sys, err := fusion.NewSystem([]*fusion.Machine{mustZoo(t, "MESI"), mustZoo(t, "1-Counter")})
+	if err != nil {
+		t.Fatal(err)
 	}
-	q.Close()
+	if _, err := def.Generate(sys, 1); err != nil {
+		t.Fatalf("default engine Generate after another engine closed: %v", err)
+	}
 }
 
 // TestEngineAdmission drives the semaphore+queue state machine

@@ -96,7 +96,7 @@
 // fusion-generation and simulation requests share a bounded goroutine set
 // instead of spawning their own per call. Worker count never affects
 // results: candidates are dedup'd in deterministic task order and
-// simulations are reproducible per seed. Construct a dedicated Engine
+// simulations are reproducible per seed. Construct an Engine
 // with EngineOptions{Workers: n} to isolate capacity, e.g. per tenant.
 //
 // Services put admission control in front of the pool: EngineOptions
@@ -108,21 +108,22 @@
 // injection, and recovery as HTTP/JSON endpoints on exactly this
 // surface.
 //
-// Repeated generation is served from a content-addressed fusion cache
-// (EngineOptions.Cache, internal/fcache). Algorithm 2 is a pure function
-// of the machine set, f, and the semantics-affecting options, so a
-// request is keyed by a versioned SHA-256 digest of exactly those inputs
-// — transition tables included, tenant identity excluded — and a repeat
-// is answered with the bit-identical partition list in microseconds
-// instead of a fresh descent (BenchmarkGenerateCacheHit vs the cold
-// BenchmarkTable1Row1). The cache is a size-bounded LRU with
-// singleflight coalescing: N concurrent identical requests run one
-// descent, and only the flight leader occupies an engine admission
-// slot. With a store attached, entries persist under a .fcache
-// namespace (atomic-rename, digest-verified on load), so a restarted
-// daemon serves warm hits without recomputation; fusiond enables the
-// cache by default (-fusion-cache), pre-warms the built-in zoo catalog
-// at boot (-prewarm-zoo), and labels every generate response with an
+// The fusion cache is fusiond's (internal/server, internal/fcache); the
+// library's Generate and Engine always compute. Algorithm 2 is a pure
+// function of the machine set, f, and the semantics-affecting options, so
+// fusiond keys a generate request by a versioned SHA-256 digest of
+// exactly those inputs (core.RequestDigest) — transition tables
+// included, tenant identity excluded — and answers a repeat with the
+// bit-identical partition list in microseconds instead of a fresh
+// descent (BenchmarkGenerateCacheHit vs the cold BenchmarkTable1Row1).
+// The cache is a size-bounded LRU with singleflight coalescing: N
+// concurrent identical requests run one descent, and only the flight
+// leader occupies an engine admission slot. With a store attached,
+// entries persist under a .fcache namespace (atomic-rename,
+// digest-verified on load), so a restarted daemon serves warm hits
+// without recomputation; fusiond enables the cache by default
+// (-fusion-cache), pre-warms the built-in zoo catalog at boot
+// (-prewarm-zoo), and labels every generate response with an
 // X-Fusion-Cache: hit|miss|coalesced|bypass header.
 package fusion
 

@@ -47,8 +47,7 @@ func ParseDigest(s string) (Digest, bool) {
 // block numbering in ⊤ and therefore the partitions' canonical form).
 //
 // Of the options only MaxMachines participates: it changes the outcome
-// (success vs. the too-many-machines error). Pool never affects results,
-// and NoCache only says whether the cache may serve the request.
+// (success vs. the too-many-machines error). Pool never affects results.
 func RequestDigest(ms []*dfsm.Machine, f int, opts GenerateOptions) Digest {
 	buf := make([]byte, 0, 24+32*len(ms))
 	buf = append(buf, DigestScheme)
@@ -61,8 +60,3 @@ func RequestDigest(ms []*dfsm.Machine, f int, opts GenerateOptions) Digest {
 	}
 	return sha256.Sum256(buf)
 }
-
-// Cacheable reports whether a Generate call with these options may be
-// served from (and populate) the content-addressed fusion cache: every
-// call without an explicit opt-out.
-func (o GenerateOptions) Cacheable() bool { return !o.NoCache }

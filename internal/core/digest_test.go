@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/dfsm"
+	"repro/internal/exec"
 	"repro/internal/machines"
 )
 
@@ -51,9 +52,9 @@ func TestRequestDigestSensitivity(t *testing.T) {
 			t.Errorf("%s: digest unchanged", name)
 		}
 	}
-	// Pool and the cache opt-out are serving concerns, not content.
-	if RequestDigest(digestMachines(t, "MESI", "1-Counter"), 2, GenerateOptions{NoCache: true}) != base {
-		t.Error("NoCache changed the digest; it must not (it only routes around the cache)")
+	// The pool is a serving concern, not content.
+	if RequestDigest(digestMachines(t, "MESI", "1-Counter"), 2, GenerateOptions{Pool: exec.Default()}) != base {
+		t.Error("Pool changed the digest; it must not (it never changes the output)")
 	}
 }
 
@@ -101,19 +102,6 @@ func TestDigestStringRoundTrip(t *testing.T) {
 	for _, bad := range []string{"", "zz", s[:63], s + "0", s[:62] + "zz"} {
 		if _, ok := ParseDigest(bad); ok {
 			t.Errorf("ParseDigest(%q) accepted malformed input", bad)
-		}
-	}
-}
-
-func TestCacheable(t *testing.T) {
-	if !(GenerateOptions{}).Cacheable() {
-		t.Fatal("zero options must be cacheable")
-	}
-	for name, opts := range map[string]GenerateOptions{
-		"NoCache": {NoCache: true},
-	} {
-		if opts.Cacheable() {
-			t.Errorf("%s: opt-out option reported cacheable", name)
 		}
 	}
 }

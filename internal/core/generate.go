@@ -20,12 +20,6 @@ type GenerateOptions struct {
 	// that want dedicated capacity pass their engine's pool here
 	// (fusion.Engine does). The choice of pool never changes the output.
 	Pool *exec.Pool
-	// NoCache opts this call out of the content-addressed fusion cache.
-	// GenerateFusion itself ignores it — core always computes — but the
-	// cache-aware layers above (fusion.Engine, fusiond's generate route)
-	// honor it, and it deliberately does NOT participate in RequestDigest:
-	// a NoCache run produces the same bits as a cached one.
-	NoCache bool
 }
 
 // descents recycles partition.DescentStates across GenerateFusion and

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"sync"
 	"testing"
 
 	fusion "repro"
@@ -14,29 +13,38 @@ import (
 	"repro/internal/machines"
 )
 
-// generateBoth runs the same request cold (no cache) and through a cached
-// engine, and returns both results.
+// generateBoth runs the same request cold (fusion.Generate) and through a
+// cache the way fusiond does (core.RequestDigest, then Cache.Do): a miss
+// that computes and inserts, then a hit that serves the stored entry.
 func generateBoth(t *testing.T, ms []*dfsm.Machine, f int) (cold, cached []fusion.Partition) {
 	t.Helper()
 	sys, err := fusion.NewSystem(ms)
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldEng := fusion.NewEngine(fusion.EngineOptions{Dedicated: true})
-	defer coldEng.Close()
-	cold, err = coldEng.Generate(sys, f)
+	cold, err = fusion.Generate(sys, f)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	warmEng := fusion.NewEngine(fusion.EngineOptions{Dedicated: true, Cache: fcache.New(fcache.Options{})})
-	defer warmEng.Close()
-	if _, err := warmEng.Generate(sys, f); err != nil { // populate (miss)
-		t.Fatal(err)
+	cache := fcache.New(fcache.Options{})
+	key := core.RequestDigest(ms, f, core.GenerateOptions{})
+	compute := func() (fcache.Entry, error) {
+		parts, err := fusion.Generate(sys, f)
+		return fcache.Entry{Key: key, N: sys.N(), Parts: parts}, err
 	}
-	cached, err = warmEng.Generate(sys, f) // serve (hit)
-	if err != nil {
-		t.Fatal(err)
+	for _, want := range []fcache.Outcome{fcache.Miss, fcache.Hit} {
+		ent, out, err := cache.Do(key, compute)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out != want {
+			t.Fatalf("Do outcome %v, want %v", out, want)
+		}
+		if ent.N != sys.N() {
+			t.Fatalf("%v entry N = %d, want %d", out, ent.N, sys.N())
+		}
+		cached = ent.Parts
 	}
 	return cold, cached
 }
@@ -92,85 +100,5 @@ func TestCachedEquivalenceRandom(t *testing.T) {
 			cold, cached := generateBoth(t, ms, 1)
 			samePartitions(t, "random", cold, cached)
 		})
-	}
-}
-
-// TestCollisionParanoia: an entry whose payload does not describe this
-// system (wrong N under the right key — what a digest collision would
-// look like) is not served; the engine computes cold and still answers
-// correctly.
-func TestCollisionParanoia(t *testing.T) {
-	ms, err := machines.SuiteMachines(machines.PaperSuites()[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := fusion.NewSystem(ms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := machines.PaperSuites()[0].F
-
-	cache := fcache.New(fcache.Options{})
-	key := core.RequestDigest(ms, f, core.GenerateOptions{})
-	// Poison the cache: right key, foreign payload (N of a different ⊤).
-	cache.Put(fcache.Entry{Key: key, N: sys.N() + 1})
-
-	eng := fusion.NewEngine(fusion.EngineOptions{Dedicated: true, Cache: cache})
-	defer eng.Close()
-	got, err := eng.Generate(sys, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coldEng := fusion.NewEngine(fusion.EngineOptions{Dedicated: true})
-	defer coldEng.Close()
-	want, err := coldEng.Generate(sys, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	samePartitions(t, "post-poison", want, got)
-}
-
-// TestSingleflightFlood: N concurrent identical requests on a cached
-// engine run Algorithm 2 exactly once — the singleflight guarantee,
-// observed through the process-wide generation counter.
-func TestSingleflightFlood(t *testing.T) {
-	ms, err := machines.SuiteMachines(machines.PaperSuites()[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := fusion.NewSystem(ms)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := machines.PaperSuites()[0].F
-	eng := fusion.NewEngine(fusion.EngineOptions{Dedicated: true, Cache: fcache.New(fcache.Options{})})
-	defer eng.Close()
-
-	before := core.GenerationCounters().Runs
-	const flood = 16
-	var wg sync.WaitGroup
-	results := make([][]fusion.Partition, flood)
-	for i := 0; i < flood; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			parts, err := eng.Generate(sys, f)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			results[i] = parts
-		}()
-	}
-	wg.Wait()
-	if t.Failed() {
-		t.FailNow()
-	}
-	if delta := core.GenerationCounters().Runs - before; delta != 1 {
-		t.Fatalf("flood of %d identical requests ran Algorithm 2 %d times, want 1", flood, delta)
-	}
-	for i := 1; i < flood; i++ {
-		samePartitions(t, fmt.Sprintf("flood caller %d", i), results[0], results[i])
 	}
 }

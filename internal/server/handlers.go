@@ -61,27 +61,8 @@ func (e *httpError) Error() string { return e.msg }
 
 // handleGenerate runs Algorithm 2 for the requested machine set and fault
 // budget on the tenant's engine, routed through the shared fusion cache.
-// Unlike the cluster routes it is not wrapped in admitted(): the admission
-// slot is taken inside the cache's singleflight compute, so N concurrent
-// identical requests hold one slot (the flight leader's), not N.
 func (s *Server) handleGenerate(t *tenant, w http.ResponseWriter, r *http.Request) {
-	if !s.readBody(w, r) {
-		return
-	}
-	var req GenerateRequest
-	if !s.readJSON(w, r, &req) {
-		return
-	}
-	if req.F < 0 {
-		writeErr(w, http.StatusBadRequest, "f must be >= 0")
-		return
-	}
-	ms, err := resolveMachines(req.MachineSetRequest)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	s.generateVia(t.engine, t, w, r, req, ms)
+	s.generate(t.engine, t, w, r)
 }
 
 // handleGenerateFollower serves POST /v1/generate on a follower: fusion
@@ -95,6 +76,20 @@ func (s *Server) handleGenerateFollower(w http.ResponseWriter, r *http.Request) 
 	w.Header().Set(headerRole, RoleFollower)
 	w.Header().Set(headerApplied, strconv.FormatUint(st.Applied, 10))
 	w.Header().Set(headerLag, strconv.FormatUint(st.Lag(), 10))
+	s.generate(s.genFollower, nil, w, r)
+}
+
+// generate answers one generate request on eng. fusiond is the one place
+// the fusion cache is consulted: with the cache enabled and the request
+// not opting out, the result is looked up by content address — a
+// canonical digest of the machine tables, f, and the semantics-affecting
+// options — and concurrent identical requests coalesce onto one
+// Algorithm 2 run. Unlike the cluster routes it is not wrapped in
+// admitted(): the admission slot is taken inside the cache's singleflight
+// compute, so N concurrent identical requests hold one slot (the flight
+// leader's), not N. t attributes the hit/miss to a tenant (nil on
+// followers, which run no tenant state).
+func (s *Server) generate(eng *fusion.Engine, t *tenant, w http.ResponseWriter, r *http.Request) {
 	if !s.readBody(w, r) {
 		return
 	}
@@ -111,16 +106,6 @@ func (s *Server) handleGenerateFollower(w http.ResponseWriter, r *http.Request) 
 		writeErr(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	s.generateVia(s.genFollower, nil, w, r, req, ms)
-}
-
-// generateVia answers one generate request on eng. With the cache enabled
-// and the request cacheable, the result is looked up by content address —
-// a canonical digest of the machine tables, f, and the semantics-affecting
-// options — and concurrent identical requests coalesce onto one Algorithm 2
-// run. t attributes the hit/miss to a tenant (nil on followers, which run
-// no tenant state).
-func (s *Server) generateVia(eng *fusion.Engine, t *tenant, w http.ResponseWriter, r *http.Request, req GenerateRequest, ms []*fusion.Machine) {
 	compute := func() (fcache.Entry, error) {
 		if err := eng.Acquire(r.Context()); err != nil {
 			return fcache.Entry{}, err
@@ -138,13 +123,12 @@ func (s *Server) generateVia(eng *fusion.Engine, t *tenant, w http.ResponseWrite
 	}
 
 	var ent fcache.Entry
-	var err error
 	outcome := "bypass"
 	if s.fcache != nil && !req.NoCache {
-		// The digest must match what the engine/library layer would compute
-		// for the same call, so a daemon cache warmed by the pre-warmer and
-		// one warmed by requests agree: default GenerateOptions, Pool
-		// excluded by construction.
+		// The digest must match what the pre-warmer computes for the same
+		// machines and f, so a daemon cache warmed at boot and one warmed
+		// by requests agree: default GenerateOptions, Pool excluded by
+		// construction.
 		key := core.RequestDigest(ms, req.F, core.GenerateOptions{})
 		var out fcache.Outcome
 		ent, out, err = s.fcache.Do(key, compute)

@@ -404,7 +404,6 @@ func (s *Server) promote() (uint64, error) {
 func (s *Server) mintEngine() *fusion.Engine {
 	return fusion.NewEngine(fusion.EngineOptions{
 		Workers:      s.opts.Workers,
-		Dedicated:    true,
 		MaxInFlight:  s.opts.MaxInFlight,
 		QueueDepth:   s.opts.QueueDepth,
 		QueueTimeout: s.opts.QueueTimeout,

@@ -572,11 +572,10 @@ func (s *Server) dirOptions() store.DirOptions {
 // from disk (a fresh tenant just gets an empty directory) — which is why
 // minting can fail.
 func (s *Server) mintTenant(name string) (*tenant, error) {
-	// Dedicated: every tenant gets its own engine — its own admission
-	// state, truthful per-tenant /healthz numbers, and a drain that
-	// Server.Close can actually wait on — while the pool stays shared
-	// (one bounded goroutine set) unless Workers asks for per-tenant
-	// capacity.
+	// Every tenant gets its own engine — its own admission state, truthful
+	// per-tenant /healthz numbers, and a drain that Server.Close can
+	// actually wait on — while the pool stays shared (one bounded goroutine
+	// set) unless Workers asks for per-tenant capacity.
 	engine := s.mintEngine()
 	var reg *sim.Registry
 	var st *store.Dir

@@ -61,17 +61,18 @@ func (h *Handle) Do(f func(c *Cluster)) {
 // appending on top of the gap. f must not call Do or Update on the same
 // handle.
 //
-// On a store with a staged append path (a Dir, or a Tee over one), the handle lock is RELEASED while this Update waits for its
-// batch's fsync: the mutations are already applied and the records
-// staged in order, so the lock has done its serialization work, and
-// holding it through the fsync would forbid the very coalescing group
-// commit exists for — independent handles must be able to park on the
-// same batch. A next Update on this handle stages behind this one (the
-// store keeps per-cluster stage order) and both ride whichever batches
-// the flusher forms. Failure stays safe without the lock: the store
-// poisons the cluster on a failed batch, refusing further stages until a
-// snapshot heals it, so the dirty flag being set only after re-acquiring
-// the lock cannot let an append sneak into the gap.
+// The handle lock is RELEASED while this Update waits for its batch's
+// fsync (a Dir, or a Tee over one; a Mem's wait returns at once): the
+// mutations are already applied and the records staged in order, so the
+// lock has done its serialization work, and holding it through the fsync
+// would forbid the very coalescing group commit exists for — independent
+// handles must be able to park on the same batch. A next Update on this
+// handle stages behind this one (the store keeps per-cluster stage
+// order) and both ride whichever batches the flusher forms. Failure
+// stays safe without the lock: the store poisons the cluster on a failed
+// batch, refusing further stages until a snapshot heals it, so the dirty
+// flag being set only after re-acquiring the lock cannot let an append
+// sneak into the gap.
 func (h *Handle) Update(f func(tx *Tx) error) error {
 	h.mu.Lock()
 	tx := &Tx{c: h.c, store: h.store}
@@ -96,7 +97,7 @@ func (h *Handle) Update(f func(tx *Tx) error) error {
 		h.mu.Unlock()
 		return ferr
 	}
-	wait, err := stageEvents(h.store, h.id, tx.recs)
+	wait, err := h.store.StageEvents(h.id, tx.recs, nil)
 	if err != nil {
 		h.dirty = true
 		h.mu.Unlock()
@@ -117,25 +118,6 @@ func (h *Handle) Update(f func(tx *Tx) error) error {
 	}
 	h.mu.Unlock()
 	return errors.Join(ferr, serr)
-}
-
-// stagedStore is the optional staged-append surface of a Store,
-// satisfied by store.Dir and store.Tee. stageEvents adapts any Store to
-// it: without a staged path the append commits inline and the returned
-// wait is a no-op, which reduces Update to its historical
-// fsync-under-the-handle-lock behavior.
-type stagedStore interface {
-	StageEvents(id string, recs [][]byte, onCommit func()) (func() error, error)
-}
-
-func stageEvents(st Store, id string, recs [][]byte) (func() error, error) {
-	if ss, ok := st.(stagedStore); ok {
-		return ss.StageEvents(id, recs, nil)
-	}
-	if err := st.AppendEvents(id, recs); err != nil {
-		return nil, err
-	}
-	return func() error { return nil }, nil
 }
 
 // Replay applies journaled WAL records to the live cluster without

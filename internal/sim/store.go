@@ -37,8 +37,13 @@ type Store interface {
 	// before returning: Add does not publish a handle whose creation
 	// could be forgotten.
 	Put(id string, spec []byte) error
-	// AppendEvents durably appends WAL records for id, oldest first.
-	AppendEvents(id string, recs [][]byte) error
+	// StageEvents starts a durable append of WAL records for id, oldest
+	// first, and returns a wait function that blocks until they are
+	// committed; the caller must invoke it exactly once. onCommit, when
+	// non-nil, runs once the records are durable, before wait returns.
+	// Per-id callers serialize their own stages (Handle.Update holds the
+	// handle lock across the call), which fixes the record order.
+	StageEvents(id string, recs [][]byte, onCommit func()) (func() error, error)
 	// Snapshot atomically replaces id's snapshot and resets its WAL. A
 	// crash must leave either the old snapshot+WAL or the new snapshot
 	// with an empty WAL — never the new snapshot with the old WAL.

@@ -411,18 +411,18 @@ func TestIDsNotReusedAcrossReload(t *testing.T) {
 	}
 }
 
-// flakyStore wraps a Store and fails AppendEvents while tripped — the
+// flakyStore wraps a Store and fails StageEvents while tripped — the
 // transient-disk-error harness for the dirty-handle healing path.
 type flakyStore struct {
 	Store
 	failAppends bool
 }
 
-func (f *flakyStore) AppendEvents(id string, recs [][]byte) error {
+func (f *flakyStore) StageEvents(id string, recs [][]byte, onCommit func()) (func() error, error) {
 	if f.failAppends {
-		return errors.New("injected append failure")
+		return nil, errors.New("injected append failure")
 	}
-	return f.Store.AppendEvents(id, recs)
+	return f.Store.StageEvents(id, recs, onCommit)
 }
 
 // TestDirtyHandleHealsBySnapshot: a failed append leaves the store

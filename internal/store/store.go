@@ -88,18 +88,26 @@ func (s *Mem) Put(id string, spec []byte) error {
 	return nil
 }
 
-// AppendEvents appends WAL records for id.
-func (s *Mem) AppendEvents(id string, recs [][]byte) error {
+// StageEvents appends WAL records for id under the store lock, then runs
+// onCommit (when non-nil) and returns a no-op wait: memory has nothing to
+// fsync, so the append is committed when the call returns. onCommit runs
+// after the lock is released: a Tee's callback takes the Tee lock, which
+// Tee.Put holds while it calls Put.
+func (s *Mem) StageEvents(id string, recs [][]byte, onCommit func()) (func() error, error) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	r, ok := s.m[id]
 	if !ok {
-		return fmt.Errorf("store: no cluster %q", id)
+		s.mu.Unlock()
+		return nil, fmt.Errorf("store: no cluster %q", id)
 	}
 	for _, rec := range recs {
 		r.wal = append(r.wal, append([]byte(nil), rec...))
 	}
-	return nil
+	s.mu.Unlock()
+	if onCommit != nil {
+		onCommit()
+	}
+	return noopWait, nil
 }
 
 // Snapshot atomically replaces id's snapshot and truncates its WAL.

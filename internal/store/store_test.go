@@ -8,20 +8,19 @@ import (
 	"testing"
 )
 
-// backend abstracts the common surface so both implementations run the
-// same contract suite.
-type backend interface {
-	Put(id string, spec []byte) error
-	AppendEvents(id string, recs [][]byte) error
-	Snapshot(id string, snap []byte) error
-	Remove(id string) error
-	Load() ([]Record, error)
+// appendEvents stages recs on s and waits for their commit.
+func appendEvents(s Backend, id string, recs [][]byte) error {
+	wait, err := s.StageEvents(id, recs, nil)
+	if err != nil {
+		return err
+	}
+	return wait()
 }
 
-func backends(t *testing.T) map[string]func() backend {
-	return map[string]func() backend{
-		"mem": func() backend { return NewMem() },
-		"dir": func() backend {
+func backends(t *testing.T) map[string]func() Backend {
+	return map[string]func() Backend{
+		"mem": func() Backend { return NewMem() },
+		"dir": func() Backend {
 			d, err := NewDir(t.TempDir())
 			if err != nil {
 				t.Fatal(err)
@@ -30,7 +29,7 @@ func backends(t *testing.T) map[string]func() backend {
 		},
 		// The same store with segments and batches cut tiny, so the
 		// contract also runs across segment rollover and early flushes.
-		"group": func() backend {
+		"group": func() Backend {
 			d, err := NewDirWith(t.TempDir(), DirOptions{SegmentBytes: 64, MaxBatchBytes: 64})
 			if err != nil {
 				t.Fatal(err)
@@ -61,14 +60,14 @@ func TestBackendContract(t *testing.T) {
 			if err := s.Put("../evil", []byte(`{}`)); err == nil {
 				t.Fatal("path-traversal id accepted")
 			}
-			if err := s.AppendEvents("ghost", [][]byte{rec("a")}); err == nil {
+			if err := appendEvents(s, "ghost", [][]byte{rec("a")}); err == nil {
 				t.Fatal("append to unknown cluster accepted")
 			}
 
-			if err := s.AppendEvents("c1", [][]byte{rec("a"), rec("b")}); err != nil {
+			if err := appendEvents(s, "c1", [][]byte{rec("a"), rec("b")}); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.AppendEvents("c1", [][]byte{rec("c")}); err != nil {
+			if err := appendEvents(s, "c1", [][]byte{rec("c")}); err != nil {
 				t.Fatal(err)
 			}
 			if err := s.Put("c2", []byte(`{"f":9}`)); err != nil {
@@ -95,7 +94,7 @@ func TestBackendContract(t *testing.T) {
 			if err := s.Snapshot("c1", []byte(`{"snap":1}`)); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.AppendEvents("c1", [][]byte{rec("d")}); err != nil {
+			if err := appendEvents(s, "c1", [][]byte{rec("d")}); err != nil {
 				t.Fatal(err)
 			}
 			recs, err = s.Load()
@@ -135,7 +134,7 @@ func TestBackendContract(t *testing.T) {
 			if err := s.Put("c1", []byte(`{"f":3}`)); err != nil {
 				t.Fatal(err)
 			}
-			if err := s.AppendEvents("c1", [][]byte{rec("e")}); err != nil {
+			if err := appendEvents(s, "c1", [][]byte{rec("e")}); err != nil {
 				t.Fatal(err)
 			}
 			recs, _ = s.Load()

@@ -147,17 +147,10 @@ func (l *Log) Subscribe() <-chan struct{} {
 // sim.Store, satisfied by *Mem and *Dir.
 type Backend interface {
 	Put(id string, spec []byte) error
-	AppendEvents(id string, recs [][]byte) error
+	StageEvents(id string, recs [][]byte, onCommit func()) (func() error, error)
 	Snapshot(id string, snap []byte) error
 	Remove(id string) error
 	Load() ([]Record, error)
-}
-
-// stager is the optional staged-append surface of a Backend (satisfied
-// by *Dir). A Tee whose inner store implements it exposes the same
-// surface, so group-commit batching reaches through replication.
-type stager interface {
-	StageEvents(id string, recs [][]byte, onCommit func()) (func() error, error)
 }
 
 // pendingOp is an append Op staged on the inner store but not yet
@@ -219,16 +212,6 @@ func (t *Tee) Put(id string, spec []byte) error {
 	return nil
 }
 
-// AppendEvents commits the records, then publishes them anchored at the
-// pre-append WAL length.
-func (t *Tee) AppendEvents(id string, recs [][]byte) error {
-	wait, err := t.StageEvents(id, recs, nil)
-	if err != nil {
-		return err
-	}
-	return wait()
-}
-
 // StageEvents forwards a staged append to the inner store, keeping the
 // Tee's commit-first-publish-second contract per batch: the append Op is
 // prepared here (anchored at the pre-append WAL length) but published
@@ -250,7 +233,6 @@ func (t *Tee) StageEvents(id string, recs [][]byte, onCommit func()) (func() err
 		}
 		return noopWait, nil
 	}
-	st, staged := t.inner.(stager)
 	t.mu.Lock()
 	prev, tracked := t.walLen[id]
 	if !tracked {
@@ -261,26 +243,11 @@ func (t *Tee) StageEvents(id string, recs [][]byte, onCommit func()) (func() err
 		// which always Puts or Loads before appending.)
 		return nil, fmt.Errorf("store: tee append for untracked cluster %q", id)
 	}
-	if !staged {
-		// Inner store without a staged path (e.g. *Mem): commit inline,
-		// publish inline — the historical synchronous Tee behavior.
-		if err := t.inner.AppendEvents(id, recs); err != nil {
-			t.mu.Unlock()
-			return nil, err
-		}
-		t.walLen[id] = prev + len(recs)
-		t.log.Append(Op{Tenant: t.tenant, Kind: OpAppend, ID: id, Recs: recs, PrevWAL: prev})
-		t.mu.Unlock()
-		if onCommit != nil {
-			onCommit()
-		}
-		return noopWait, nil
-	}
 	tok := &pendingOp{op: Op{Tenant: t.tenant, Kind: OpAppend, ID: id, Recs: recs, PrevWAL: prev}}
 	t.pending[id] = append(t.pending[id], tok)
 	t.walLen[id] = prev + len(recs)
 	t.mu.Unlock()
-	wait, err := st.StageEvents(id, recs, func() {
+	wait, err := t.inner.StageEvents(id, recs, func() {
 		t.commitStaged(id, tok)
 		if onCommit != nil {
 			onCommit()

@@ -85,16 +85,16 @@ func TestTeePublishesCommittedMutations(t *testing.T) {
 	if err := tee.Put("c1", []byte(`{"f":1}`)); err != nil {
 		t.Fatal(err)
 	}
-	if err := tee.AppendEvents("c1", [][]byte{[]byte(`"a"`), []byte(`"b"`)}); err != nil {
+	if err := appendEvents(tee, "c1", [][]byte{[]byte(`"a"`), []byte(`"b"`)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tee.AppendEvents("c1", [][]byte{[]byte(`"c"`)}); err != nil {
+	if err := appendEvents(tee, "c1", [][]byte{[]byte(`"c"`)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tee.Snapshot("c1", []byte(`{"s":3}`)); err != nil {
 		t.Fatal(err)
 	}
-	if err := tee.AppendEvents("c1", [][]byte{[]byte(`"d"`)}); err != nil {
+	if err := appendEvents(tee, "c1", [][]byte{[]byte(`"d"`)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := tee.Remove("c1"); err != nil {
@@ -140,7 +140,7 @@ func TestTeeRejectsUntrackedAppend(t *testing.T) {
 		t.Fatal(err)
 	}
 	tee := NewTee("acme", inner, NewLog(1, 0))
-	if err := tee.AppendEvents("c9", [][]byte{[]byte(`"x"`)}); err == nil {
+	if err := appendEvents(tee, "c9", [][]byte{[]byte(`"x"`)}); err == nil {
 		t.Fatal("append without a tracked anchor must be refused")
 	}
 }
@@ -150,7 +150,7 @@ func TestTeeLoadSeedsAnchors(t *testing.T) {
 	if err := inner.Put("c3", []byte(`{}`)); err != nil {
 		t.Fatal(err)
 	}
-	if err := inner.AppendEvents("c3", [][]byte{[]byte(`"a"`), []byte(`"b"`)}); err != nil {
+	if err := appendEvents(inner, "c3", [][]byte{[]byte(`"a"`), []byte(`"b"`)}); err != nil {
 		t.Fatal(err)
 	}
 	log := NewLog(1, 0)
@@ -158,7 +158,7 @@ func TestTeeLoadSeedsAnchors(t *testing.T) {
 	if _, err := tee.Load(); err != nil {
 		t.Fatal(err)
 	}
-	if err := tee.AppendEvents("c3", [][]byte{[]byte(`"c"`)}); err != nil {
+	if err := appendEvents(tee, "c3", [][]byte{[]byte(`"c"`)}); err != nil {
 		t.Fatal(err)
 	}
 	ops, _ := log.Since(0, 0)
