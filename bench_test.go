@@ -1,11 +1,11 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// (DESIGN.md §4 maps experiment ids to these targets). Run:
+// (cmd/paper's -experiment flag lists the experiments). Run:
 //
 //	go test -bench=. -benchmem
 //
 // The Table1 rows measure full Algorithm 2 generation on the paper's five
 // machine suites; the Fig benches measure the constituent operations; the
-// Ablation benches quantify the design choices called out in DESIGN.md.
+// Ablation benches quantify the implementation's design choices.
 package fusion_test
 
 import (
@@ -245,7 +245,7 @@ func BenchmarkRecoverAlgorithm3(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md) -------------------------------------------------
+// --- Ablations -------------------------------------------------------------
 
 // BenchmarkAblationExhaustiveSearch compares the greedy lattice descent of
 // Algorithm 2 against the exponential exhaustive minimal-fusion search of

@@ -106,7 +106,8 @@ func TestServeAndGracefulShutdown(t *testing.T) {
 		t.Fatalf("events: %d %s", code, body)
 	}
 	code, body = post(t, base+"/v1/clusters/c1/recover", ``)
-	if code != http.StatusOK || !strings.Contains(body, `"consistent": true`) {
+	var rec server.RecoverResponse
+	if code != http.StatusOK || json.Unmarshal([]byte(body), &rec) != nil || !rec.Consistent {
 		t.Fatalf("recover: %d %s", code, body)
 	}
 

@@ -1,6 +1,6 @@
 // Command paper regenerates every table and figure of the IPPS 2009
-// fusion paper's evaluation from this reproduction (see DESIGN.md §4 for
-// the experiment index and EXPERIMENTS.md for recorded results).
+// fusion paper's evaluation from this reproduction (internal/experiments
+// implements each experiment; benchmarks/README.md records timings).
 //
 // Usage:
 //

@@ -35,7 +35,7 @@ curl -fsS "http://$ADDR/v1/clusters/c1/events" \
 step "recover (Algorithm 3)"
 RECOVERY="$(curl -fsS -X POST "http://$ADDR/v1/clusters/c1/recover")"
 printf '%s\n' "$RECOVERY"
-printf '%s' "$RECOVERY" | grep -q '"consistent": true'
+printf '%s' "$RECOVERY" | grep -q '"consistent":true'
 
 step "engine stats"
 curl -fsS "http://$ADDR/healthz"

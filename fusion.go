@@ -67,8 +67,10 @@
 // again. The first descent runs the pass; the DescentState keeps its
 // passing ⊤ pairs with their distinct closures, and every later descent's
 // level 0 rechecks each carried closure once against its own weakest
-// edges instead of running a pass. The carry is a handful of closures,
-// often none, never one entry per ⊤ pair.
+// edges instead of running a pass. The carry holds each distinct passing
+// closure and one entry per passing ⊤ pair: often empty on small tops,
+// but on pair-rich tops, where most ⊤ pairs pass level 0, it nears one
+// entry per ⊤ pair.
 //
 // Both tiers report through process-wide counters (GenerationCounters,
 // fusegen -descent-stats, fusiond /metrics and /healthz); the within-
@@ -291,7 +293,9 @@ func ParseSpec(r io.Reader) ([]*Machine, error) { return spec.Parse(r) }
 func FormatSpec(ms []*Machine) string { return spec.Format(ms) }
 
 // ZooMachine returns a machine from the built-in model zoo by name (MESI,
-// TCP, 0-Counter, ...); ZooNames lists the options.
+// TCP, 0-Counter, ...); ZooNames lists the options. Every call for a name
+// returns the same shared instance, built once on first use; machines are
+// immutable, so callers may share it freely across goroutines.
 func ZooMachine(name string) (*Machine, error) { return machines.Get(name) }
 
 // ZooNames lists the built-in model zoo.

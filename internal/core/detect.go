@@ -6,12 +6,12 @@ import (
 )
 
 // This file implements Byzantine fault *detection*, the natural companion
-// of Theorems 1–2 (an extension over the paper's recovery-only treatment;
-// marked as such in DESIGN.md): with dmin(A ∪ F) > f, up to f arbitrary
-// state corruptions are detectable — the corrupted reports cannot all be
-// consistent with any single ⊤-state — even when f exceeds the correction
-// bound ⌊dmin−1⌋/2. This mirrors classical coding theory, where distance d
-// detects d−1 errors but corrects only ⌊(d−1)/2⌋.
+// of Theorems 1–2 (an extension over the paper's recovery-only treatment):
+// with dmin(A ∪ F) > f, up to f arbitrary state corruptions are
+// detectable — the corrupted reports cannot all be consistent with any
+// single ⊤-state — even when f exceeds the correction bound ⌊dmin−1⌋/2.
+// This mirrors classical coding theory, where distance d detects d−1
+// errors but corrects only ⌊(d−1)/2⌋.
 
 // ConsistentState returns the unique ⊤-state contained in every report, if
 // one exists. Outcomes:

@@ -49,14 +49,20 @@ func ParseDigest(s string) (Digest, bool) {
 // Of the options only MaxMachines participates: it changes the outcome
 // (success vs. the too-many-machines error). Pool never affects results.
 func RequestDigest(ms []*dfsm.Machine, f int, opts GenerateOptions) Digest {
-	buf := make([]byte, 0, 24+32*len(ms))
-	buf = append(buf, DigestScheme)
-	buf = binary.AppendUvarint(buf, uint64(f))
-	buf = binary.AppendUvarint(buf, uint64(opts.MaxMachines))
-	buf = binary.AppendUvarint(buf, uint64(len(ms)))
+	// Streamed into one hasher, so the digest costs no allocation: the
+	// hashed bytes are the scheme, three uvarints, then each table digest.
+	h := sha256.New()
+	var hdr [1 + 3*binary.MaxVarintLen64]byte
+	b := append(hdr[:0], DigestScheme)
+	b = binary.AppendUvarint(b, uint64(f))
+	b = binary.AppendUvarint(b, uint64(opts.MaxMachines))
+	b = binary.AppendUvarint(b, uint64(len(ms)))
+	h.Write(b)
 	for _, m := range ms {
 		d := m.TableDigest()
-		buf = append(buf, d[:]...)
+		h.Write(d[:])
 	}
-	return sha256.Sum256(buf)
+	var out Digest
+	h.Sum(out[:0])
+	return out
 }

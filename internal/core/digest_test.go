@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/json"
 	"math/rand"
 	"testing"
 
@@ -24,15 +25,59 @@ func digestMachines(t *testing.T, names ...string) []*dfsm.Machine {
 
 // TestRequestDigestDeterministic: the digest is a pure function of the
 // request content — independently constructed machine instances with the
-// same tables hash identically.
+// same tables hash identically. The second set is a JSON round trip of
+// the first, so no instance (and no cached table digest) is shared.
 func TestRequestDigestDeterministic(t *testing.T) {
 	a := digestMachines(t, "MESI", "1-Counter")
-	b := digestMachines(t, "MESI", "1-Counter")
-	if &a[0] == &b[0] {
-		t.Fatal("want distinct machine instances")
+	b := make([]*dfsm.Machine, len(a))
+	for i, m := range a {
+		data, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b[i] = new(dfsm.Machine)
+		if err := json.Unmarshal(data, b[i]); err != nil {
+			t.Fatal(err)
+		}
+		if a[i] == b[i] {
+			t.Fatal("want distinct machine instances")
+		}
 	}
 	if RequestDigest(a, 2, GenerateOptions{}) != RequestDigest(b, 2, GenerateOptions{}) {
 		t.Fatal("same request content, different digests")
+	}
+}
+
+// TestRequestDigestPinned pins the hex digests of two requests, so a
+// change to the hashed byte stream cannot silently re-key the fcache
+// entries persisted under DigestScheme 1.
+func TestRequestDigestPinned(t *testing.T) {
+	if DigestScheme != 1 {
+		t.Fatalf("DigestScheme = %d; re-pin these digests when bumping it", DigestScheme)
+	}
+	for _, tc := range []struct {
+		names []string
+		f     int
+		opts  GenerateOptions
+		want  string
+	}{
+		{[]string{"MESI", "1-Counter"}, 2, GenerateOptions{},
+			"b5b80df447a474f0d5c36dfa5722d810b184aeccd0e8f07340fe9ef7fc8caada"},
+		{[]string{"MESI", "TCP", "A", "B"}, 1, GenerateOptions{MaxMachines: 9},
+			"aed41c037c5a620a52280403f352a37b50e374704fe1306c174c3f96f0b94cfc"},
+	} {
+		if got := RequestDigest(digestMachines(t, tc.names...), tc.f, tc.opts).String(); got != tc.want {
+			t.Errorf("RequestDigest(%v, f=%d, %+v) = %s, want %s", tc.names, tc.f, tc.opts, got, tc.want)
+		}
+	}
+}
+
+// TestRequestDigestNoAlloc: with the table digests cached on the
+// machines, a request digest allocates nothing.
+func TestRequestDigestNoAlloc(t *testing.T) {
+	ms := digestMachines(t, "MESI", "1-Counter", "0-Counter", "ShiftRegister")
+	if n := testing.AllocsPerRun(100, func() { RequestDigest(ms, 2, GenerateOptions{MaxMachines: 8}) }); n != 0 {
+		t.Fatalf("RequestDigest allocates %.0f times per call, want 0", n)
 	}
 }
 
@@ -78,7 +123,7 @@ func TestRequestDigestTableContent(t *testing.T) {
 }
 
 // TestTableDigestMemoized: repeated digests of one instance are stable
-// (and served from the memo rather than re-serialized).
+// (and served from the machine's cached digest rather than re-serialized).
 func TestTableDigestMemoized(t *testing.T) {
 	m := digestMachines(t, "TCP")[0]
 	first := m.TableDigest()

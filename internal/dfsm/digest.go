@@ -3,7 +3,6 @@ package dfsm
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"sync"
 )
 
 // TableDigest returns a SHA-256 digest of the machine's full definition —
@@ -14,38 +13,17 @@ import (
 // address for the machine; the fusion cache builds whole-request keys out
 // of these (see core.RequestDigest).
 //
-// Machines are immutable, so digests are memoized per instance; repeated
-// calls on the machines of a long-lived System cost two map operations,
-// not a rehash of the table.
+// Machines are immutable, so the digest is computed on the first call
+// and kept on the machine; later calls are one atomic load.
 func (m *Machine) TableDigest() [32]byte {
-	tableMemo.RLock()
-	d, ok := tableMemo.m[m]
-	tableMemo.RUnlock()
-	if ok {
-		return d
+	if d := m.digest.Load(); d != nil {
+		return *d
 	}
-	d = m.tableDigest()
-	tableMemo.Lock()
-	if len(tableMemo.m) >= tableMemoCap {
-		// The memo is keyed by pointer, so dead machines would pin entries
-		// (and their keys) forever; dropping wholesale at the cap bounds
-		// the memory while keeping steady-state service workloads — a few
-		// dozen catalog machines — permanently warm.
-		tableMemo.m = make(map[*Machine][32]byte, tableMemoCap/4)
-	}
-	tableMemo.m[m] = d
-	tableMemo.Unlock()
+	d := m.tableDigest()
+	// Concurrent first calls compute the same value; either store wins.
+	m.digest.Store(&d)
 	return d
 }
-
-// tableMemoCap bounds the per-process digest memo; far above any zoo or
-// tenant catalog, far below what a machine-minting flood could abuse.
-const tableMemoCap = 4096
-
-var tableMemo = struct {
-	sync.RWMutex
-	m map[*Machine][32]byte
-}{m: make(map[*Machine][32]byte)}
 
 // tableDigest hashes the canonical serialization. Every variable-length
 // field is length-prefixed (uvarint) so distinct definitions can never

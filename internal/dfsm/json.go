@@ -90,6 +90,10 @@ func (m *Machine) UnmarshalJSON(data []byte) error {
 	if err != nil {
 		return err
 	}
-	*m = *built
+	// Assigned field by field because the digest cache is an atomic, which
+	// must not be copied; it is cleared because m now holds a new table.
+	m.name, m.states, m.events, m.eventIx = built.name, built.states, built.events, built.eventIx
+	m.initial, m.delta = built.initial, built.delta
+	m.digest.Store(nil)
 	return nil
 }

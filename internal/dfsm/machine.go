@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // Machine is an immutable deterministic finite state machine. Construct one
@@ -25,6 +26,8 @@ type Machine struct {
 	initial int
 	// delta[s][e] is the state reached from state s on event index e.
 	delta [][]int
+	// digest caches TableDigest; nil until the first call.
+	digest atomic.Pointer[[32]byte]
 }
 
 // NewMachine constructs a validated machine.

@@ -1,5 +1,5 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (see DESIGN.md §4 for the experiment index). Each function
+// evaluation (cmd/paper's -experiment flag indexes them). Each function
 // returns printable text plus structured results so that both cmd/paper and
 // the benchmarks can consume them.
 package experiments

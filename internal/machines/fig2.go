@@ -15,8 +15,6 @@ import "repro/internal/dfsm"
 //   - B corresponds to {t0},{t1},{t2,t3};
 //   - M1 (see Fig2M1Partition) = {t0,t2},{t1},{t3} is a closed partition,
 //     so the 3-state machine M1 of Fig. 2 exists in the lattice.
-//
-// See DESIGN.md §2 for the substitution note.
 
 // Fig2A returns machine A of Fig. 2.
 func Fig2A() *dfsm.Machine {

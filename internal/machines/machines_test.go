@@ -2,6 +2,7 @@ package machines
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/dfsm"
@@ -268,6 +269,41 @@ func TestZooRegistry(t *testing.T) {
 	}
 	if MustGet("MESI").Name() != "MESI" {
 		t.Error("MustGet broken")
+	}
+}
+
+// TestZooShared: Get hands out one shared instance per name, on repeated
+// and concurrent calls alike, and that instance equals a fresh build of
+// its constructor — sharing changes no content.
+func TestZooShared(t *testing.T) {
+	for _, name := range Names() {
+		m := MustGet(name)
+		if MustGet(name) != m {
+			t.Errorf("%s: repeated Get returned a different instance", name)
+		}
+		fresh := registry[name]()
+		if fresh.Name() != name {
+			fresh = fresh.Rename(name)
+		}
+		if fresh == m || !fresh.Equal(m) {
+			t.Errorf("%s: shared instance differs from a fresh constructor build", name)
+		}
+	}
+	names := Names()
+	got := make([]*dfsm.Machine, 8*len(names))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = MustGet(names[i%len(names)])
+		}()
+	}
+	wg.Wait()
+	for i, m := range got {
+		if want := MustGet(names[i%len(names)]); m != want {
+			t.Fatalf("concurrent Get(%q) returned a different instance", names[i%len(names)])
+		}
 	}
 }
 

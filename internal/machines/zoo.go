@@ -3,6 +3,7 @@ package machines
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/dfsm"
 )
@@ -11,17 +12,31 @@ import (
 // the ones appearing in the paper's results table plus the Fig. 1/Fig. 2
 // machines. The returned machine is renamed to the registry name so that
 // zoo name and machine (server) name always agree.
+//
+// The first call builds every registry entry once; every later call
+// returns that same shared instance. Machines are immutable, so sharing
+// changes no content, and a long-lived server keeps one copy of the zoo
+// whose table digests are computed once.
 func Get(name string) (*dfsm.Machine, error) {
-	f, ok := registry[name]
+	m, ok := zoo()[name]
 	if !ok {
 		return nil, fmt.Errorf("machines: unknown machine %q (have %v)", name, Names())
 	}
-	m := f()
-	if m.Name() != name {
-		m = m.Rename(name)
-	}
 	return m, nil
 }
+
+// zoo builds the shared registry instances on first use.
+var zoo = sync.OnceValue(func() map[string]*dfsm.Machine {
+	out := make(map[string]*dfsm.Machine, len(registry))
+	for name, f := range registry {
+		m := f()
+		if m.Name() != name {
+			m = m.Rename(name)
+		}
+		out[name] = m
+	}
+	return out
+})
 
 // MustGet is Get that panics on error.
 func MustGet(name string) *dfsm.Machine {

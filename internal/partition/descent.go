@@ -56,8 +56,9 @@ import (
 // level 0 at ⊤ of the same top runs no pass and no cascade: every pair
 // is failed, each carried closure is rechecked once against the new list,
 // and the survivors' pairs get their number back. The carry holds one
-// entry per passing closure and per pair that carries one, never one per
-// ⊤ pair; a level 0 anywhere else drops it and runs the pass.
+// entry per passing closure and one per passing pair, so on a pair-rich
+// top, where most ⊤ pairs pass level 0, it nears one entry per ⊤ pair; a
+// level 0 anywhere else drops it and runs the pass.
 //
 // A DescentState serves one descent at a time: call Reset before starting
 // an unrelated descent, or NextDescent before the next descent of the

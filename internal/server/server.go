@@ -885,9 +885,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // client gone; nothing left to do
+	json.NewEncoder(w).Encode(v) //nolint:errcheck // client gone; nothing left to do
 }
 
 func writeErr(w http.ResponseWriter, code int, msg string) {

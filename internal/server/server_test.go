@@ -489,3 +489,23 @@ func TestSeededClustersDiverge(t *testing.T) {
 		t.Fatalf("healthy server states diverged across seeds: %v vs %v", states[0], states[1])
 	}
 }
+
+// TestResolveZooNoRebuild: a zoo request resolves to the shared zoo
+// instances, so the only allocation is the result slice — no machine is
+// rebuilt per request.
+func TestResolveZooNoRebuild(t *testing.T) {
+	req := MachineSetRequest{Zoo: []string{"MESI", "TCP", "A", "B"}}
+	first, err := resolveMachines(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := testing.AllocsPerRun(100, func() {
+		ms, err := resolveMachines(req)
+		if err != nil || ms[0] != first[0] {
+			t.Fatal("zoo resolution changed instances or failed")
+		}
+	})
+	if n != 1 {
+		t.Fatalf("resolveMachines(zoo) allocates %.0f times, want 1 (the result slice)", n)
+	}
+}
