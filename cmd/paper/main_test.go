@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 )
@@ -34,13 +35,24 @@ func TestFigureExperiments(t *testing.T) {
 	}
 }
 
+// TestFig3DOT pins Fig. 3's Hasse diagram byte for byte: the output of
+// fig3 -dot from its "digraph lattice" line on must equal
+// testdata/fig3.dot.golden.
 func TestFig3DOT(t *testing.T) {
 	out, err := runCapture(t, "-experiment", "fig3", "-dot")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out, "digraph lattice") {
-		t.Error("missing Hasse diagram")
+	i := strings.Index(out, "digraph lattice")
+	if i < 0 {
+		t.Fatalf("missing Hasse diagram:\n%s", out)
+	}
+	want, err := os.ReadFile("testdata/fig3.dot.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := out[i:]; got != string(want) {
+		t.Errorf("Fig. 3 DOT differs from testdata/fig3.dot.golden:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
 

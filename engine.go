@@ -164,8 +164,9 @@ func (e *Engine) LoadRegistry(capacity int, st sim.Store, compactEvery int) (*si
 
 // IsLocallyMinimalFusion verifies that F is a locally minimal (f,·)-
 // fusion of sys — no single machine can be replaced by a lower-cover
-// element without losing f-fault tolerance — with the cover fan-outs on
-// this engine's pool.
+// element without losing f-fault tolerance. Each lower cover is one
+// serial level-0 pass, so the check runs on the caller, not on this
+// engine's pool.
 func (e *Engine) IsLocallyMinimalFusion(sys *System, F []Partition, f int) (bool, error) {
-	return core.IsLocallyMinimalFusionOn(e.pool, sys, F, f)
+	return core.IsLocallyMinimalFusion(sys, F, f)
 }

@@ -232,9 +232,9 @@ func TestEngineCloseDrains(t *testing.T) {
 	e.Close() // idempotent
 }
 
-// TestEngineIsLocallyMinimalFusion routes the lower-cover verification
-// through a dedicated engine's pool and checks it agrees with the
-// default-pool path on a generated fusion.
+// TestEngineIsLocallyMinimalFusion checks that a dedicated engine's
+// lower-cover verification accepts its own generated fusion and agrees
+// with the package-level check.
 func TestEngineIsLocallyMinimalFusion(t *testing.T) {
 	e := fusion.NewEngine(fusion.EngineOptions{Workers: 2})
 	defer e.Close()
@@ -251,14 +251,14 @@ func TestEngineIsLocallyMinimalFusion(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !minimal {
-		t.Fatal("generated fusion not locally minimal on the engine pool")
+		t.Fatal("generated fusion not locally minimal")
 	}
 	ref, err := core.IsLocallyMinimalFusion(sys, F, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if minimal != ref {
-		t.Fatalf("engine-pool verdict %v, default-pool verdict %v", minimal, ref)
+		t.Fatalf("engine verdict %v, package verdict %v", minimal, ref)
 	}
 }
 

@@ -11,27 +11,23 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/machines"
 	"repro/internal/partition"
 )
 
 // coldGenerate is the test-only reference for GenerateFusion: the same
 // outer loop, with every descent level evaluated cold as the full
-// MergeClosuresOn candidate list under the weakest edges and its
-// Less-minimum, and no state carried between levels.
+// per-pair candidate list under the weakest edges (serialMergeClosures)
+// and its Less-minimum, and no state carried between levels.
 func coldGenerate(t *testing.T, sys *core.System, f int) []partition.P {
 	t.Helper()
 	g := core.BuildFaultGraph(sys.N(), sys.Parts)
 	var out []partition.P
 	for g.Dmin() <= f {
-		var forbidden [][2]int
-		for _, e := range g.WeakestEdges() {
-			forbidden = append(forbidden, [2]int{e.I, e.J})
-		}
+		required := g.WeakestEdges()
 		m := partition.Singletons(sys.N())
 		for m.NumBlocks() > 1 {
-			cands := partition.MergeClosuresOn(exec.Default(), sys.Top, m, forbidden)
+			cands := serialMergeClosures(sys.Top, m, required)
 			if len(cands) == 0 {
 				break
 			}

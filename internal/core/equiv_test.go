@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dfsm"
-	"repro/internal/exec"
 	"repro/internal/partition"
 )
 
@@ -38,10 +37,29 @@ func randomEquivSystem(t *testing.T, rng *rand.Rand, maxTop int) *core.System {
 	}
 }
 
+// serialMergeClosures is the per-pair reference for
+// partition.MergeClosures, with no pair-graph pass: CloseMergingStates on
+// every block pair of m, deduplicated in block-pair order, keeping the
+// closures that cover required (nil keeps them all).
+func serialMergeClosures(top *dfsm.Machine, m partition.P, required []core.Edge) []partition.P {
+	blocks := m.Blocks()
+	seen := partition.NewSet(0)
+	var out []partition.P
+	for i := range blocks {
+		for j := i + 1; j < len(blocks); j++ {
+			c := partition.CloseMergingStates(top, m, blocks[i][0], blocks[j][0])
+			if core.Covers(c, required) && seen.Add(c) {
+				out = append(out, c)
+			}
+		}
+	}
+	return out
+}
+
 // TestGuardedMergeClosuresEquivalence checks, along full Algorithm 2
-// descents of random systems, that MergeClosuresOn with the weakest edges
-// as forbidden pairs returns exactly the unconstrained candidates of
-// MergeClosuresOn filtered by Covers — same partitions, same order.
+// descents of random systems, that MergeClosures with the weakest edges
+// as forbidden pairs returns exactly the per-pair closures filtered by
+// Covers — same partitions, same order.
 func TestGuardedMergeClosuresEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 25; trial++ {
@@ -55,13 +73,8 @@ func TestGuardedMergeClosuresEquivalence(t *testing.T) {
 
 		m := partition.Singletons(sys.N())
 		for m.NumBlocks() > 1 {
-			constrained := partition.MergeClosuresOn(exec.Default(), sys.Top, m, forbidden)
-			var plain []partition.P
-			for _, c := range partition.MergeClosuresOn(exec.Default(), sys.Top, m, nil) {
-				if core.Covers(c, required) {
-					plain = append(plain, c)
-				}
-			}
+			constrained := partition.MergeClosures(sys.Top, m, forbidden)
+			plain := serialMergeClosures(sys.Top, m, required)
 			if len(constrained) != len(plain) {
 				t.Fatalf("trial %d: constrained returned %d candidates, filtered %d", trial, len(constrained), len(plain))
 			}

@@ -105,7 +105,7 @@ func generateWith(s *System, f int, opts GenerateOptions, d *partition.DescentSt
 		// than the maximality-filtered lower cover: every closed partition
 		// strictly below m is ≤ some merge closure of m, so the down-set
 		// explored is identical while skipping the O(B⁴·N) maximality
-		// filter (see partition.MergeClosuresOn). Each level's pick is the
+		// filter (see partition.MergeClosures). Each level's pick is the
 		// Less-minimal qualifying closure: fewest blocks first, then the
 		// lexicographically least normalized vector.
 		m := partition.Singletons(n)
@@ -158,17 +158,17 @@ func GreedyDescent(s *System, required []Edge) partition.P {
 	return m
 }
 
-// ExhaustiveMinimalFusions enumerates ALL closed partitions of ⊤ (via
-// lattice descent with memoization) and returns the machines with the
-// fewest states among those that, added alone, raise dmin(A) by one. This
-// is the exponential-time (1,1)-fusion search of the authors' earlier
-// ICDCN'08 paper, kept as the ablation baseline for Algorithm 2; it is only
+// ExhaustiveMinimalFusions enumerates ALL closed partitions of ⊤
+// (partition.ClosedPartitions) and returns the machines with the fewest
+// states among those that, added alone, raise dmin(A) by one. This is the
+// exponential-time (1,1)-fusion search of the authors' earlier ICDCN'08
+// paper, kept as the ablation baseline for Algorithm 2; it is only
 // feasible for small tops.
 //
-// maxNodes caps the number of lattice nodes visited; exceeding it returns
-// an error.
+// maxNodes caps the number of closed partitions enumerated (0 means
+// 4096); exceeding it returns an error.
 func ExhaustiveMinimalFusions(s *System, maxNodes int) ([]partition.P, error) {
-	all, err := EnumerateClosedPartitions(s, maxNodes)
+	all, err := partition.ClosedPartitions(s.Top, maxNodes)
 	if err != nil {
 		return nil, err
 	}
@@ -194,35 +194,4 @@ func ExhaustiveMinimalFusions(s *System, maxNodes int) ([]partition.P, error) {
 	}
 	sort.Slice(best, func(i, j int) bool { return best[i].Less(best[j]) })
 	return best, nil
-}
-
-// EnumerateClosedPartitions returns every closed partition of ⊤'s state
-// set, found by BFS downward from ⊤ through lower covers of *merges* (every
-// closed partition below p is below the closure of some two-state merge of
-// p, so the traversal is complete). The count can be exponential; maxNodes
-// bounds the walk.
-func EnumerateClosedPartitions(s *System, maxNodes int) ([]partition.P, error) {
-	top := partition.Singletons(s.N())
-	seen := partition.NewSet(64)
-	seen.Add(top)
-	queue := []partition.P{top}
-	var all []partition.P
-	for len(queue) > 0 {
-		p := queue[0]
-		queue = queue[1:]
-		all = append(all, p)
-		if maxNodes > 0 && len(all) > maxNodes {
-			return nil, fmt.Errorf("core: closed-partition lattice exceeds %d nodes", maxNodes)
-		}
-		blocks := p.Blocks()
-		for i := 0; i < len(blocks); i++ {
-			for j := i + 1; j < len(blocks); j++ {
-				c := partition.CloseMergingStates(s.Top, p, blocks[i][0], blocks[j][0])
-				if seen.Add(c) {
-					queue = append(queue, c)
-				}
-			}
-		}
-	}
-	return all, nil
 }

@@ -180,12 +180,12 @@ func TestExhaustiveMatchesGreedySize(t *testing.T) {
 	}
 }
 
-// TestEnumerateClosedPartitionsFig2 sanity-checks the lattice enumeration on
-// the Fig. 2 top: it contains ⊤, ⊥, and the partitions of A, B and M1, and
-// every enumerated partition is closed.
+// TestEnumerateClosedPartitionsFig2 sanity-checks the lattice enumeration
+// (partition.ClosedPartitions) on the Fig. 2 top: it contains ⊤, ⊥, and
+// the partitions of A, B and M1, and every enumerated partition is closed.
 func TestEnumerateClosedPartitionsFig2(t *testing.T) {
 	sys := fig2System(t)
-	all, err := core.EnumerateClosedPartitions(sys, 10000)
+	all, err := partition.ClosedPartitions(sys.Top, 10000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -39,9 +39,9 @@ const (
 //   - no machine of F can be replaced by one of its lower cover
 //     (IsLocallyMinimalFusion);
 //   - every machine of F is a node of the closed-partition lattice
-//     (EnumerateClosedPartitions), and no strictly coarser node can
+//     (partition.ClosedPartitions), and no strictly coarser node can
 //     replace it, when the walk fits under the cap. This restates local
-//     minimality without LowerCover, whose fan-out is the descent's own.
+//     minimality over the whole down-set instead of one lower cover.
 func TestGenerateFusionPaperOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(2009))
 	walks, deep := 0, 0
@@ -71,7 +71,7 @@ func TestGenerateFusionPaperOracle(t *testing.T) {
 			}
 		}
 
-		lattice, err := core.EnumerateClosedPartitions(sys, oracleLatticeCap)
+		lattice, err := partition.ClosedPartitions(sys.Top, oracleLatticeCap)
 		if err != nil {
 			continue // capped: counted against oracleMinWalks below
 		}

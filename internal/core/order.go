@@ -1,9 +1,6 @@
 package core
 
-import (
-	"repro/internal/exec"
-	"repro/internal/partition"
-)
+import "repro/internal/partition"
 
 // This file implements Definition 6 (order among (f,m)-fusions) and the
 // helpers around Theorem 3 (subsets of fusions are fusions).
@@ -46,16 +43,8 @@ func FusionLess(F, G []partition.P) bool {
 // by an element of its lower cover while A ∪ F still tolerates f faults.
 // Every fusion returned by Algorithm 2 passes this check (Theorem 5 proves
 // the stronger global minimality); the function exists so tests can verify
-// it independently. The lower-cover fan-outs run on the shared default
-// pool; engine-owned callers use IsLocallyMinimalFusionOn.
+// it independently.
 func IsLocallyMinimalFusion(s *System, F []partition.P, f int) (bool, error) {
-	return IsLocallyMinimalFusionOn(exec.Default(), s, F, f)
-}
-
-// IsLocallyMinimalFusionOn is IsLocallyMinimalFusion with the lower-cover
-// closure fan-outs on an explicit pool (fusion.Engine routes here so a
-// dedicated engine's verification work never lands on the shared pool).
-func IsLocallyMinimalFusionOn(pool *exec.Pool, s *System, F []partition.P, f int) (bool, error) {
 	ok, err := s.IsFusion(F, f)
 	if err != nil {
 		return false, err
@@ -67,7 +56,7 @@ func IsLocallyMinimalFusionOn(pool *exec.Pool, s *System, F []partition.P, f int
 		rest := make([]partition.P, 0, len(F)-1)
 		rest = append(rest, F[:i]...)
 		rest = append(rest, F[i+1:]...)
-		for _, cand := range partition.LowerCoverOn(pool, s.Top, F[i]) {
+		for _, cand := range partition.LowerCover(s.Top, F[i]) {
 			withCand := append(append([]partition.P{}, rest...), cand)
 			if s.DminWith(withCand) > f {
 				return false, nil // a strictly smaller machine suffices

@@ -1,9 +1,10 @@
-// Package lattice enumerates the closed-partition lattice of a machine
+// Package lattice builds the closed-partition lattice of a machine
 // (Section 2.1 of the paper, Fig. 3) and exposes its Hasse structure: the
-// order, the covers, and the basis (the lower cover of ⊤). It is intended
-// for small tops — the paper itself notes the full lattice is never needed
-// during fusion generation; this package exists to reproduce Fig. 3 and to
-// cross-check Algorithm 2 against exhaustive search.
+// order, the covers, and the basis (the lower cover of ⊤). The nodes come
+// from partition.ClosedPartitions, the one lattice enumerator, which the
+// exhaustive search of package core also walks. It is intended for small
+// tops — the paper itself notes the full lattice is never needed during
+// fusion generation; this package exists to reproduce Fig. 3.
 package lattice
 
 import (
@@ -28,36 +29,13 @@ type Lattice struct {
 	Below [][]int
 }
 
-// Build enumerates the lattice by downward BFS through merge-closures,
-// bounded by maxNodes (0 = 4096).
+// Build enumerates the lattice with partition.ClosedPartitions, bounded
+// by maxNodes (0 = 4096), then sorts it and computes its Hasse edges.
 func Build(top *dfsm.Machine, maxNodes int) (*Lattice, error) {
-	if maxNodes <= 0 {
-		maxNodes = 4096
+	nodes, err := partition.ClosedPartitions(top, maxNodes)
+	if err != nil {
+		return nil, err
 	}
-	n := top.NumStates()
-	start := partition.Singletons(n)
-	seen := partition.NewSet(64)
-	seen.Add(start)
-	queue := []partition.P{start}
-	var nodes []partition.P
-	for len(queue) > 0 {
-		p := queue[0]
-		queue = queue[1:]
-		nodes = append(nodes, p)
-		if len(nodes) > maxNodes {
-			return nil, fmt.Errorf("lattice: more than %d closed partitions", maxNodes)
-		}
-		blocks := p.Blocks()
-		for i := 0; i < len(blocks); i++ {
-			for j := i + 1; j < len(blocks); j++ {
-				c := partition.CloseMergingStates(top, p, blocks[i][0], blocks[j][0])
-				if seen.Add(c) {
-					queue = append(queue, c)
-				}
-			}
-		}
-	}
-
 	sort.Slice(nodes, func(i, j int) bool {
 		if nodes[i].NumBlocks() != nodes[j].NumBlocks() {
 			return nodes[i].NumBlocks() > nodes[j].NumBlocks()

@@ -1,7 +1,9 @@
 package lattice
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -172,5 +174,80 @@ func TestDOTAndSummary(t *testing.T) {
 	sum := l.Summary()
 	if !strings.Contains(sum, "closed-partition lattice") {
 		t.Errorf("Summary = %q", sum)
+	}
+}
+
+// TestConcurrentEnumerationMatchesSerial runs partition.ClosedPartitions,
+// Build's DOT and partition.LowerCover of every lattice node from several
+// goroutines at once, on the Fig. 2 top, the 9-state top of two mod-3
+// counters and an 8-state shift register, and requires each goroutine to
+// see exactly the serial run's result. Every call takes its level-0
+// scratch from the shared default pool; under -race this checks that no
+// call reads another's.
+func TestConcurrentEnumerationMatchesSerial(t *testing.T) {
+	var tops []*dfsm.Machine
+	for _, ms := range [][]*dfsm.Machine{
+		{machines.Fig2A(), machines.Fig2B()},
+		{machines.ZeroCounter(), machines.OneCounter()},
+		{machines.ShiftRegister(3)},
+	} {
+		pr, err := dfsm.ReachableCrossProduct(ms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tops = append(tops, pr.Top)
+	}
+	// describe renders everything one goroutine computes for top.
+	describe := func(top *dfsm.Machine) (string, error) {
+		nodes, err := partition.ClosedPartitions(top, 0)
+		if err != nil {
+			return "", err
+		}
+		l, err := Build(top, 0)
+		if err != nil {
+			return "", err
+		}
+		var b strings.Builder
+		for _, p := range nodes {
+			b.WriteString(p.String())
+			b.WriteString(" covers")
+			for _, c := range partition.LowerCover(top, p) {
+				b.WriteString(" " + c.String())
+			}
+			b.WriteString("\n")
+		}
+		b.WriteString(l.DOT())
+		return b.String(), nil
+	}
+	want := make([]string, len(tops))
+	for i, top := range tops {
+		var err error
+		if want[i], err = describe(top); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const goroutines = 4
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines*len(tops))
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range tops {
+				i := (g + k) % len(tops)
+				got, err := describe(tops[i])
+				if err == nil && got != want[i] {
+					err = fmt.Errorf("goroutine %d, top %d: result differs from the serial run", g, i)
+				}
+				if err != nil {
+					errs <- err
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
 }

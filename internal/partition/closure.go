@@ -43,8 +43,9 @@ type statePair struct{ a, b int }
 // state by state.
 type levelStart struct {
 	// base is the union-find of close(p), flattened so parent[s] is s's
-	// root. Closing p first keeps a fan-out over a p that is not closed
-	// exact: close(p ∪ {x~y}) = close(close(p) ∪ {x~y}).
+	// root. Descent levels start at closed partitions; closing p first
+	// serves Close and CloseMergingStates, whose p need not be closed:
+	// close(p ∪ {x~y}) = close(close(p) ∪ {x~y}).
 	base *UnionFind
 	// violated reports that close(p) already merges a forbidden pair —
 	// (s, s) included, which no partition separates — so every task of

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/dfsm"
-	"repro/internal/exec"
 )
 
 func TestLowerCoverOfFig2Top(t *testing.T) {
@@ -86,7 +85,7 @@ func TestLowerCoverOfBottom(t *testing.T) {
 func TestMergeClosuresKeepPrunes(t *testing.T) {
 	top := fig2Top(t)
 	// Keep only partitions separating t1 and t2.
-	cands := MergeClosuresOn(exec.Default(), top, Singletons(4), [][2]int{{1, 2}})
+	cands := MergeClosures(top, Singletons(4), [][2]int{{1, 2}})
 	if len(cands) == 0 {
 		t.Fatal("no candidate separates t1 and t2; the check below would be vacuous")
 	}
@@ -96,7 +95,7 @@ func TestMergeClosuresKeepPrunes(t *testing.T) {
 		}
 	}
 	// A degenerate pair, which no partition separates, rejects everything.
-	none := MergeClosuresOn(exec.Default(), top, Singletons(4), [][2]int{{1, 2}, {0, 0}})
+	none := MergeClosures(top, Singletons(4), [][2]int{{1, 2}, {0, 0}})
 	if len(none) != 0 {
 		t.Errorf("filter-all-out returned %v", none)
 	}
@@ -122,5 +121,76 @@ func TestLowerCoverDescendsToBottom(t *testing.T) {
 	}
 	if p.NumBlocks() != 1 {
 		t.Fatalf("descent stopped at %v, not bottom", p)
+	}
+}
+
+// restrictedGrowth calls visit with every set partition of n states, as a
+// restricted-growth string: a[0] = 0 and each a[i] is at most one more
+// than the largest of a[0..i-1]. There are Bell(n) of them.
+func restrictedGrowth(n int, visit func([]int)) {
+	a := make([]int, n)
+	var rec func(i, hi int)
+	rec = func(i, hi int) {
+		if i == n {
+			visit(a)
+			return
+		}
+		for b := 0; b <= hi+1; b++ {
+			a[i] = b
+			rec(i+1, max(hi, b))
+		}
+	}
+	rec(1, 0)
+}
+
+// TestClosedPartitionsComplete checks the lattice enumerator against
+// brute force on tops of at most 8 states (Fig. 2's top, seeded random
+// machines, and reachable products of two, whose lattices are richer):
+// ClosedPartitions must return, once each, exactly the set partitions for
+// which IsClosed holds.
+func TestClosedPartitionsComplete(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	tops := []*dfsm.Machine{fig2Top(t)}
+	for len(tops) < 7 {
+		events := [][]string{{"a"}, {"a", "b"}}[len(tops)%2]
+		tops = append(tops, dfsm.RandomMachine(rng, "T", 6+rng.Intn(3), events))
+	}
+	for len(tops) < 13 {
+		ms := []*dfsm.Machine{
+			dfsm.RandomMachine(rng, "M0", 2+rng.Intn(3), []string{"a", "b"}),
+			dfsm.RandomMachine(rng, "M1", 2+rng.Intn(3), []string{"a", "c"}),
+		}
+		pr, err := dfsm.ReachableCrossProduct(ms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := pr.Top.NumStates(); n >= 5 && n <= 8 {
+			tops = append(tops, pr.Top)
+		}
+	}
+	for i, top := range tops {
+		n := top.NumStates()
+		want := NewSet(64)
+		restrictedGrowth(n, func(a []int) {
+			if p := FromAssignment(append([]int(nil), a...)); IsClosed(top, p) {
+				want.Add(p)
+			}
+		})
+		got, err := ClosedPartitions(top, 0)
+		if err != nil {
+			t.Fatalf("top %d (%d states): %v", i, n, err)
+		}
+		have := NewSet(len(got))
+		for _, p := range got {
+			if !have.Add(p) {
+				t.Fatalf("top %d (%d states): %s enumerated twice", i, n, p)
+			}
+			if !want.Contains(p) {
+				t.Fatalf("top %d (%d states): %s enumerated but not closed", i, n, p)
+			}
+		}
+		if have.Len() != want.Len() {
+			t.Fatalf("top %d (%d states): %d closed partitions enumerated, brute force finds %d", i, n, have.Len(), want.Len())
+		}
 	}
 }

@@ -89,10 +89,8 @@ type DescentState struct {
 	stats DescentStats
 
 	// onClose observes every pair evaluated (cold or seeded) with its
-	// representative states; tests hook it to prove that pruned pairs are
-	// never re-closed. It runs on the caller, except at a level-0 start
-	// that is not closed, where pool workers call it, so a non-nil hook
-	// must be internally synchronized.
+	// representative states, on the caller; tests hook it to prove that
+	// pruned pairs are never re-closed.
 	onClose func(x, y int)
 }
 
@@ -231,34 +229,17 @@ func separatesAll(c P, forbidden [][2]int) bool {
 	return true
 }
 
-// blockPairs returns one cold task per unordered block pair of p, in
-// block order.
-func blockPairs(p P) []pairTask {
-	blocks := p.Blocks()
-	b := len(blocks)
-	tasks := make([]pairTask, 0, b*(b-1)/2)
-	for i := 0; i < b; i++ {
-		for j := i + 1; j < b; j++ {
-			tasks = append(tasks, pairTask{x: blocks[i][0], y: blocks[j][0]})
-		}
-	}
-	return tasks
-}
-
-// closePairs is the one pool fan-out of closures, shared by the seeded
-// descent levels (one task per distinct seed), level 0 at a start that is
-// not closed, and the full candidate list (MergeClosuresOn, LowerCover):
-// each task closes p merged along its pair (joined with its seed, if any),
-// and the finished closure passes when it separates every forbidden pair.
-// The level start's forest is built once, before the pool runs, and every
-// cascade starts from a copy; when close(p) already merges a forbidden
-// pair, every task fails without running. onClose, when set, observes
-// every evaluated pair and must be internally synchronized. The pool's
-// atomic cursor load-balances the tasks and per-worker scratch slots
-// recycle the union-find working sets; results land in task-indexed
-// slots, so every reduction over them is independent of worker
-// scheduling.
-func closePairs(pool *exec.Pool, top *dfsm.Machine, p P, tasks []pairTask, forbidden [][2]int, onClose func(x, y int)) []pairResult {
+// closePairs is the one pool fan-out of closures, run by the seeded
+// descent levels (one task per distinct seed): each task closes p merged
+// along its pair (joined with its seed, if any), and the finished closure
+// passes when it separates every forbidden pair. The level start's forest
+// is built once, before the pool runs, and every cascade starts from a
+// copy; when close(p) already merges a forbidden pair, every task fails
+// without running. The pool's atomic cursor load-balances the tasks and
+// per-worker scratch slots recycle the union-find working sets; results
+// land in task-indexed slots, so every reduction over them is independent
+// of worker scheduling.
+func closePairs(pool *exec.Pool, top *dfsm.Machine, p P, tasks []pairTask, forbidden [][2]int) []pairResult {
 	res := make([]pairResult, len(tasks))
 	st := newLevelStart(top, p, forbidden)
 	if st.violated {
@@ -266,9 +247,6 @@ func closePairs(pool *exec.Pool, top *dfsm.Machine, p P, tasks []pairTask, forbi
 	}
 	pool.Run(len(tasks), func(c *exec.Ctx, k int) {
 		t := tasks[k]
-		if onClose != nil {
-			onClose(t.x, t.y)
-		}
 		cand, _ := cascade(c, top, st, t.seed, t.x, t.y, nil)
 		res[k] = pairResult{cand: cand, ok: separatesAll(cand, forbidden)}
 	})
@@ -282,13 +260,14 @@ func closePairs(pool *exec.Pool, top *dfsm.Machine, p P, tasks []pairTask, forbi
 // no candidate passes (the descent has bottomed out).
 //
 // The first call after d.Reset, d.NextDescent or NewDescentState is level
-// 0 and may start anywhere. Every later call must start at a partition coarser than
-// or equal to the previous call's p — in a descent, the previous pick —
+// 0 and may start at any closed partition; a start that is not closed
+// panics. Every later call must start at a partition coarser than or
+// equal to the previous call's p — in a descent, the previous pick —
 // which is what makes the previous level's outcomes reusable.
 //
 // Each finished closure is checked against forbidden (nil passes every
 // closure). The winner is identical to the Less-minimum of
-// MergeClosuresOn(pool, top, p, forbidden).
+// MergeClosures(top, p, forbidden).
 func MinMergeClosureOn(pool *exec.Pool, d *DescentState, top *dfsm.Machine, p P, forbidden [][2]int) (P, bool) {
 	if p.NumBlocks() <= 1 {
 		return P{}, false // bottom has no merge closures
@@ -312,12 +291,11 @@ func MinMergeClosureOn(pool *exec.Pool, d *DescentState, top *dfsm.Machine, p P,
 	return best, best.N() > 0
 }
 
-// coldLevel evaluates level 0 at p into d.next and d.rec: from the ⊤
-// carry when p is ⊤ of the carried top, in one pair-graph pass when p is
-// closed, with nothing to run when close(p) already merges a forbidden
-// pair, and otherwise (there is no quotient machine to search) with one
-// cascade per block pair on the pool. A pass at ⊤ leaves its passing part
-// in the carry.
+// coldLevel evaluates level 0 at the closed p into d.next and d.rec:
+// from the ⊤ carry when p is ⊤ of the carried top, with nothing to run
+// when p already merges a forbidden pair, and otherwise in one pair-graph
+// pass. A pass at ⊤ leaves its passing part in the carry. A p that is not
+// closed has no quotient machine to search, and panics.
 func (d *DescentState) coldLevel(pool *exec.Pool, top *dfsm.Machine, p P, forbidden [][2]int) {
 	b := p.NumBlocks()
 	n := b * (b - 1) / 2
@@ -328,31 +306,24 @@ func (d *DescentState) coldLevel(pool *exec.Pool, top *dfsm.Machine, p P, forbid
 	}
 	d.carry.release()
 	st := newLevelStart(top, p, forbidden)
-	switch {
-	case st.violated:
+	if st.base.Sets() != b {
+		panic("partition: level 0 at a partition that is not closed")
+	}
+	if st.violated {
 		d.rec = resize(d.rec, n)
 		for u := range d.rec {
 			d.rec[u] = -1
 		}
 		d.stats.ColdClosures += n
 		d.stats.ImpliedCascades += n
-	case st.base.Sets() == b:
-		c := pool.Acquire()
-		defer pool.Release(c)
-		d.table.pass(c, top, st, p, forbidden, &d.next, &d.stats, d.onClose)
-		d.rec = d.table.comp
-		if atTop {
-			d.keepCarry(top, forbidden)
-		}
-	default:
-		tasks := blockPairs(p)
-		res := closePairs(pool, top, p, tasks, forbidden, d.onClose)
-		d.rec = resize(d.rec, n)
-		for k, task := range tasks {
-			d.rec[node(int32(p.BlockOf(task.x)), int32(p.BlockOf(task.y)))] = d.keep(res[k])
-		}
-		d.stats.ColdClosures += n
-		d.stats.ColdCascades += n
+		return
+	}
+	c := pool.Acquire()
+	defer pool.Release(c)
+	d.table.pass(c, top, st, p, forbidden, &d.next, &d.stats, d.onClose)
+	d.rec = d.table.comp
+	if atTop {
+		d.keepCarry(top, forbidden)
 	}
 }
 
@@ -454,7 +425,7 @@ func (d *DescentState) seededLevel(pool *exec.Pool, top *dfsm.Machine, p P, forb
 	d.stats.PrunedSkips += n - live
 
 	// remap is read; its prefix now numbers each task's result in d.next.
-	for k, r := range closePairs(pool, top, p, tasks, forbidden, nil) {
+	for k, r := range closePairs(pool, top, p, tasks, forbidden) {
 		remap[k] = d.keep(r)
 	}
 	d.rec = rec[:n]

@@ -3,7 +3,6 @@ package partition
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"repro/internal/dfsm"
@@ -43,7 +42,7 @@ func TestSeededCloseMatchesJoinClosure(t *testing.T) {
 		}
 		want := Close(top, join)
 
-		got := closePairs(pool, top, p, []pairTask{{seed: prev}}, nil, nil)[0].cand
+		got := closePairs(pool, top, p, []pairTask{{seed: prev}}, nil)[0].cand
 		if !got.Equal(want) {
 			t.Fatalf("trial %d: seeded close %s, Close(Join) %s (p=%s prev=%s)",
 				trial, got, want, p, prev)
@@ -74,7 +73,7 @@ func TestSeededCloseGuardedMatchesGuarded(t *testing.T) {
 		want := Close(top, join)
 		wantOK := separating(forbidden)(want)
 
-		r := closePairs(pool, top, p, []pairTask{{seed: prev}}, forbidden, nil)[0]
+		r := closePairs(pool, top, p, []pairTask{{seed: prev}}, forbidden)[0]
 		got, gotOK := r.cand, r.ok
 		if gotOK != wantOK {
 			t.Fatalf("trial %d: seeded verdict %v, reference %v (p=%s prev=%s forbidden=%v)",
@@ -86,8 +85,8 @@ func TestSeededCloseGuardedMatchesGuarded(t *testing.T) {
 	}
 }
 
-// minOverFull is the pre-fold reference: pickCandidate over the full
-// MergeClosuresOn candidate list.
+// minOverFull is the pre-fold reference: pickCandidate over a full
+// merge-closure candidate list.
 func minOverFull(cands []P) (P, bool) {
 	if len(cands) == 0 {
 		return P{}, false
@@ -103,8 +102,8 @@ func minOverFull(cands []P) (P, bool) {
 
 // TestMinMergeClosureMatchesFullDescent descends random machines twice —
 // once through MinMergeClosureOn with a DescentState, once through the
-// unconstrained MergeClosuresOn list filtered by the forbidden pairs with
-// an explicit min — and demands the identical winner at every level of
+// unconstrained per-pair list (coldMergeClosures) filtered by the
+// forbidden pairs with an explicit min — and demands the identical winner at every level of
 // every descent. Sparse trials draw up to five pairs on small random
 // machines; dense ones draw 100–300 on 24–40-state product tops, the
 // regime of Algorithm 2's weakest-edge lists.
@@ -116,7 +115,7 @@ func TestMinMergeClosureMatchesFullDescent(t *testing.T) {
 		m := Singletons(top.NumStates())
 		for m.NumBlocks() > 1 {
 			got, gotOK := MinMergeClosureOn(pool, d, top, m, forbidden)
-			want, wantOK := minOverFull(refMergeClosures(MergeClosuresOn(pool, top, m, nil), forbidden))
+			want, wantOK := minOverFull(refMergeClosures(coldMergeClosures(pool, top, m, nil), forbidden))
 			if gotOK != wantOK {
 				t.Fatalf("%s at %d blocks: min ok=%v, full ok=%v", label, m.NumBlocks(), gotOK, wantOK)
 			}
@@ -158,20 +157,39 @@ func TestMinMergeClosureMatchesFullDescent(t *testing.T) {
 	}
 }
 
-// coldMin is the test-only cold descent level: every block pair of p
-// closed by its own cascade on the pool (closePairs over blockPairs), and
-// the Less-minimal passing closure.
-func coldMin(pool *exec.Pool, top *dfsm.Machine, p P, forbidden [][2]int) (P, bool) {
-	if p.NumBlocks() <= 1 {
-		return P{}, false
-	}
-	var best P
-	for _, r := range closePairs(pool, top, p, blockPairs(p), forbidden, nil) {
-		if r.ok && (best.N() == 0 || r.cand.Less(best)) {
-			best = r.cand
+// blockPairs returns one cold task per unordered block pair of p, in
+// block order.
+func blockPairs(p P) []pairTask {
+	blocks := p.Blocks()
+	b := len(blocks)
+	tasks := make([]pairTask, 0, b*(b-1)/2)
+	for i := 0; i < b; i++ {
+		for j := i + 1; j < b; j++ {
+			tasks = append(tasks, pairTask{x: blocks[i][0], y: blocks[j][0]})
 		}
 	}
-	return best, best.N() > 0
+	return tasks
+}
+
+// coldMergeClosures is the test-only per-pair reference for
+// MergeClosures, with no pair-graph pass: every block pair of p closed by
+// its own cascade on the pool (closePairs over blockPairs), the passing
+// closures deduplicated in block-pair order.
+func coldMergeClosures(pool *exec.Pool, top *dfsm.Machine, p P, forbidden [][2]int) []P {
+	seen := NewSet(0)
+	var out []P
+	for _, r := range closePairs(pool, top, p, blockPairs(p), forbidden) {
+		if r.ok && seen.Add(r.cand) {
+			out = append(out, r.cand)
+		}
+	}
+	return out
+}
+
+// coldMin is the test-only cold descent level: the Less-minimal closure
+// of coldMergeClosures.
+func coldMin(pool *exec.Pool, top *dfsm.Machine, p P, forbidden [][2]int) (P, bool) {
+	return minOverFull(coldMergeClosures(pool, top, p, forbidden))
 }
 
 // pairIndex triangular-indexes the unordered pair of distinct states
@@ -288,13 +306,8 @@ func TestPrunedPairNeverReclosed(t *testing.T) {
 		}
 
 		d := NewDescentState()
-		var mu sync.Mutex
 		closed := make(map[int]int) // pair index -> closures observed
-		d.onClose = func(x, y int) {
-			mu.Lock()
-			closed[pairIndex(x, y)]++
-			mu.Unlock()
-		}
+		d.onClose = func(x, y int) { closed[pairIndex(x, y)]++ }
 
 		m := Singletons(n)
 		level := 0
@@ -304,21 +317,17 @@ func TestPrunedPairNeverReclosed(t *testing.T) {
 			// pairs may reach the close function now or later.
 			pruned := prunedPairs(d)
 			everPruned += len(pruned)
-			mu.Lock()
 			clear(closed)
-			mu.Unlock()
 
 			best, ok := MinMergeClosureOn(pool, d, top, m, forbidden)
 			if !ok {
 				break
 			}
-			mu.Lock()
 			for k, cnt := range closed {
 				if pruned[k] {
 					t.Fatalf("trial %d level %d: pruned pair %d re-closed %d times", trial, level, k, cnt)
 				}
 			}
-			mu.Unlock()
 			m = best
 			level++
 		}
@@ -381,7 +390,7 @@ func TestDescentStateReset(t *testing.T) {
 	}
 	mCold := Singletons(12)
 	for mCold.NumBlocks() > 1 {
-		best, ok := minOverFull(MergeClosuresOn(pool, top, mCold, forbidden))
+		best, ok := coldMin(pool, top, mCold, forbidden)
 		if !ok {
 			break
 		}
@@ -441,7 +450,7 @@ func TestSeededJoinsMatchClosePairs(t *testing.T) {
 			}
 		}
 		best, ok := MinMergeClosureOn(pool, d, top, m, forbidden)
-		for k, r := range closePairs(pool, top, m, tasks, forbidden, nil) {
+		for k, r := range closePairs(pool, top, m, tasks, forbidden) {
 			task := tasks[k]
 			got, gotOK := recorded(d, task.x, task.y)
 			if gotOK != r.ok || gotOK && !got.Equal(r.cand) {

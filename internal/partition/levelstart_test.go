@@ -3,7 +3,6 @@ package partition
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"repro/internal/dfsm"
@@ -59,7 +58,7 @@ func pairClosures(top *dfsm.Machine, p P) []P {
 	return out
 }
 
-// refMergeClosures is the reference MergeClosuresOn over p's pair
+// refMergeClosures is the reference MergeClosures over p's pair
 // closures: keep each that separates every forbidden pair, deduplicated
 // in order.
 func refMergeClosures(closures []P, forbidden [][2]int) []P {
@@ -104,7 +103,7 @@ func descentStart(top *dfsm.Machine, maxBlocks int) P {
 	m := Singletons(top.NumStates())
 	for m.NumBlocks() > maxBlocks {
 		var fit, coarsest P
-		for _, c := range MergeClosuresOn(exec.Default(), top, m, nil) {
+		for _, c := range MergeClosures(top, m, nil) {
 			if c.NumBlocks() <= maxBlocks && (fit.N() == 0 || c.NumBlocks() > fit.NumBlocks()) {
 				fit = c
 			}
@@ -171,27 +170,22 @@ func assertSameClosures(t *testing.T, label string, got, want []P) {
 	}
 }
 
-// TestMergeClosuresMatchNaiveFixpoint checks the fan-out kernel — one
-// level-start forest shared by every cascade — against per-pair reference
-// closures, on product tops of 20–200 states, from closed level starts
-// and from starts that are not closed, under no constraint, a short and a
-// dense forbidden list, a forbidden pair already inside one block of the
-// start, and a degenerate (s, s) pair.
+// TestMergeClosuresMatchNaiveFixpoint checks MergeClosures — level 0's
+// pair-graph pass — against per-pair reference closures, on product tops
+// of 20–200 states, from a descent's level start and from ⊤, under no
+// constraint, a short and a dense forbidden list, a forbidden pair
+// already inside one block of the start, and a degenerate (s, s) pair.
 func TestMergeClosuresMatchNaiveFixpoint(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
-	pool := exec.New(2)
-	defer pool.Close()
 	for trial := 0; trial < 6; trial++ {
 		top := productTop(t, rng, 20+trial*32, 40+trial*32)
 		n := top.NumStates()
 
-		// Closed: a descent's level start, and ⊤ on the smaller tops.
-		// Not closed: that level start with a few states moved.
-		closed := descentStart(top, 40)
+		// A descent's level start, and ⊤ on the smaller tops.
 		starts := []struct {
 			name string
 			p    P
-		}{{"level start", closed}, {"not closed", notClosed(t, rng, top, closed)}}
+		}{{"level start", descentStart(top, 40)}}
 		if n <= 60 {
 			starts = append(starts, struct {
 				name string
@@ -223,22 +217,20 @@ func TestMergeClosuresMatchNaiveFixpoint(t *testing.T) {
 				if c.none && len(want) != 0 {
 					t.Fatalf("%s: reference kept %d closures", label, len(want))
 				}
-				assertSameClosures(t, label, MergeClosuresOn(pool, top, p, c.forbidden), want)
+				assertSameClosures(t, label, MergeClosures(top, p, c.forbidden), want)
 			}
 		}
 	}
 }
 
-// TestFanOutStateDoesNotLeak interleaves, on a one-worker pool whose
-// single scratch serves every cascade, fan-outs over two tops with
-// different level starts and forbidden lists — constrained after
-// unconstrained and back, large top after small — with single-shot Close
-// calls on starts that are not closed. Each result must match its
-// reference: no base forest or stack of one call may reach the next.
+// TestFanOutStateDoesNotLeak interleaves, on the default pool's recycled
+// scratch, level-0 passes over two tops with different level starts and
+// forbidden lists — constrained after unconstrained and back, large top
+// after small — with single-shot Close calls on starts that are not
+// closed. Each result must match its reference: no base forest or stack
+// of one call may reach the next.
 func TestFanOutStateDoesNotLeak(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	pool := exec.New(1)
-	defer pool.Close()
 
 	big := productTop(t, rng, 150, 200)
 	small := productTop(t, rng, 20, 40)
@@ -272,7 +264,7 @@ func TestFanOutStateDoesNotLeak(t *testing.T) {
 		for i := range fans {
 			f := fans[(i+round)%len(fans)]
 			label := fmt.Sprintf("round %d, fan-out %d", round, (i+round)%len(fans))
-			assertSameClosures(t, label, MergeClosuresOn(pool, f.top, f.p, f.forbidden), f.want)
+			assertSameClosures(t, label, MergeClosures(f.top, f.p, f.forbidden), f.want)
 
 			s := singles[(i+round)%len(singles)]
 			if got := Close(s.top, s.p); !got.Equal(s.want) {
@@ -282,25 +274,20 @@ func TestFanOutStateDoesNotLeak(t *testing.T) {
 	}
 }
 
-// checkPass evaluates level 0 at start p under forbidden through d, reset
-// first so one table and one pair of sets serve every case. The record's
-// verdict for each task, and closure when it passes, must match
-// unmemoized closePairs and the naive fixpoint (every block pair of p is
-// checked when tasks is nil); onClose must see every block pair exactly
-// once (none when p already merges a forbidden pair); and when every pair
-// was checked the returned winner must be their least passing closure,
-// and a pass at a closed start must have emitted exactly the SCCs that
+// checkPass evaluates level 0 at the closed start p under forbidden
+// through d, reset first so one table and one pair of sets serve every
+// case. The record's verdict for each task, and closure when it passes,
+// must match unmemoized closePairs and the naive fixpoint (every block
+// pair of p is checked when tasks is nil); onClose must see every block
+// pair exactly once (none when p already merges a forbidden pair); and
+// when every pair was checked the returned winner must be their least
+// passing closure, and the pass must have emitted exactly the SCCs that
 // emittedSCCs counts.
 func checkPass(t *testing.T, label string, pool *exec.Pool, d *DescentState, top *dfsm.Machine, p P, tasks []pairTask, forbidden [][2]int) {
 	t.Helper()
-	var mu sync.Mutex // an open p falls back to the pooled fan-out
 	seen := map[int]int{}
 	d.Reset()
-	d.onClose = func(x, y int) {
-		mu.Lock()
-		seen[pairIndex(x, y)]++
-		mu.Unlock()
-	}
+	d.onClose = func(x, y int) { seen[pairIndex(x, y)]++ }
 	best, bestOK := MinMergeClosureOn(pool, d, top, p, forbidden)
 	d.onClose = nil
 	b := p.NumBlocks()
@@ -322,7 +309,7 @@ func checkPass(t *testing.T, label string, pool *exec.Pool, d *DescentState, top
 	}
 	var least P
 	fails := make([]bool, want)
-	cold := closePairs(pool, top, p, tasks, forbidden, nil)
+	cold := closePairs(pool, top, p, tasks, forbidden)
 	for i, task := range tasks {
 		assign := p.Assignment()
 		bx, by := assign[task.x], assign[task.y]
@@ -353,7 +340,7 @@ func checkPass(t *testing.T, label string, pool *exec.Pool, d *DescentState, top
 	if all && (bestOK != (least.N() > 0) || bestOK && !best.Equal(least)) {
 		t.Fatalf("%s: winner %v %s, least passing closure %s", label, bestOK, best, least)
 	}
-	if all && len(fails) > 0 && IsClosed(top, p) {
+	if all && len(fails) > 0 {
 		if got, ref := len(d.table.sccs)-1, emittedSCCs(top, p, forbidden, fails); got != ref {
 			t.Fatalf("%s: the pass emitted %d SCCs, reference %d", label, got, ref)
 		}
@@ -439,8 +426,8 @@ func cascadesRun(d *DescentState) int {
 // cascade must catch, with and without a DFS parent that must then fail
 // without a cascade, a passing SCC finished inside a search that later
 // aborts, a start that already merges a forbidden pair, a pair graph that
-// is one SCC, a search 10⁵ nodes deep, and random product tops from
-// closed and open level starts under short and dense forbidden lists.
+// is one SCC, a search 10⁵ nodes deep, and random product tops from ⊤
+// and a descent's level start under short and dense forbidden lists.
 func TestPairGraphPassHardCases(t *testing.T) {
 	pool := exec.New(2)
 	defer pool.Close()
@@ -636,16 +623,37 @@ func TestPairGraphPassHardCases(t *testing.T) {
 		}
 	}
 
-	// Random product tops, from ⊤, a closed level start and an open one.
+	// Random product tops, from ⊤ and a descent's level start.
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 4; trial++ {
 		top := productTop(t, rng, 20+trial*10, 40+trial*10)
-		closed := descentStart(top, 30)
-		for _, p := range []P{Singletons(top.NumStates()), closed, notClosed(t, rng, top, closed)} {
+		for _, p := range []P{Singletons(top.NumStates()), descentStart(top, 30)} {
 			for _, k := range []int{3, 100 + rng.Intn(201)} {
 				label := fmt.Sprintf("trial %d, %d blocks, %d pairs", trial, p.NumBlocks(), k)
 				checkPass(t, label, pool, d, top, p, nil, randomPairs(rng, top.NumStates(), k))
 			}
 		}
+	}
+}
+
+// TestLevelZeroNotClosedPanics: level 0 runs the pair-graph pass over the
+// quotient machine of its start, which a partition that is not closed
+// does not have, so both entry points that run a level 0 panic on one.
+func TestLevelZeroNotClosedPanics(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	top := productTop(t, rng, 20, 40)
+	p := notClosed(t, rng, top, descentStart(top, 30))
+	for name, run := range map[string]func(){
+		"MinMergeClosureOn": func() { MinMergeClosureOn(exec.Default(), NewDescentState(), top, p, nil) },
+		"MergeClosures":     func() { MergeClosures(top, p, nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s at a start that is not closed did not panic", name)
+				}
+			}()
+			run()
+		}()
 	}
 }

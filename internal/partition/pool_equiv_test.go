@@ -5,13 +5,12 @@ import (
 	"testing"
 
 	"repro/internal/dfsm"
-	"repro/internal/exec"
 )
 
-// serialMergeClosures is the reference implementation of MergeClosuresOn:
-// one goroutine, no pool, dedup in block-pair order. The pooled fan-out
-// must reproduce its output exactly (same candidates, same order) for
-// every worker count — that is what keeps Algorithm 2's candidate
+// serialMergeClosures is the reference implementation of MergeClosures:
+// one Close per block pair, no pair-graph pass, dedup in block-pair
+// order. MergeClosures must reproduce its output exactly (same
+// candidates, same order) — that is what keeps Algorithm 2's candidate
 // selection, and therefore the generated fusions, bit-identical.
 func serialMergeClosures(top *dfsm.Machine, p P, keep func(P) bool) []P {
 	blocks := p.Blocks()
@@ -56,12 +55,11 @@ func separating(forbidden [][2]int) func(P) bool {
 	}
 }
 
-// TestMergeClosuresPooledMatchesSerial is the pooled-vs-serial
-// equivalence property: for random tops, random starting partitions and
-// every pool size, MergeClosuresOn returns the serial reference's exact
-// candidate sequence, unconstrained and under random forbidden pairs.
+// TestMergeClosuresPooledMatchesSerial is the pass-vs-serial equivalence
+// property: for random tops and random closed starting partitions,
+// MergeClosures returns the serial reference's exact candidate sequence,
+// unconstrained and under random forbidden pairs.
 func TestMergeClosuresPooledMatchesSerial(t *testing.T) {
-	pools := []*exec.Pool{exec.New(1), exec.New(2), exec.New(4), exec.New(7)}
 	rng := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 80; trial++ {
 		top := dfsm.RandomMachine(rng, "T", 2+rng.Intn(10), []string{"a", "b", "c"})
@@ -75,11 +73,8 @@ func TestMergeClosuresPooledMatchesSerial(t *testing.T) {
 			forbidden = randomPairs(rng, n, 1+rng.Intn(4))
 		}
 		want := serialMergeClosures(top, p, separating(forbidden))
-		for _, pool := range pools {
-			got := MergeClosuresOn(pool, top, p, forbidden)
-			if !samePartitionSeq(got, want) {
-				t.Fatalf("trial %d workers=%d forbidden=%v: pooled %v != serial %v", trial, pool.Workers(), forbidden, got, want)
-			}
+		if got := MergeClosures(top, p, forbidden); !samePartitionSeq(got, want) {
+			t.Fatalf("trial %d forbidden=%v: pass %v != serial %v", trial, forbidden, got, want)
 		}
 	}
 }
