@@ -11,6 +11,7 @@ package fusion_test
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"net/http/httptest"
 	"sync"
 	"testing"
@@ -568,11 +569,14 @@ func BenchmarkServerGenerateCached(b *testing.B) {
 	}
 }
 
-// BenchmarkWeakestEdges measures the fault graph on the 176-state top.
-// "query" is the WeakestEdges call Algorithm 2 issues once per outer
-// iteration (one O(N²) scan of the weights); "addRemove" cycles one
-// machine through Add / WeakestEdges / Remove, the per-iteration cost
-// Algorithm 2 pays.
+// BenchmarkWeakestEdges measures the fault graph's queries on the
+// 176-state top. "query" is one WeakestEdges call, a scan of all N(N−1)/2
+// same-block counts into an exactly sized result; "addRemove" cycles one
+// machine through Add (its intra-block pairs only), WeakestEdges and
+// Remove (a scan of every pair). Algorithm 2 calls neither WeakestEdges
+// nor Remove: it collects its weakest-edge list once and grows it as it
+// adds machines, so BenchmarkFaultGraphBuild is the row its graph cost
+// follows.
 func BenchmarkWeakestEdges(b *testing.B) {
 	sys := mustSystem(b, "MESI", "TCP", "A", "B")
 	b.Run("query", func(b *testing.B) {
@@ -598,6 +602,47 @@ func BenchmarkWeakestEdges(b *testing.B) {
 			g.Remove(p)
 		}
 	})
+}
+
+// BenchmarkFaultGraphBuild measures BuildFaultGraph and Dmin, the fault
+// graph Algorithm 2 builds before its first descent, on a seeded random
+// system drawn as perfbench's gen-cold workload draws its random ops: two
+// or three machines over a partly shared alphabet whose reachable product
+// has 300 to 400 states (seed 1 draws 376 states from two machines of 20
+// and 19 states).
+func BenchmarkFaultGraphBuild(b *testing.B) {
+	sys := randomGenColdSystem(b, rand.New(rand.NewSource(1)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if core.BuildFaultGraph(sys.N(), sys.Parts).Dmin() < 1 {
+			b.Fatal("a system of machines with more than one state has dmin 0")
+		}
+	}
+}
+
+// randomGenColdSystem draws two or three random machines, each on events
+// a, b and one private event, until their reachable product has 300 to 400
+// states.
+func randomGenColdSystem(tb testing.TB, rng *rand.Rand) *core.System {
+	tb.Helper()
+	for {
+		ms := make([]*dfsm.Machine, 2+rng.Intn(2))
+		for j := range ms {
+			states := 4 + rng.Intn(6)
+			if len(ms) == 2 {
+				states = 14 + rng.Intn(8)
+			}
+			ms[j] = dfsm.RandomMachine(rng, fmt.Sprintf("R%d", j), states, []string{"a", "b", fmt.Sprintf("x%d", j)})
+		}
+		sys, err := core.NewSystem(ms)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if sys.N() >= 300 && sys.N() <= 400 {
+			return sys
+		}
+	}
 }
 
 // --- helpers ---------------------------------------------------------------

@@ -21,9 +21,13 @@
 // # Performance
 //
 // The Algorithm 2 hot path is allocation-light end to end: the fault graph
-// is one flat weight array whose Add walk also counts dmin and the edges at
-// it, so Dmin is O(1) and WeakestEdges is one scan into an exactly sized
-// result, with no index to maintain per edge; partitions carry a precomputed
+// keeps one same-block count per ⊤ pair, numbered as level 0's pass numbers
+// them, and its Add touches only the pairs inside one block of the added
+// machine (a counting pass over its block vector), keeping the largest
+// count and the pairs at it, so Dmin is O(1); Algorithm 2 collects its
+// weakest-edge list once from the block buckets of A, exactly sized, and
+// grows it by append as it adds each generated machine, instead of
+// rescanning the N(N−1)/2 edges per descent; partitions carry a precomputed
 // 64-bit hash so candidate dedup never materializes string keys; and the
 // reachable-cross-product BFS dedups tuples under a mixed-radix uint64
 // encoding instead of formatted strings. On the paper's Table 1 suites
@@ -62,15 +66,17 @@
 // Across the descents of one generation, only level 0's verdicts at ⊤
 // are shared, and only what passed. Each generated machine separates
 // every weakest edge, so it raises each of them by one and lowers no
-// edge: the next descent's weakest edges contain this one's, and a ⊤
-// pair that failed (its closure does not depend on the edges) fails
-// again. The first descent runs the pass; the DescentState keeps its
+// edge: the next descent's weakest-edge list extends this one's (the
+// list only grows, by append), and a ⊤ pair that failed (its closure does
+// not depend on the edges) fails again. The first descent runs the pass; the DescentState keeps its
 // passing ⊤ pairs with their distinct closures, and every later descent's
 // level 0 rechecks each carried closure once against its own weakest
 // edges instead of running a pass. The carry holds each distinct passing
 // closure and one entry per passing ⊤ pair: often empty on small tops,
 // but on pair-rich tops, where most ⊤ pairs pass level 0, it nears one
-// entry per ⊤ pair.
+// entry per ⊤ pair. Theorem 5 fixes the number of descents up front, so
+// the last descent, and the only one of an f = dmin(A) generation, keeps
+// no carry.
 //
 // Both tiers report through process-wide counters (GenerationCounters,
 // fusegen -descent-stats, fusiond /metrics and /healthz); the within-

@@ -39,28 +39,34 @@ func releaseDescent(d *partition.DescentState) {
 // smallest set of machines F (as closed partitions of ⊤'s state set) such
 // that A ∪ F tolerates f crash faults, i.e. dmin(A ∪ F) > f. By Theorem 5
 // the returned set has exactly max(0, f − dmin(A) + 1) machines and is a
-// minimal (f,|F|)-fusion. By Theorem 2 the same set tolerates ⌊f/2⌋
-// Byzantine faults.
+// minimal (f,|F|)-fusion, so that many descents run, and a MaxMachines
+// below it fails before the first. By Theorem 2 the same set tolerates
+// ⌊f/2⌋ Byzantine faults.
 //
 // Each outer iteration starts from ⊤ (which always raises dmin by one) and
 // walks down the closed-partition lattice: among the lower-cover candidates
 // that still cover every weakest edge of the current fault graph — the
 // paper's "dmin(F ∪ A ∪ F) > dmin(A ∪ F)" test on line 6 — it descends
 // into the smallest one, stopping when no candidate qualifies. The
-// weakest edges become one list of state pairs per descent, and a
-// candidate qualifies when its finished closure separates each of them.
+// weakest edges are one list of state pairs, and a candidate qualifies
+// when its finished closure separates each of them.
 // Candidate evaluation is parallelized inside the partition merge-closure
 // fan-out, and one pooled partition.DescentState threads outcomes across
 // the levels of each descent: level 0 is one pass over the pair graph of
 // ⊤, pairs whose closure lost a weakest edge are pruned for the rest of
 // the descent, and surviving candidates are re-evaluated at the next level
 // as one union-find join per distinct closure instead of cold closures.
+//
 // Only the first descent runs that pass. Each generated machine separates
 // every weakest edge, so it raises them all by one and lowers no edge:
-// the weakest edges of one descent are among those of the next, and a ⊤
-// pair that failed stays failed. The state carries the passing ⊤ pairs
-// and their closures into the next descent, whose level 0 only rechecks
-// each carried closure against the new weakest edges.
+// the weakest edges of one descent stay weakest in the next, joined by
+// the pairs inside the machine's blocks that were one above dmin. The
+// list is collected once from the block buckets of A and grown by append
+// as each machine is added, so each descent's list is a prefix of the
+// next one's, and a ⊤ pair that failed stays failed. The state carries
+// the passing ⊤ pairs and their closures into the next descent, whose
+// level 0 only rechecks each carried closure against the grown list; the
+// last descent keeps no carry.
 //
 // Complexity: O(N³·|Σ|·f) as shown in Section 5.1.
 func GenerateFusion(s *System, f int, opts GenerateOptions) ([]partition.P, error) {
@@ -81,23 +87,26 @@ func generateWith(s *System, f int, opts GenerateOptions, d *partition.DescentSt
 	}
 	n := s.N()
 	g := BuildFaultGraph(n, s.Parts)
-	var fusions []partition.P
-
-	for g.Dmin() <= f {
-		if opts.MaxMachines > 0 && len(fusions) >= opts.MaxMachines {
-			return nil, fmt.Errorf("core: fusion for f=%d needs more than %d machines (dmin currently %d)",
-				f, opts.MaxMachines, g.Dmin())
-		}
-		forbidden := edgePairs(g.WeakestEdges())
-		// Recorded violations are only permanent within one descent: the
-		// weakest-edge set changes with every generated machine. It only
-		// grows, though (the last machine raised every weakest edge and
-		// lowered none), so a later descent carries level 0's verdicts at
-		// ⊤ from the previous one.
-		if len(fusions) == 0 {
-			d.Reset()
-		} else {
+	dmin := g.Dmin()
+	if dmin > f {
+		return nil, nil
+	}
+	need := f - dmin + 1 // Theorem 5: each descent raises dmin by exactly one
+	if opts.MaxMachines > 0 && need > opts.MaxMachines {
+		return nil, fmt.Errorf("core: fusion for f=%d needs more than %d machines (dmin currently %d)",
+			f, opts.MaxMachines, dmin)
+	}
+	fusions := make([]partition.P, 0, need)
+	forbidden := g.weakestPairs(s.Parts)
+	d.Reset()
+	for k := 0; k < need; k++ {
+		// Recorded violations are only permanent within one descent; the
+		// level-0 verdicts at ⊤ carry over, because the list only grows.
+		if k > 0 {
 			d.NextDescent(forbidden)
+		}
+		if k == need-1 {
+			d.FinalDescent()
 		}
 
 		// Start at ⊤, which separates every pair and therefore always
@@ -118,24 +127,15 @@ func generateWith(s *System, f int, opts GenerateOptions, d *partition.DescentSt
 		}
 
 		genCounters.descents.Add(1)
-		// Stats cover the descent just finished; Reset clears them at the
-		// top of the next iteration.
+		// Stats cover the descent just finished; NextDescent clears them.
 		recordDescent(d.Stats())
 
 		fusions = append(fusions, m)
-		g.Add(m)
+		if k < need-1 {
+			forbidden = g.addWeakest(m, forbidden)
+		}
 	}
 	return fusions, nil
-}
-
-// edgePairs returns the fault-graph edges as the state pairs a descent's
-// candidates must separate.
-func edgePairs(edges []Edge) [][2]int {
-	pairs := make([][2]int, len(edges))
-	for i, e := range edges {
-		pairs[i] = [2]int{e.I, e.J}
-	}
-	return pairs
 }
 
 // GreedyDescent exposes one inner-loop descent of Algorithm 2: starting
@@ -144,7 +144,10 @@ func edgePairs(edges []Edge) [][2]int {
 // search ablation. Like GenerateFusion's inner loop it carries a pooled
 // DescentState, so deeper levels reuse outcomes from shallower ones.
 func GreedyDescent(s *System, required []Edge) partition.P {
-	forbidden := edgePairs(required)
+	forbidden := make([][2]int, len(required))
+	for i, e := range required {
+		forbidden[i] = [2]int{e.I, e.J}
+	}
 	d := descents.Get().(*partition.DescentState)
 	defer releaseDescent(d)
 	m := partition.Singletons(s.N())

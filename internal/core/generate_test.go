@@ -138,11 +138,27 @@ func TestGenerateRecomputeMatchesIncremental(t *testing.T) {
 	}
 }
 
-// TestGenerateMaxMachinesGuard: the guard trips when the budget is too low.
+// TestGenerateMaxMachinesGuard: the guard trips when the budget is too low,
+// before any descent runs (Theorem 5 fixes the count up front), and its
+// message names f, the budget and dmin(A). A budget of exactly
+// f − dmin(A) + 1 machines passes.
 func TestGenerateMaxMachinesGuard(t *testing.T) {
 	sys := fig1System(t)
-	if _, err := core.GenerateFusion(sys, 5, core.GenerateOptions{MaxMachines: 2}); err == nil {
+	before := core.GenerationCounters()
+	_, err := core.GenerateFusion(sys, 5, core.GenerateOptions{MaxMachines: 2})
+	if err == nil {
 		t.Fatal("GenerateFusion ignored MaxMachines")
+	}
+	after := core.GenerationCounters()
+	if d, l := after.Descents-before.Descents, after.Levels-before.Levels; d != 0 || l != 0 {
+		t.Errorf("the refused generation ran %d descents and %d levels first", d, l)
+	}
+	if want := "core: fusion for f=5 needs more than 2 machines (dmin currently 1)"; err.Error() != want {
+		t.Errorf("error %q, want %q", err, want)
+	}
+	F, err := core.GenerateFusion(sys, 5, core.GenerateOptions{MaxMachines: 5})
+	if err != nil || len(F) != 5 {
+		t.Fatalf("a budget of f − dmin + 1 = 5: %d machines, %v", len(F), err)
 	}
 }
 

@@ -8,6 +8,7 @@ package partition_test
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -86,13 +87,52 @@ func oracleSystem(t *testing.T, rng *rand.Rand, backed bool) *core.System {
 	}
 }
 
-// weakestPairs returns g's weakest edges as a forbidden list.
-func weakestPairs(g *core.FaultGraph) [][2]int {
-	var out [][2]int
+// growWeakest returns prev, the forbidden list of the previous descent
+// (nil before the first), extended by g's weakest edges that it lacks, as
+// Algorithm 2 grows its list: prev's pairs must all still be weakest, and
+// prev is a prefix of the result. The result is a fresh slice.
+func growWeakest(t *testing.T, prev [][2]int, g *core.FaultGraph) [][2]int {
+	t.Helper()
+	have := make(map[[2]int]bool, len(prev))
+	for _, e := range prev {
+		have[e] = true
+	}
+	out := slices.Clone(prev)
 	for _, e := range g.WeakestEdges() {
-		out = append(out, [2]int{e.I, e.J})
+		pair := [2]int{e.I, e.J}
+		if !have[pair] {
+			out = append(out, pair)
+		}
+		delete(have, pair)
+	}
+	if len(have) > 0 {
+		t.Fatalf("%d pairs of the previous forbidden list are no longer weakest", len(have))
 	}
 	return out
+}
+
+// notExtending returns a list that does not extend prev, a non-empty
+// prefix of next: next with its first and last pairs swapped, so it holds
+// the same pairs, or, when next adds nothing to prev, without its first
+// pair.
+func notExtending(prev, next [][2]int) [][2]int {
+	if len(next) == len(prev) {
+		return next[1:]
+	}
+	bad := slices.Clone(next)
+	bad[0], bad[len(bad)-1] = bad[len(bad)-1], bad[0]
+	return bad
+}
+
+// mustPanicNextDescent fails unless d.NextDescent(forbidden) panics.
+func mustPanicNextDescent(t *testing.T, label string, d *partition.DescentState, forbidden [][2]int) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s: NextDescent accepted a forbidden list that does not extend the carried one", label)
+		}
+	}()
+	d.NextDescent(forbidden)
 }
 
 // assertSameLevel fails unless d and fresh, each just past a level 0 at
@@ -118,7 +158,10 @@ func assertSameLevel(t *testing.T, label string, n int, d, fresh *partition.Desc
 // DescentState, as core's GenerateFusion does, and at every descent after
 // the first compares the carried level 0 with a fresh state's full pass
 // under the same weakest edges: same pick, same verdict and closure for
-// every ⊤ pair, and no cascade run. The replay must reach GenerateFusion's
+// every ⊤ pair, and no cascade run. The forbidden list grows as
+// GenerateFusion's does, each descent's a prefix of the next, and at
+// every later descent a list with the same pairs that does not extend
+// the carried one must panic first. The replay must reach GenerateFusion's
 // fusions, some later descents must carry a passing closure, and some
 // carried closure must fail its recheck, so neither path goes unchecked.
 func TestTopCarryMatchesFreshPass(t *testing.T) {
@@ -130,11 +173,15 @@ func TestTopCarryMatchesFreshPass(t *testing.T) {
 		g := core.BuildFaultGraph(n, in.sys.Parts)
 		d := partition.NewDescentState()
 		var fusions []partition.P
+		var forbidden [][2]int
 		for descent := 0; g.Dmin() <= in.f; descent++ {
-			forbidden := weakestPairs(g)
+			prev := forbidden
+			forbidden = growWeakest(t, prev, g)
 			if descent == 0 {
 				d.Reset()
 			} else {
+				label := fmt.Sprintf("%s descent %d", in.name, descent)
+				mustPanicNextDescent(t, label, d, notExtending(prev, forbidden))
 				d.NextDescent(forbidden)
 			}
 			before := partition.CarriedClosures(d)
@@ -257,11 +304,9 @@ func TestTopCarryOnlyAtCarriedTop(t *testing.T) {
 		}
 	}
 
-	d := carrying(a)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NextDescent accepted a forbidden list that does not contain the carried one")
-		}
-	}()
-	d.NextDescent([][2]int{{2, 3}})
+	// Lists that hold the carried pair but do not start with it panic too:
+	// the check is "extends", not "contains".
+	for _, bad := range [][][2]int{{{2, 3}}, {{2, 3}, {0, 1}}, {}} {
+		mustPanicNextDescent(t, fmt.Sprint(bad), carrying(a), bad)
+	}
 }

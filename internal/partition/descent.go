@@ -1,6 +1,8 @@
 package partition
 
 import (
+	"slices"
+
 	"repro/internal/dfsm"
 	"repro/internal/exec"
 )
@@ -47,8 +49,9 @@ import (
 // Across the descents of one generation the state carries level-0
 // verdicts at ⊤. Each descent of Algorithm 2 adds a machine that
 // separates every weakest edge, which raises those edges by one and
-// lowers none, so the next descent's forbidden list contains this one's:
-// F₁ ⊆ F₂ ⊆ …. A ⊤ pair's closure does not depend on F, so a pair that
+// lowers none, so the next descent's forbidden list extends this one's:
+// F₁ ⊆ F₂ ⊆ …, each a prefix of the next, as core grows the list by
+// append. A ⊤ pair's closure does not depend on F, so a pair that
 // failed under Fₖ fails under every later list. After a pass at ⊤ the
 // state keeps only what passed: each distinct passing closure, the ⊤
 // pairs that carry it, and the top and forbidden list they were judged
@@ -58,7 +61,8 @@ import (
 // and the survivors' pairs get their number back. The carry holds one
 // entry per passing closure and one per passing pair, so on a pair-rich
 // top, where most ⊤ pairs pass level 0, it nears one entry per ⊤ pair; a
-// level 0 anywhere else drops it and runs the pass.
+// level 0 anywhere else drops it and runs the pass. A descent marked by
+// FinalDescent, the last of its generation, keeps no carry.
 //
 // A DescentState serves one descent at a time: call Reset before starting
 // an unrelated descent, or NextDescent before the next descent of the
@@ -83,8 +87,10 @@ type DescentState struct {
 	table sccTable
 
 	// carry is level 0's outcome at ⊤, kept across the descents of one
-	// generation (see NextDescent).
+	// generation (see NextDescent). final marks the generation's last
+	// descent, whose level 0 at ⊤ keeps none.
 	carry topCarry
+	final bool
 
 	stats DescentStats
 
@@ -137,21 +143,29 @@ func (d *DescentState) Reset() {
 
 // NextDescent clears the recorded outcomes like Reset but keeps the ⊤
 // carry, for the next descent of the same generation under forbidden.
-// Algorithm 2's weakest edges only grow from one descent to the next, so
-// forbidden must contain the list the carry was judged under; both come
-// from the fault graph's WeakestEdges in lexicographic order, and a list
-// that is not a superset panics. forbidden must be the list the descent
-// then passes to MinMergeClosureOn, and the carry keeps it by reference
-// until the next level 0 or Reset, so it must not change meanwhile.
+// Algorithm 2's weakest edges only grow from one descent to the next, and
+// core grows its list by append, so the list the carry was judged under
+// must be a prefix of forbidden; a list that does not extend it panics.
+// forbidden must be the list the descent then passes to
+// MinMergeClosureOn, and the carry keeps it by reference until the next
+// level 0 or Reset, so its first entries must not change meanwhile.
 func (d *DescentState) NextDescent(forbidden [][2]int) {
 	d.clearDescent()
-	if d.carry.top != nil && !containsSorted(forbidden, d.carry.forbidden) {
-		panic("partition: NextDescent forbidden list does not contain the previous descent's")
+	if old := d.carry.forbidden; d.carry.top != nil &&
+		(len(old) > len(forbidden) || !slices.Equal(forbidden[:len(old)], old)) {
+		panic("partition: NextDescent forbidden list does not extend the previous descent's")
 	}
 }
 
-// clearDescent drops the current descent's record, closures and stats.
+// FinalDescent marks the current descent as the last of its generation:
+// no NextDescent follows, so its level 0 at ⊤ keeps no carry. Reset and
+// NextDescent clear the mark.
+func (d *DescentState) FinalDescent() { d.final = true }
+
+// clearDescent drops the current descent's record, closures, stats and
+// final mark.
 func (d *DescentState) clearDescent() {
+	d.final = false
 	d.start = P{}
 	d.rec = d.rec[:0]
 	d.closures.reset()
@@ -163,7 +177,9 @@ func (d *DescentState) clearDescent() {
 // topCarry is the passing part of a level-0 pass at ⊤: the distinct
 // passing closures, and per passing ⊤ pair its node and the number of
 // its closure. top and forbidden are what the verdicts were judged
-// under; top is nil when there is nothing to carry.
+// under, and the next descent's forbidden list must extend forbidden (a
+// prefix check, see NextDescent); top is nil when there is nothing to
+// carry.
 type topCarry struct {
 	top       *dfsm.Machine
 	forbidden [][2]int
@@ -177,22 +193,6 @@ func (c *topCarry) release() {
 	clear(c.closures)
 	c.closures = c.closures[:0]
 	c.nodes, c.of = c.nodes[:0], c.of[:0]
-}
-
-// containsSorted reports whether every pair of sub occurs in list, both
-// in lexicographic order: one merge walk.
-func containsSorted(list, sub [][2]int) bool {
-	i := 0
-	for _, e := range sub {
-		for i < len(list) && (list[i][0] < e[0] || list[i][0] == e[0] && list[i][1] < e[1]) {
-			i++
-		}
-		if i == len(list) || list[i] != e {
-			return false
-		}
-		i++
-	}
-	return true
 }
 
 // Stats returns the reuse counters accumulated since the last Reset.
@@ -294,8 +294,9 @@ func MinMergeClosureOn(pool *exec.Pool, d *DescentState, top *dfsm.Machine, p P,
 // coldLevel evaluates level 0 at the closed p into d.next and d.rec:
 // from the ⊤ carry when p is ⊤ of the carried top, with nothing to run
 // when p already merges a forbidden pair, and otherwise in one pair-graph
-// pass. A pass at ⊤ leaves its passing part in the carry. A p that is not
-// closed has no quotient machine to search, and panics.
+// pass. A pass at ⊤ leaves its passing part in the carry, unless the
+// descent is final. A p that is not closed has no quotient machine to
+// search, and panics.
 func (d *DescentState) coldLevel(pool *exec.Pool, top *dfsm.Machine, p P, forbidden [][2]int) {
 	b := p.NumBlocks()
 	n := b * (b - 1) / 2
@@ -322,7 +323,7 @@ func (d *DescentState) coldLevel(pool *exec.Pool, top *dfsm.Machine, p P, forbid
 	defer pool.Release(c)
 	d.table.pass(c, top, st, p, forbidden, &d.next, &d.stats, d.onClose)
 	d.rec = d.table.comp
-	if atTop {
+	if atTop && !d.final {
 		d.keepCarry(top, forbidden)
 	}
 }

@@ -11,7 +11,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-PATTERN="${BENCH_PATTERN:-^(BenchmarkFig1ModCounters|BenchmarkTable1Row[1-5]|BenchmarkSensorCountersTop|BenchmarkCrossProductLarge|BenchmarkClosure|BenchmarkWeakestEdgeDescent|BenchmarkSensorNetworkScale|BenchmarkApplyAll|BenchmarkWeakestEdges|BenchmarkServerGenerate|BenchmarkServerGenerateNoObsv|BenchmarkGenerateCacheHit|BenchmarkServerGenerateCached|BenchmarkHandleUpdateDurable)$}"
+PATTERN="${BENCH_PATTERN:-^(BenchmarkFig1ModCounters|BenchmarkTable1Row[1-5]|BenchmarkSensorCountersTop|BenchmarkCrossProductLarge|BenchmarkClosure|BenchmarkWeakestEdgeDescent|BenchmarkSensorNetworkScale|BenchmarkApplyAll|BenchmarkWeakestEdges|BenchmarkFaultGraphBuild|BenchmarkServerGenerate|BenchmarkServerGenerateNoObsv|BenchmarkGenerateCacheHit|BenchmarkServerGenerateCached|BenchmarkHandleUpdateDurable)$}"
 TIME="${BENCH_TIME:-1s}"
 COUNT="${BENCH_COUNT:-1}"
 CPU="${BENCH_CPU:-}"
